@@ -40,4 +40,4 @@ from .montecarlo import (
     wilson_interval,
 )
 from .render import RenderSpec, render_svg
-from .tracer import RayState, Trajectory, trace, trace_summary, trajectory_metrics
+from .tracer import RayState, Trajectory, trace, trace_summary

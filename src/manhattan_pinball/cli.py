@@ -189,6 +189,13 @@ def _cmd_render(args):
     return 0
 
 
+def _worker_count(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="manhattan-pinball",
@@ -235,7 +242,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--enhanced", action="store_true")
     p.add_argument("--csv")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("verify", help="replay the localization theorem per sample")
@@ -245,7 +252,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pattern", default="default")
     p.add_argument("--csv")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("pattern", help="check or search enhancement patterns")

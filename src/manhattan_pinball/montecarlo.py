@@ -11,7 +11,10 @@ hybrid field (raw core, enhanced exterior) must localize inside Q_{2n}.
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
+import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -27,7 +30,7 @@ from .events import (
     surrounding_circuit_4rect,
     surrounding_circuit_exact,
 )
-from .tracer import trace, trace_summary
+from .tracer import trace_summary
 
 _Z95 = 1.959963984540054
 
@@ -143,14 +146,43 @@ def _eval_samples(args):
 
 
 def _chunks(N, workers):
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     size = (N + workers - 1) // workers
     return [range(lo, min(lo + size, N)) for lo in range(0, N, size)]
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+
+
+def _retain_freed_memory():
+    """Have glibc keep freed blocks of up to 32 MB for reuse (Linux only).
+
+    Every sample allocates and frees arrays the size of its field.  glibc
+    hands blocks above its mmap threshold (128 kB, raised only as ever larger
+    blocks are freed) back to the kernel, and the next sample faults them in
+    again page by page: at the verify extent (M = 267) that cost over a third
+    of the run time.  Fixed thresholds make the reuse independent of what was
+    freed before.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _map_chunks(fn, jobs, workers):
     if workers <= 1 or len(jobs) <= 1:
+        _retain_freed_memory()
         return [fn(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(jobs)),
+                             initializer=_retain_freed_memory) as ex:
         return list(ex.map(fn, jobs))
 
 
@@ -253,17 +285,17 @@ def _verify_samples(args):
                 sample=i, circuit=False, closed=None, contained=None,
                 hybrid_contained=None, passed=True))
             continue
-        t = trace(w)
-        closed = t.status == "closed"
-        contained = closed and t.contained_in(2 * n + 2 * D)
+        status, _, _, containment = trace_summary(w)
+        closed = status == "closed"
+        contained = closed and containment <= 2 * n + 2 * D
         w0 = hybrid(w, w_t, _CORE_RADIUS)
-        t0 = trace(w0)
-        hybrid_contained = t0.status == "closed" and t0.contained_in(2 * n)
+        h_status, _, _, h_containment = trace_summary(w0)
+        hybrid_contained = h_status == "closed" and h_containment <= 2 * n
         passed = closed and contained and hybrid_contained
         diag = "" if passed else (
             f"seed={seed} stream={i} n={n} p={p} extent={extent} "
-            f"status={t.status} containment={t.containment} "
-            f"hybrid_status={t0.status} hybrid_containment={t0.containment}"
+            f"status={status} containment={containment} "
+            f"hybrid_status={h_status} hybrid_containment={h_containment}"
         )
         records.append(VerificationRecord(
             sample=i, circuit=True, closed=closed, contained=contained,

@@ -38,7 +38,7 @@ def _report(num, text):
 def test_criterion_1_p1_orbit_under_1ms():
     c = constant(6, True)
     start = RayState((0, 0), 0)
-    trace(c, start)  # warm path (kernel compiled by the session fixture)
+    trace(c, start)  # warm path
     best = float("inf")
     for _ in range(20):
         t0 = time.perf_counter()

@@ -128,3 +128,27 @@ def test_bad_layer_is_usage_error(tmp_path, capsys):
          "--out", str(cfg)])
     assert run(["render", "--config", str(cfg), "--layers", "sparkles",
                 "--out", str(tmp_path / "x.svg")]) == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_usage_error(workers, capsys):
+    for cmd in (["estimate", "--event", "closure", "--n", "4"],
+                ["verify", "--n", "101"]):
+        with pytest.raises(SystemExit) as ei:
+            run(cmd + ["--p", "0.5", "--trials", "4", "--seed", "1",
+                       "--workers", workers])
+        assert ei.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+
+def test_bad_trajectory_file_is_parse_error(tmp_path, capsys):
+    cfg, traj = tmp_path / "c.txt", tmp_path / "t.txt"
+    run(["sample", "--p", "1", "--extent", "4", "--seed", "1", "--out", str(cfg)])
+    run(["trace", "--config", str(cfg), "--out", str(traj)])
+    lines = traj.read_text().splitlines()
+    lines[6] = "0 0 Q"
+    traj.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["render", "--config", str(cfg), "--trajectory", str(traj),
+                "--layers", "trajectory", "--out", str(tmp_path / "r.svg")]) == 2
+    assert "line 7" in capsys.readouterr().err

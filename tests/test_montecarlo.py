@@ -67,6 +67,17 @@ def test_estimate_worker_invariance():
         r3.hits, r3.estimate, r3.ci_lo, r3.ci_hi)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(workers):
+    g = default_pattern()
+    with pytest.raises(ValueError, match="workers"):
+        estimate_event("closure", 0.5, 4, 10, seed=1, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        compare_enhanced(0.5, 4, 10, seed=1, g=g, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        verify_theorem(0.5, 101, 10, seed=1, g=g, workers=workers)
+
+
 def test_event_extent_covers_enhanced_padding():
     g = default_pattern()
     assert event_extent("Acirc", 8) == 18

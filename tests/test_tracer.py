@@ -1,4 +1,6 @@
-"""Light dynamics: hand-trace oracles, bijectivity, twin cross-checks."""
+"""Light dynamics: hand-trace oracles, bijectivity, the ``step`` oracle."""
+
+import random
 
 import numpy as np
 import pytest
@@ -6,19 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manhattan_pinball.configuration import constant, from_closed_sites, sample
-from manhattan_pinball.geometry import UNIT, Direction, mirror_orientation
+from manhattan_pinball.errors import ConfigParseError
+from manhattan_pinball.geometry import Direction, q_radius
 from manhattan_pinball.tracer import (
     Escape,
     RayState,
+    Trajectory,
     default_max_steps,
     dump_trajectory,
     loads_trajectory,
     step,
     step_back,
     trace,
-    trace_python,
     trace_summary,
-    trajectory_metrics,
 )
 
 E, N, W, S = Direction.E, Direction.N, Direction.W, Direction.S
@@ -94,14 +96,63 @@ def test_manhattan_consistency_along_trajectories():
                 assert d == (1 if a % 2 == 0 else 3), (a, b, d)
 
 
-def test_trace_matches_python_twin():
-    for seed in range(25):
-        c = sample(0.45 + 0.01 * seed, 12, seed=seed)
-        a = trace(c, RayState((0, 0), E))
-        b = trace_python(c, RayState((0, 0), E), default_max_steps(12))
-        assert a.status == b.status
-        assert np.array_equal(a.states, b.states)
-        assert (a.linf_diameter, a.containment) == (b.linf_diameter, b.containment)
+def _oracle(c, start, max_steps, abort_radius=-1):
+    """Iterate ``step``: (status, states, linf_diameter, containment).
+
+    With ``abort_radius >= 0`` the walk stops, status 'aborted', at the first
+    state whose radius exceeds both abort_radius and every radius before it.
+    """
+    states = [start]
+    seen = {start}
+    radius = q_radius(start.site)
+    status = "budget_exceeded"
+    s = start
+    for _ in range(max_steps):
+        try:
+            s = step(s, c)
+        except Escape:
+            status = "escaped"
+            break
+        if s == start:
+            status = "closed"
+            break
+        assert s not in seen, "non-start state repeated"
+        seen.add(s)
+        states.append(s)
+        r = q_radius(s.site)
+        if r > radius:
+            radius = r
+            if 0 <= abort_radius < r:
+                status = "aborted"
+                break
+    arr = np.array([[a, b, int(d)] for (a, b), d in states], dtype=np.int32)
+    diam = int(max(np.ptp(arr[:, 0]), np.ptp(arr[:, 1])))
+    return status, arr, diam, radius
+
+
+def test_trace_matches_step_oracle():
+    # seeded sweep over p, extent, start state, budget and abort radius,
+    # including starts outside Q_abort_radius
+    rng = random.Random(2024)
+    for case in range(150):
+        p = (0.0, 1.0)[case] if case < 2 else rng.random()
+        M = rng.randint(2, 20)
+        c = sample(p, M, seed=case)
+        start = RayState((rng.randint(-M, M), rng.randint(-M, M)),
+                         Direction(rng.randrange(4)))
+        r0 = q_radius(start.site)
+        for max_steps in (rng.randint(1, 12), default_max_steps(M)):
+            status, states, diam, radius = _oracle(c, start, max_steps)
+            t = trace(c, start, max_steps)
+            assert t.status == status and t.start == start
+            assert t.states.dtype == np.int32
+            assert np.array_equal(t.states, states)
+            assert (t.linf_diameter, t.containment) == (diam, radius)
+            for abort_radius in (-1, r0 - 1, r0, r0 + 1, 2 * M):
+                status, states, diam, radius = _oracle(c, start, max_steps, abort_radius)
+                got = trace_summary(c, start, max_steps, abort_radius)
+                assert got == (status, len(states), diam, radius), (
+                    case, start, max_steps, abort_radius)
 
 
 def test_trace_summary_agrees_with_trace():
@@ -139,15 +190,10 @@ def test_step_back_inverts_step(a, b, d, seed):
     assert step_back(nxt, c) == s
 
 
-def test_trajectory_metrics():
-    c = constant(4, True)
-    t = trace(c, RayState((0, 0), E))
-    assert trajectory_metrics(t) == (1, 2, True)
-
-
 def test_start_outside_extent_rejected():
-    with pytest.raises(ValueError):
-        trace(constant(3, False), RayState((5, 0), E))
+    for f in (trace, trace_summary):
+        with pytest.raises(ValueError):
+            f(constant(3, False), RayState((5, 0), E))
 
 
 def test_dump_roundtrip():
@@ -157,3 +203,42 @@ def test_dump_roundtrip():
     assert t2.status == t.status
     assert np.array_equal(t2.states, t.states)
     assert (t2.linf_diameter, t2.containment) == (t.linf_diameter, t.containment)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("0 0 Q", "unknown direction"),
+    ("0 0", "expected 'a b direction'"),
+    ("0 0 E x", "expected 'a b direction'"),
+    ("0 x E", "non-integer"),
+    ("0 99999999999 E", "out of range"),
+])
+def test_loader_state_errors_carry_line_numbers(line, message):
+    lines = dump_trajectory(trace(constant(4, True))).splitlines()
+    lines[6] = line
+    with pytest.raises(ConfigParseError, match=message) as ei:
+        loads_trajectory("\n".join(lines))
+    assert ei.value.line == 7
+
+
+_HEADER = ("manhattan-pinball trajectory v1", "status closed", "states 2",
+           "linf_diameter 1", "containment 2")
+_TOKENS = st.sampled_from(["0", "1", "-1", "2", "E", "N", "W", "S", "Q", "x", "1.5",
+                           "99999999999", "status", "states", "closed", "escaped",
+                           "aborted", "linf_diameter", "containment", "", "\t"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(st.lists(_TOKENS, max_size=4).map(" ".join), max_size=8).map(
+        lambda rows: "\n".join(("manhattan-pinball trajectory v1", *rows))),
+    st.tuples(st.integers(0, 7), st.lists(_TOKENS, max_size=4).map(" ".join)).map(
+        lambda edit: "\n".join(_HEADER[:edit[0]] + (edit[1],) + _HEADER[edit[0] + 1:]
+                               + ("0 0 E", "1 0 S"))),
+))
+def test_loader_fuzz_returns_trajectory_or_parse_error(text):
+    try:
+        t = loads_trajectory(text)
+    except ConfigParseError:
+        return
+    assert isinstance(t, Trajectory) and len(t.states) >= 1
