@@ -31,15 +31,9 @@ from .enhancement import (
     validate_pattern,
 )
 from .errors import ConfigParseError, ResourceLimitError
-from .events import (
-    dump_witness,
-    loads_witness,
-    radial_closed_path,
-    rect_crossing,
-    surrounding_circuit_4rect,
-    surrounding_circuit_exact,
-)
+from .events import EVENTS, dump_witness, loads_witness
 from .montecarlo import (
+    EVENT_NAMES,
     estimate_event,
     estimates_csv,
     verification_csv,
@@ -97,16 +91,7 @@ def _cmd_enhance(args):
 
 
 def _cmd_event(args):
-    c = load(args.config)
-    n = args.n
-    if args.event == "A":
-        r = radial_closed_path(c, n, witness=True)
-    elif args.event == "Aprime":
-        r = rect_crossing(c, n, "T", witness=True)
-    elif args.event == "Acirc":
-        r = surrounding_circuit_exact(c, n, witness=True)
-    else:
-        r = surrounding_circuit_4rect(c, n)
+    r = EVENTS[args.event].detect(load(args.config), args.n, witness=True)
     print(f"event={r.event} holds={int(r.holds)}")
     if args.witness:
         atomic_write_text(args.witness, dump_witness(r))
@@ -228,14 +213,13 @@ def _build_parser():
 
     p = sub.add_parser("event", help="evaluate a percolation event")
     p.add_argument("--config", required=True)
-    p.add_argument("--event", required=True, choices=("A", "Aprime", "Acirc", "Acirc4"))
+    p.add_argument("--event", required=True, choices=tuple(EVENTS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--witness", help="write the witness dump here")
     p.set_defaults(fn=_cmd_event)
 
     p = sub.add_parser("estimate", help="Monte Carlo event probability")
-    p.add_argument("--event", required=True,
-                   choices=("closure", "A", "Aprime", "Acirc", "Acirc4"))
+    p.add_argument("--event", required=True, choices=EVENT_NAMES)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)

@@ -13,10 +13,12 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigParseError, ResourceLimitError
+from .geometry import edge_in_region, site_endpoints
 
 GENERATOR_ID = "splitmix64-v1"
 FORMAT_VERSION = 1
@@ -144,19 +146,16 @@ def from_closed_sites(M: int, sites) -> Configuration:
     return Configuration(extent=M, closed=arr)
 
 
+@lru_cache(maxsize=8)
 def edge_inside_q_mask(M: int, k: int) -> np.ndarray:
-    """Mask over sites whose tilted edge has both endpoints in Q_k."""
-    A, B = np.meshgrid(
-        np.arange(-M, M + 1), np.arange(-M, M + 1), indexing="ij"
-    )
-    ne = (A - B) % 2 == 0
-    # endpoint offsets: NE edge (a-+1/2, b-+1/2); NW edge (a-+1/2, b+-1/2)
-    ex1 = A - 0.5
-    ex2 = A + 0.5
-    ey1 = np.where(ne, B - 0.5, B + 0.5)
-    ey2 = np.where(ne, B + 0.5, B - 0.5)
-    inq = lambda x, y: (np.abs(x + y - 1) <= k) & (np.abs(x - y) <= k)
-    return inq(ex1, ey1) & inq(ex2, ey2)
+    """Mask over sites whose tilted edge has both endpoints in Q_k.
+
+    Cached per (M, k) and read-only.
+    """
+    _, _, i1, j1, i2, j2 = site_endpoints(M)
+    mask = edge_in_region("Q", k, i1, j1, i2, j2).reshape(2 * M + 1, 2 * M + 1)
+    mask.flags.writeable = False
+    return mask
 
 
 def hybrid(inner: Configuration, outer: Configuration, k: int) -> Configuration:

@@ -32,7 +32,16 @@ import numpy as np
 from . import events as _ev
 from .configuration import Configuration, from_closed_sites
 from .errors import ConfigParseError
-from .geometry import Direction, edge_for_site, mirror_orientation, reflect
+from .geometry import (
+    DIAGONAL,
+    Direction,
+    edge_ends,
+    edge_for_site,
+    edge_in_region,
+    mirror_orientation,
+    reflect,
+    site_between,
+)
 from .tracer import RayState, trace
 
 PATTERN_FORMAT_VERSION = 1
@@ -131,14 +140,10 @@ def match_pattern(c: Configuration, g: Pattern, excluded_core=None) -> MatchSet:
     )
     ok &= (T1 + T2) % 2 == 0
     if excluded_core is not None:
-        # valid offsets have even coordinate sum, so translated red edges
-        # keep the orientation of the pattern's own red edge
-        (x1, y1), (x2, y2) = edge_for_site(g.red_site)
-        e1x, e1y = x1 + T1, y1 + T2
-        e2x, e2y = x2 + T1, y2 + T2
-        k = excluded_core
-        inq = lambda x, y: (np.abs(x + y - 1) <= k) & (np.abs(x - y) <= k)
-        ok &= ~(inq(e1x, e1y) & inq(e2x, e2y))
+        # the red edge of the copy at offset (t1, t2) joins the red edge's
+        # ends translated by (t1, t2)
+        i1, j1, i2, j2 = edge_ends(*g.red_site)
+        ok &= ~edge_in_region("Q", excluded_core, i1 + T1, j1 + T2, i2 + T1, j2 + T2)
     idx = np.argwhere(ok)
     offsets = tuple((int(i + t1_lo), int(j + t2_lo)) for i, j in idx)
     return MatchSet(offsets=offsets)
@@ -263,19 +268,18 @@ def check_detour(g: Pattern, max_radius: int = 5) -> DetourReport:
     )
 
 
+@lru_cache(maxsize=4)
+def _window_bands(M):
+    """Node ids of the vertices in the west (i <= 1 - M) and east (i >= M - 1)
+    bands of a window of extent M."""
+    I, J = _ev.node_grid(M)
+    vertex = (I - J) % 2 == 0
+    return np.flatnonzero(vertex & (I <= -M + 1)), np.flatnonzero(vertex & (I >= M - 1))
+
+
 def _window_crossing(c: Configuration) -> bool:
     """Closed path joining the west and east bands of the window."""
-    M = c.extent
-    site_flat, e1, e2, n_nodes, _, _ = _ev._radial_static(M, 1)
-    mask = c.closed.ravel()[site_flat]
-    labels = _ev._components(e1[mask], e2[mask], n_nodes)
-    L = M + 1
-    rng = np.arange(-L, L + 1, dtype=np.int32)
-    I, J = np.meshgrid(rng, rng, indexing="ij")
-    vert = (I - J) % 2 == 0
-    west = np.flatnonzero((vert & (I <= -M + 1)).ravel())
-    east = np.flatnonzero((vert & (I >= M - 1)).ravel())
-    return bool(np.intersect1d(labels[west], labels[east]).size)
+    return _ev.sides_joined(c, _ev.edge_graph(c.extent), *_window_bands(c.extent))
 
 
 def _is_essential_witness(c: Configuration, g: Pattern) -> bool:
@@ -294,37 +298,22 @@ def _chain_to_boundary(g, extent, start_vertex, westward, blocked_vertices):
     pattern_vertices = set()
     for s in g.closed_sites:
         pattern_vertices.update(edge_for_site(s))
+
+    def neighbours(v):
+        for di, dj in DIAGONAL:
+            w = (v[0] + di, v[1] + dj)
+            a, b = site_between(v, w)
+            if (abs(a) <= extent and abs(b) <= extent and (a, b) not in g.sites
+                    and (w[0] + 0.5, w[1] + 0.5) not in pattern_vertices
+                    and w not in blocked_vertices):
+                yield w
+
     goal = (lambda v: v[0] <= -extent + 1) if westward else (lambda v: v[0] >= extent - 1)
     start = (int(start_vertex[0] - 0.5), int(start_vertex[1] - 0.5))
-    parent = {start: None}
-    via = {}
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        if goal(v):
-            sites = []
-            verts = []
-            node = v
-            while node is not None:
-                verts.append(node)
-                if parent[node] is not None:
-                    sites.append(via[node])
-                node = parent[node]
-            return sites, verts
-        for di, dj in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
-            w = (v[0] + di, v[1] + dj)
-            a, b = v[0] + (di + 1) // 2, v[1] + (dj + 1) // 2
-            if abs(a) > extent or abs(b) > extent:
-                continue
-            if (a, b) in g.sites or w in parent:
-                continue
-            wr = (w[0] + 0.5, w[1] + 0.5)
-            if wr in pattern_vertices or w in blocked_vertices:
-                continue
-            parent[w] = v
-            via[w] = (a, b)
-            queue.append(w)
-    return None
+    path = _ev.first_path([start], neighbours, goal)
+    if path is None:
+        return None
+    return [site_between(v, w) for v, w in zip(path, path[1:])], path
 
 
 def check_essential(g: Pattern, window: int | None = None, budget: int = 2000):
@@ -431,17 +420,7 @@ def _endpoints_connected(closed_sites, red):
         e = edge_for_site(s)
         adj.setdefault(e[0], set()).add(e[1])
         adj.setdefault(e[1], set()).add(e[0])
-    seen = {v1}
-    stack = [v1]
-    while stack:
-        v = stack.pop()
-        if v == v2:
-            return True
-        for w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
+    return _ev.first_path([v1], lambda v: adj.get(v, ()), lambda v: v == v2) is not None
 
 
 def search_patterns(r_max: int, budget: int = 200, essential_budget: int = 200):

@@ -21,10 +21,13 @@ midpoint site (a, b) crosses it iff b == 1 and a >= 1.  No vertex lies on
 the line y = 1, and winding parity about any point of the central block is
 the parity of the ray crossings.
 
-Bulk detection builds a static edge catalogue per (extent, n) once, masks it
-with the sample's closed field, and runs scipy connected components; witness
-construction is a separate deterministic breadth-first search used at desk
-scale.
+Region membership (Q_n, the annulus Q_2n minus Q_n, the rectangles) is
+decided by ``geometry.in_region`` on tilted coordinates.  Bulk detection
+builds a static edge catalogue per (extent, n) once, masks it with the
+sample's closed field, and runs scipy connected components.  Witnesses come
+from ``breadth_first``, one deterministic FIFO search that the enhancement
+module shares: each caller passes its own neighbours and stops at its own
+goal.
 """
 
 from __future__ import annotations
@@ -32,20 +35,37 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .configuration import Configuration
+from .errors import ConfigParseError
+from .geometry import (
+    DIAGONAL,
+    edge_ends,
+    edge_in_region,
+    in_region,
+    long_sides,
+    site_between,
+    site_endpoints,
+)
 
 __all__ = [
+    "EVENTS",
     "EventResult",
+    "breadth_first",
+    "first_path",
     "radial_closed_path",
     "rect_crossing",
+    "sides_joined",
     "surrounding_circuit_exact",
     "surrounding_circuit_4rect",
     "dual_crosscheck",
+    "edge_graph",
+    "node_grid",
 ]
 
 
@@ -64,64 +84,57 @@ class EventResult:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _site_endpoints(M):
-    """Endpoint vertex indices (i, j) for every site in the extent, flattened."""
-    rng = np.arange(-M, M + 1, dtype=np.int32)
-    A, B = np.meshgrid(rng, rng, indexing="ij")
-    A = A.ravel()
-    B = B.ravel()
-    ne = (A - B) % 2 == 0
-    i1 = A - 1
-    j1 = np.where(ne, B - 1, B)
-    i2 = A
-    j2 = np.where(ne, B, B - 1)
-    site_flat = (A + M) * (2 * M + 1) + (B + M)
-    return A, B, site_flat, i1, j1, i2, j2
-
-
 def _vid(i, j, L):
     return (i + L) * (2 * L + 1) + (j + L)
 
 
-def _in_q(i, j, n):
-    return (np.abs(i + j) <= n) & (np.abs(i - j) <= n)
+def _in_ring(n, i, j):
+    """Vertex (i, j) lies in Q_2n but not in Q_n; scalars or arrays."""
+    u, v = i + j, i - j
+    return in_region("Q", 2 * n, u, v) & np.logical_not(in_region("Q", n, u, v))
+
+
+def _usable(n, i1, j1, i2, j2):
+    """A circuit inside Q_2n around Q_n may use the edge (i1, j1)-(i2, j2):
+    both ends lie in Q_2n and neither lies in Q_n."""
+    return _in_ring(n, i1, j1) & _in_ring(n, i2, j2)
 
 
 @lru_cache(maxsize=64)
-def _radial_static(M, n):
-    A, B, site_flat, i1, j1, i2, j2 = _site_endpoints(M)
+def node_grid(M):
+    """(I, J): the index pair of every node of the graphs at extent M.
+
+    The nodes are the pairs |i|, |j| <= M + 1 in row-major order; those with
+    i - j even are vertices, the others faces.
+    """
+    rng = np.arange(-M - 1, M + 2, dtype=np.int32)
+    return tuple(g.ravel() for g in np.meshgrid(rng, rng, indexing="ij"))
+
+
+def _subgraph(M, keep):
+    """The edges of the sites in mask ``keep`` as a graph (sites, e1, e2,
+    n_nodes): edge k is the edge of flat field index sites[k] and joins node
+    ids e1[k] and e2[k] of ``node_grid(M)``."""
+    _, _, i1, j1, i2, j2 = site_endpoints(M)
     L = M + 1
-    n_nodes = (2 * L + 1) ** 2
-    e1 = _vid(i1, j1, L)
-    e2 = _vid(i2, j2, L)
-    rng = np.arange(-L, L + 1, dtype=np.int32)
-    I, J = np.meshgrid(rng, rng, indexing="ij")
-    outside = (~_in_q(I, J, n)) & ((I - J) % 2 == 0)
-    return site_flat, e1, e2, n_nodes, _vid(0, 0, L), outside.ravel()
+    return (np.flatnonzero(keep), _vid(i1[keep], j1[keep], L), _vid(i2[keep], j2[keep], L),
+            (2 * L + 1) ** 2)
+
+
+@lru_cache(maxsize=64)
+def edge_graph(M):
+    """Every edge of extent M as a graph on ``node_grid(M)``."""
+    return _subgraph(M, np.ones((2 * M + 1) ** 2, dtype=bool))
+
+
+@lru_cache(maxsize=64)
+def _outside_q(M, n):
+    """Mask over node ids: the vertices outside Q_n."""
+    I, J = node_grid(M)
+    return np.logical_not(in_region("Q", n, I + J, I - J)) & ((I - J) % 2 == 0)
 
 
 _RECT_KINDS = ("T", "T1", "T2", "T3", "T4")
-
-
-def _rect_region(kind, i, j, n):
-    u = i + j
-    v = i - j
-    if kind == "T":
-        return (1 <= u) & (u <= n) & (np.abs(v) <= 2 * n)
-    if kind == "T1":
-        return (n + 1 <= u) & (u <= 2 * n) & (np.abs(v) <= 2 * n)
-    if kind == "T2":
-        return (-2 * n <= u) & (u <= -n - 1) & (np.abs(v) <= 2 * n)
-    if kind == "T3":
-        return (n + 1 <= v) & (v <= 2 * n) & (np.abs(u) <= 2 * n)
-    return (-2 * n <= v) & (v <= -n - 1) & (np.abs(u) <= 2 * n)
-
-
-def _rect_sides(kind, i, j, n):
-    # the two ends of the long direction
-    coord = i - j if kind in ("T", "T1", "T2") else i + j
-    return coord == -2 * n, coord == 2 * n
 
 
 def rect_min_extent(n, which):
@@ -130,83 +143,43 @@ def rect_min_extent(n, which):
 
 @lru_cache(maxsize=64)
 def _rect_static(M, n, kind):
-    A, B, site_flat, i1, j1, i2, j2 = _site_endpoints(M)
-    L = M + 1
-    in1 = _rect_region(kind, i1, j1, n)
-    in2 = _rect_region(kind, i2, j2, n)
-    keep = in1 & in2
-    rng = np.arange(-L, L + 1, dtype=np.int32)
-    I, J = np.meshgrid(rng, rng, indexing="ij")
-    vertex_ok = ((I - J) % 2 == 0) & _rect_region(kind, I, J, n)
-    sA, sB = _rect_sides(kind, I, J, n)
-    side_a = np.flatnonzero((vertex_ok & sA).ravel())
-    side_b = np.flatnonzero((vertex_ok & sB).ravel())
+    """The rectangle's edge subgraph and the vertex ids of its two short sides."""
+    _, _, i1, j1, i2, j2 = site_endpoints(M)
+    I, J = node_grid(M)
+    U, V = I + J, I - J
+    inside = in_region(kind, n, U, V) & (V % 2 == 0)
+    side_a, side_b = long_sides(kind, n, U, V)
     return (
-        site_flat[keep],
-        _vid(i1, j1, L)[keep],
-        _vid(i2, j2, L)[keep],
-        (2 * L + 1) ** 2,
-        side_a,
-        side_b,
+        _subgraph(M, edge_in_region(kind, n, i1, j1, i2, j2)),
+        np.flatnonzero(inside & side_a),
+        np.flatnonzero(inside & side_b),
     )
 
 
 @lru_cache(maxsize=64)
 def _annulus_static(M, n):
-    """Usable-edge catalogue for the circuit detectors.
-
-    Usable = both endpoints in Q_2n and neither endpoint in Q_n; the closed
-    state is applied per sample.  Includes the cut-ray crossing flag.
-    """
-    A, B, site_flat, i1, j1, i2, j2 = _site_endpoints(M)
-    L = M + 1
-    keep = (
-        _in_q(i1, j1, 2 * n)
-        & _in_q(i2, j2, 2 * n)
-        & ~_in_q(i1, j1, n)
-        & ~_in_q(i2, j2, n)
-    )
-    cross = ((B == 1) & (A >= 1))[keep]
-    return (
-        site_flat[keep],
-        _vid(i1, j1, L)[keep],
-        _vid(i2, j2, L)[keep],
-        (2 * L + 1) ** 2,
-        cross.astype(np.int64),
-    )
+    """Usable-edge subgraph for the circuit detectors, with the cut-ray
+    crossing flag of each edge; the closed state is applied per sample."""
+    A, B, i1, j1, i2, j2 = site_endpoints(M)
+    keep = _usable(n, i1, j1, i2, j2)
+    return _subgraph(M, keep), _crosses_cut(A, B)[keep].astype(np.int64)
 
 
 @lru_cache(maxsize=64)
 def _dual_static(M, n):
     """Face adjacency catalogue for the dual crosscheck.
 
-    A site (a, b) separates faces (a, b-1) / (a-1, b) when its edge is NE and
-    (a, b) / (a-1, b-1) when NW.  A dual step across a site is blocked iff
-    the site's edge is usable (closed and structurally eligible for the
-    circuit); the closed state is applied per sample.
+    The faces on either side of the edge from (i1, j1) to (i2, j2) are
+    (i2, j1) and (i1, j2).  A dual step across a site is blocked iff the
+    site's edge is usable (closed and structurally eligible for the circuit);
+    the closed state is applied per sample.
     """
-    A, B, site_flat, i1, j1, i2, j2 = _site_endpoints(M)
-    structural = (
-        _in_q(i1, j1, 2 * n)
-        & _in_q(i2, j2, 2 * n)
-        & ~_in_q(i1, j1, n)
-        & ~_in_q(i2, j2, n)
-    )
-    ne = (A - B) % 2 == 0
-    k1 = A
-    l1 = np.where(ne, B - 1, B)
-    k2 = A - 1
-    l2 = np.where(ne, B, B - 1)
+    _, _, i1, j1, i2, j2 = site_endpoints(M)
+    I, J = node_grid(M)
     F = M + 1
-    f1 = _vid(k1, l1, F)
-    f2 = _vid(k2, l2, F)
-    start = _vid(0, -1, F)
-    rng = np.arange(-F, F + 1, dtype=np.int32)
-    K, Lg = np.meshgrid(rng, rng, indexing="ij")
-    is_face = (K - Lg) % 2 != 0
-    far = (np.abs(K + Lg) > 2 * n) | (np.abs(K - Lg) > 2 * n)
-    targets = np.flatnonzero((is_face & far).ravel())
-    return site_flat, f1, f2, (2 * F + 1) ** 2, structural, start, targets
+    far = ((I - J) % 2 != 0) & np.logical_not(in_region("Q", 2 * n, I + J, I - J))
+    return (_vid(i2, j1, F), _vid(i1, j2, F), len(I), _usable(n, i1, j1, i2, j2),
+            _vid(0, -1, F), np.flatnonzero(far))
 
 
 def _components(r, c, n_nodes):
@@ -217,48 +190,76 @@ def _components(r, c, n_nodes):
     return labels
 
 
+def sides_joined(c: Configuration, graph, side_a, side_b) -> bool:
+    """Do the closed edges of ``graph`` join a node of ``side_a`` to one of
+    ``side_b``?  ``graph`` is a (sites, e1, e2, n_nodes) catalogue such as
+    ``edge_graph`` makes; the sides are arrays of node ids."""
+    sites, e1, e2, n_nodes = graph
+    mask = c.closed.ravel()[sites]
+    labels = _components(e1[mask], e2[mask], n_nodes)
+    return bool(np.intersect1d(labels[side_a], labels[side_b]).size)
+
+
 # ---------------------------------------------------------------------------
 # witness search (desk scale, deterministic)
 # ---------------------------------------------------------------------------
 
 
-def _closed_neighbors(c, i, j):
-    """Closed-edge neighbors of vertex (i, j), in lexicographic order."""
-    M = c.extent
-    out = []
-    for di, dj in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
-        # edge between (i, j) and (i+di, j+dj); its midpoint site:
-        a = i + (di + 1) // 2
-        b = j + (dj + 1) // 2
-        if abs(a) > M or abs(b) > M:
-            continue
-        if c.closed_at((a, b)):
-            out.append((i + di, j + dj))
-    return out
+def breadth_first(sources, neighbours, parent):
+    """Deterministic FIFO breadth-first search.
 
-
-def _bfs_path(c, sources, goal_pred, region_pred):
-    """Deterministic BFS over closed edges; returns vertex path or None."""
-    parent = {s: None for s in sources}
-    queue = deque(sorted(sources))
+    Yields every node reachable from ``sources`` in discovery order, sources
+    first.  Before a node is yielded, ``parent`` (a dict, also the visited
+    set) maps it to the node it was discovered from, or to None for a source,
+    so a caller that stops at its own goal can read its path back.
+    """
+    queue = deque()
+    for s in sources:
+        if s not in parent:
+            parent[s] = None
+            queue.append(s)
+            yield s
     while queue:
         v = queue.popleft()
-        if goal_pred(v):
-            path = []
-            while v is not None:
-                path.append(v)
-                v = parent[v]
-            path.reverse()
-            return path
-        for w in _closed_neighbors(c, *v):
-            if w not in parent and region_pred(w):
+        for w in neighbours(v):
+            if w not in parent:
                 parent[w] = v
                 queue.append(w)
-    # sources may already satisfy the goal even when isolated
+                yield w
+
+
+def _path_to(parent, v):
+    path = []
+    while v is not None:
+        path.append(v)
+        v = parent[v]
+    path.reverse()
+    return path
+
+
+def first_path(sources, neighbours, goal):
+    """Path of ``breadth_first`` from a source to the first node found that
+    satisfies ``goal``, source first; None when no node does."""
+    parent = {}
+    for v in breadth_first(sources, neighbours, parent):
+        if goal(v):
+            return _path_to(parent, v)
     return None
 
 
+def _closed_neighbors(c, v):
+    """Closed-edge neighbors of vertex ``v``, in lexicographic order."""
+    out = []
+    for di, dj in DIAGONAL:
+        w = (v[0] + di, v[1] + dj)
+        site = site_between(v, w)
+        if c.in_extent(site) and c.closed_at(site):
+            out.append(w)
+    return out
+
+
 def _vertex_real(v):
+    """The real point of a vertex or face index."""
     return (v[0] + 0.5, v[1] + 0.5)
 
 
@@ -267,23 +268,24 @@ def _vertex_real(v):
 # ---------------------------------------------------------------------------
 
 
+def _require_extent(c, event, n):
+    need = EVENTS[event].min_extent(n)
+    if c.extent < need:
+        raise ValueError(f"extent {c.extent} is below {need}, the least that covers {event} at n={n}")
+
+
 def radial_closed_path(c: Configuration, n: int, witness: bool = False) -> EventResult:
     """Event A_n: closed path from (1/2, 1/2) to some vertex outside Q_n."""
-    if c.extent < n + 2:
-        raise ValueError(f"extent {c.extent} does not cover Q_{n + 1}")
-    site_flat, e1, e2, n_nodes, start, outside = _radial_static(c.extent, n)
-    mask = c.closed.ravel()[site_flat]
+    _require_extent(c, "A", n)
+    _, e1, e2, n_nodes = edge_graph(c.extent)
+    mask = c.closed.ravel()
     labels = _components(e1[mask], e2[mask], n_nodes)
-    hit = outside & (labels == labels[start])
-    holds = bool(hit.any())
+    outside = _outside_q(c.extent, n)
+    holds = bool((outside & (labels == labels[_vid(0, 0, c.extent + 1)])).any())
     w = None
     if witness and holds:
-        path = _bfs_path(
-            c,
-            [(0, 0)],
-            lambda v: not (abs(v[0] + v[1]) <= n and abs(v[0] - v[1]) <= n),
-            lambda v: True,
-        )
+        path = first_path([(0, 0)], lambda v: _closed_neighbors(c, v),
+                          lambda v: not in_region("Q", n, v[0] + v[1], v[0] - v[1]))
         w = [_vertex_real(v) for v in path]
     return EventResult(holds=holds, witness=w, event=f"A_{n}")
 
@@ -295,27 +297,20 @@ def rect_crossing(c: Configuration, n: int, which: str = "T",
         raise ValueError(f"unknown rectangle {which!r}")
     if c.extent < rect_min_extent(n, which):
         raise ValueError(f"extent {c.extent} does not cover {which} at n={n}")
-    site_flat, e1, e2, n_nodes, side_a, side_b = _rect_static(c.extent, n, which)
-    mask = c.closed.ravel()[site_flat]
-    labels = _components(e1[mask], e2[mask], n_nodes)
-    common = np.intersect1d(labels[side_a], labels[side_b])
-    holds = bool(common.size)
+    graph, side_a, side_b = _rect_static(c.extent, n, which)
+    holds = sides_joined(c, graph, side_a, side_b)
     w = None
     if witness and holds:
-        region = lambda v: bool(_rect_region(which, np.int64(v[0]), np.int64(v[1]), n))
+        I, J = node_grid(c.extent)
 
-        def on_side_b(v):
-            coord = v[0] - v[1] if which in ("T", "T1", "T2") else v[0] + v[1]
-            return coord == 2 * n
-        sources = []
-        L = c.extent + 1
-        for i in range(-L, L + 1):
-            for j in range(-L, L + 1):
-                if (i - j) % 2 == 0 and region((i, j)):
-                    coord = i - j if which in ("T", "T1", "T2") else i + j
-                    if coord == -2 * n:
-                        sources.append((i, j))
-        path = _bfs_path(c, sources, on_side_b, region)
+        def inside(v):
+            return in_region(which, n, v[0] + v[1], v[0] - v[1])
+
+        path = first_path(
+            [(int(I[k]), int(J[k])) for k in side_a],
+            lambda v: [x for x in _closed_neighbors(c, v) if inside(x)],
+            lambda v: long_sides(which, n, v[0] + v[1], v[0] - v[1])[1],
+        )
         w = [_vertex_real(v) for v in path]
     return EventResult(holds=holds, witness=w, event=f"A'_{n}[{which}]")
 
@@ -340,74 +335,46 @@ def _reduce_to_simple_cycle(walk, parity_of):
         walk = inner if parity_of(inner) % 2 == 1 else outer
 
 
-def _walk_parity(walk):
-    par = 0
-    for (i1, j1), (i2, j2) in zip(walk, walk[1:]):
-        a = (i1 + i2 + 1) // 2
-        b = (j1 + j2 + 1) // 2
-        if b == 1 and a >= 1:
-            par += 1
-    return par
+def _crosses_cut(a, b):
+    """The edge of site (a, b) crosses the cut ray; scalars or arrays."""
+    return (b == 1) & (a >= 1)
 
 
 def walk_winding(walk):
-    """Signed crossings of the cut ray; +-1 for a surrounding simple cycle."""
+    """Signed crossings of the cut ray; +-1 for a surrounding simple cycle.
+    Its parity is the parity of the number of crossings."""
     w = 0
-    for (i1, j1), (i2, j2) in zip(walk, walk[1:]):
-        a = (i1 + i2 + 1) // 2
-        b = (j1 + j2 + 1) // 2
-        if b == 1 and a >= 1:
-            w += 1 if j2 > j1 else -1
+    for v, x in zip(walk, walk[1:]):
+        if _crosses_cut(*site_between(v, x)):
+            w += 1 if x[1] > v[1] else -1
     return w
 
 
 def _circuit_witness(c, n):
     """BFS on (vertex, parity) over usable edges; returns a simple cycle."""
-    M = c.extent
 
-    def usable_neighbor(v, w):
-        ok = lambda x: (abs(x[0] + x[1]) <= 2 * n and abs(x[0] - x[1]) <= 2 * n
-                        and not (abs(x[0] + x[1]) <= n and abs(x[0] - x[1]) <= n))
-        return ok(v) and ok(w)
+    def neighbours(node):
+        v, p = node
+        for w in _closed_neighbors(c, v):
+            if _usable(n, *v, *w):
+                yield w, p ^ int(_crosses_cut(*site_between(v, w)))
 
-    starts = []
-    for i in range(-2 * n - 1, 2 * n + 2):
-        for j in range(-2 * n - 1, 2 * n + 2):
-            if (i - j) % 2 == 0 and usable_neighbor((i, j), (i, j)):
-                starts.append((i, j))
-    for root in starts:
-        parent = {(root, 0): None}
-        queue = deque([(root, 0)])
-        found = None
-        while queue and found is None:
-            (v, p) = queue.popleft()
-            for w in _closed_neighbors(c, *v):
-                if not usable_neighbor(v, w):
-                    continue
-                a = (v[0] + w[0] + 1) // 2
-                b = (v[1] + w[1] + 1) // 2
-                q = p ^ (1 if (b == 1 and a >= 1) else 0)
-                if (w, q) not in parent:
-                    parent[(w, q)] = (v, p)
-                    queue.append((w, q))
-                    if (w, 1 - q) in parent:
-                        found = w
-                        break
-        if found is None:
+    I, J = node_grid(c.extent)
+    for k in np.flatnonzero(_in_ring(n, I, J) & ((I - J) % 2 == 0)):
+        root = (int(I[k]), int(J[k]))
+        parent = {}
+        for w, q in breadth_first([(root, 0)], neighbours, parent):
+            if (w, 1 - q) in parent:
+                break
+        else:
             continue
-        paths = []
-        for p in (0, 1):
-            node = (found, p)
-            path = []
-            while node is not None:
-                path.append(node[0])
-                node = parent[node]
-            paths.append(path)
-        # both paths run found -> root; their concatenation closes the walk
-        walk = paths[0] + list(reversed(paths[1]))[1:]
-        assert walk[0] == found and walk[-1] == found
-        assert _walk_parity(walk) % 2 == 1
-        cycle = _reduce_to_simple_cycle(walk, _walk_parity)
+        # both paths run root -> w; the first reversed, then the second,
+        # close the walk at w
+        walk = [v for v, _ in reversed(_path_to(parent, (w, 0)))]
+        walk += [v for v, _ in _path_to(parent, (w, 1))[1:]]
+        assert walk[0] == w and walk[-1] == w
+        assert walk_winding(walk) % 2 == 1  # odd cut parity
+        cycle = _reduce_to_simple_cycle(walk, walk_winding)
         assert abs(walk_winding(cycle)) == 1
         return [_vertex_real(v) for v in cycle]
     return None
@@ -415,92 +382,79 @@ def _circuit_witness(c, n):
 
 def surrounding_circuit_exact(c: Configuration, n: int,
                               witness: bool = False) -> EventResult:
-    """Event A''_n: a closed circuit in Q_2n with Q_n in its interior."""
+    """Event A''_n: a closed circuit in Q_2n with Q_n in its interior.
+
+    On the doubled cover each vertex has two copies and an edge crossing the
+    cut ray swaps them; a circuit of odd cut parity, one that surrounds Q_n,
+    exists iff some vertex's two copies share a component.  A vertex with no
+    usable closed edge has two isolated copies, which never do.
+    """
     if n < 2:
         raise ValueError("surrounding circuit needs n >= 2")
-    if c.extent < 2 * n + 2:
-        raise ValueError(f"extent {c.extent} does not cover Q_{2 * n + 1}")
-    site_flat, e1, e2, n_nodes, cross = _annulus_static(c.extent, n)
-    mask = c.closed.ravel()[site_flat]
+    _require_extent(c, "Acirc", n)
+    (sites, e1, e2, n_nodes), cross = _annulus_static(c.extent, n)
+    mask = c.closed.ravel()[sites]
     e1 = e1[mask]
     e2 = e2[mask]
     cr = cross[mask]
     r = np.concatenate([2 * e1, 2 * e1 + 1])
     cc = np.concatenate([2 * e2 + cr, 2 * e2 + 1 - cr])
     labels = _components(r, cc, 2 * n_nodes)
-    touched = np.unique(np.concatenate([e1, e2])) if len(e1) else np.array([], dtype=np.int64)
-    holds = bool(np.any(labels[2 * touched] == labels[2 * touched + 1])) if touched.size else False
+    holds = bool(np.any(labels[0::2] == labels[1::2]))
     w = None
     if witness:
-        if holds:
-            w = _circuit_witness(c, n)
-        else:
-            w = _dual_path(c, n)
+        w = _circuit_witness(c, n) if holds else _dual_path(c, n)
     return EventResult(holds=holds, witness=w, event=f"A''_{n}")
 
 
 def surrounding_circuit_4rect(c: Configuration, n: int) -> EventResult:
     """Sufficient condition: all four rectangles crossed in the long direction."""
-    if c.extent < 2 * n + 2:
-        raise ValueError(f"extent {c.extent} does not cover Q_{2 * n + 1}")
+    _require_extent(c, "Acirc4", n)
     holds = all(rect_crossing(c, n, k).holds for k in ("T1", "T2", "T3", "T4"))
     return EventResult(holds=holds, event=f"A''_{n}[4rect]")
 
 
 def _dual_path(c, n):
     """Open dual path from the center face to outside Q_2n, or None."""
-    M = c.extent
 
-    def passable(a, b):
-        if abs(a) > M or abs(b) > M or not c.closed_at((a, b)):
-            return True
-        # structural usability of the crossed edge
-        if (a - b) % 2 == 0:
-            pts = ((a - 1, b - 1), (a, b))
-        else:
-            pts = ((a - 1, b), (a, b - 1))
-        for i, j in pts:
-            if abs(i + j) > 2 * n or abs(i - j) > 2 * n:
-                return True
-            if abs(i + j) <= n and abs(i - j) <= n:
-                return True
-        return False
+    def blocked(site):
+        # a dual step is blocked by a closed edge a circuit may use
+        return c.in_extent(site) and c.closed_at(site) and _usable(n, *edge_ends(*site))
 
-    start = (0, -1)
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        k, l = queue.popleft()
-        if abs(k + l) > 2 * n or abs(k - l) > 2 * n:
-            path = []
-            v = (k, l)
-            while v is not None:
-                path.append((v[0] + 0.5, v[1] + 0.5))
-                v = parent[v]
-            path.reverse()
-            return path
-        # neighbor faces and the site crossed to reach them
-        for (dk, dl) in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
-            w = (k + dk, l + dl)
-            a = k + (dk + 1) // 2
-            b = l + (dl + 1) // 2
-            if w not in parent and passable(a, b):
-                parent[w] = (k, l)
-                queue.append(w)
-    return None
+    def neighbours(f):
+        steps = ((f[0] + dk, f[1] + dl) for dk, dl in DIAGONAL)
+        return [g for g in steps if not blocked(site_between(f, g))]
+
+    path = first_path([(0, -1)], neighbours,
+                      lambda f: not in_region("Q", 2 * n, f[0] + f[1], f[0] - f[1]))
+    return None if path is None else [_vertex_real(f) for f in path]
 
 
 def dual_crosscheck(c: Configuration, n: int) -> bool:
     """True iff no open dual face path escapes the annulus (circuit exists)."""
     if n < 2:
         raise ValueError("dual crosscheck needs n >= 2")
-    if c.extent < 2 * n + 2:
-        raise ValueError(f"extent {c.extent} does not cover Q_{2 * n + 1}")
-    site_flat, f1, f2, n_nodes, structural, start, targets = _dual_static(c.extent, n)
-    blocked = c.closed.ravel()[site_flat] & structural
-    keep = ~blocked
+    _require_extent(c, "Acirc", n)
+    f1, f2, n_nodes, structural, start, targets = _dual_static(c.extent, n)
+    keep = ~(c.closed.ravel() & structural)
     labels = _components(f1[keep], f2[keep], n_nodes)
     return not bool(np.any(labels[targets] == labels[start]))
+
+
+class Event(NamedTuple):
+    min_extent: Callable  # scale n -> least extent that covers the event
+    detect: Callable  # (configuration, n, witness=False) -> EventResult
+
+
+# The percolation events by name; the Monte Carlo harness adds "closure".
+EVENTS = {
+    "A": Event(lambda n: n + 2, radial_closed_path),
+    "Aprime": Event(lambda n: rect_min_extent(n, "T"),
+                    lambda c, n, witness=False: rect_crossing(c, n, "T", witness)),
+    "Acirc": Event(lambda n: 2 * n + 2, surrounding_circuit_exact),
+    "Acirc4": Event(lambda n: 2 * n + 2,
+                    lambda c, n, witness=False: surrounding_circuit_4rect(c, n)),
+}
 
 
 def dump_witness(result: EventResult) -> str:
@@ -516,17 +470,25 @@ def dump_witness(result: EventResult) -> str:
 
 
 def loads_witness(text: str) -> EventResult:
-    from .errors import ConfigParseError
-
-    lines = text.splitlines()
-    if not lines or lines[0] != "manhattan-pinball witness v1":
+    lines = text.splitlines() + ["", ""]
+    if lines[0] != "manhattan-pinball witness v1":
         raise ConfigParseError("missing witness header", line=1)
-    if len(lines) < 3 or not lines[1].startswith("event ") or not lines[2].startswith("holds "):
-        raise ConfigParseError("malformed witness header", line=2)
+    event = lines[1].split(None, 1)
+    if not lines[1].startswith("event ") or len(event) != 2:
+        raise ConfigParseError("expected 'event <name>'", line=2)
+    holds = lines[2].split()
+    if holds not in (["holds", "0"], ["holds", "1"]):
+        raise ConfigParseError("expected 'holds 0' or 'holds 1'", line=3)
     pts = []
-    for lineno, line in enumerate(lines[3:], start=4):
-        u, v = line.split()
-        pts.append((float(u), float(v)))
-    return EventResult(holds=bool(int(lines[2].split()[1])),
-                       witness=pts or None,
-                       event=lines[1].split(None, 1)[1])
+    for lineno, line in enumerate(lines[3:-2], start=4):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ConfigParseError("expected 'x y'", line=lineno)
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ConfigParseError(f"non-numeric coordinate in {line!r}", line=lineno) from None
+        if not np.isfinite([x, y]).all():
+            raise ConfigParseError(f"non-finite coordinate in {line!r}", line=lineno)
+        pts.append((x, y))
+    return EventResult(holds=holds[1] == "1", witness=pts or None, event=event[1])

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
+
+import numpy as np
 
 
 class Direction(IntEnum):
@@ -74,54 +77,109 @@ def reflect(d: Direction, m: Orientation) -> Direction:
     return _REFLECT[m][d]
 
 
+# Tilted regions at scale n, by their bounds in the tilted coordinates
+# u = x + y - 1, v = x - y of a real point (x, y): the region is
+# u_lo <= u <= u_hi and v_lo <= v <= v_hi.  A vertex index (i, j), standing for
+# (i + 1/2, j + 1/2), has (u, v) = (i + j, i - j); a site (a, b) has
+# (a + b - 1, a - b).  Q is the tilted box centered at (1/2, 1/2), T the
+# rectangle of A'_n, and T1..T4 the four rectangles ringing Q_n, each of long
+# side 4n.
+_BOUNDS = {
+    "Q": lambda n: (-n, n, -n, n),
+    "T": lambda n: (1, n, -2 * n, 2 * n),
+    "T1": lambda n: (n + 1, 2 * n, -2 * n, 2 * n),
+    "T2": lambda n: (-2 * n, -n - 1, -2 * n, 2 * n),
+    "T3": lambda n: (-2 * n, 2 * n, n + 1, 2 * n),
+    "T4": lambda n: (-2 * n, 2 * n, -2 * n, -n - 1),
+}
+
+
+def region_bounds(kind: str, n: int):
+    """(u_lo, u_hi, v_lo, v_hi) of the region ``kind`` at scale ``n``."""
+    return _BOUNDS[kind](n)
+
+
+def in_region(kind: str, n: int, u, v):
+    """Membership of tilted coordinates (u, v) in a region; scalars or arrays."""
+    u_lo, u_hi, v_lo, v_hi = _BOUNDS[kind](n)
+    return (u_lo <= u) & (u <= u_hi) & (v_lo <= v) & (v <= v_hi)
+
+
+def edge_in_region(kind: str, n: int, i1, j1, i2, j2):
+    """Both ends of the edge between vertex indices (i1, j1) and (i2, j2) lie
+    in the region; scalars or arrays."""
+    return in_region(kind, n, i1 + j1, i1 - j1) & in_region(kind, n, i2 + j2, i2 - j2)
+
+
+def long_sides(kind: str, n: int, u, v):
+    """Masks of the two short sides of a T rectangle: the ends of its long side."""
+    u_lo, u_hi, v_lo, v_hi = _BOUNDS[kind](n)
+    if kind in ("T3", "T4"):
+        return u == u_lo, u == u_hi
+    return v == v_lo, v == v_hi
+
+
+def tilted_radius(u, v):
+    """Smallest m with (u, v) in Q_m, for integer coordinates; scalars or arrays."""
+    return np.maximum(np.abs(u), np.abs(v))
+
+
 @dataclass(frozen=True)
 class TiltedRegion:
-    """One of the tilted regions at scale ``n`` used by the event detectors.
-
-    kind "Q":  |x+y-1| <= n and |x-y| <= n   (tilted box centered at (1/2, 1/2))
-    kind "T":  1 <= x+y-1 <= n and |x-y| <= 2n
-    kinds "T1".."T4": the four rectangles ringing Q_n, long side of length 4n.
-    """
+    """One of the tilted regions at scale ``n`` used by the event detectors:
+    kind "Q", "T" or "T1".."T4", with the bounds of ``region_bounds``."""
 
     kind: str
     n: int
 
     def __post_init__(self):
-        if self.kind not in ("Q", "T", "T1", "T2", "T3", "T4"):
+        if self.kind not in _BOUNDS:
             raise ValueError(f"unknown region kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("region scale n must be >= 1")
 
     def contains(self, point) -> bool:
         x, y = point
-        u = x + y - 1
-        v = x - y
-        n = self.n
-        if self.kind == "Q":
-            return abs(u) <= n and abs(v) <= n
-        if self.kind == "T":
-            return 1 <= u <= n and abs(v) <= 2 * n
-        if self.kind == "T1":
-            return n + 1 <= u <= 2 * n and abs(v) <= 2 * n
-        if self.kind == "T2":
-            return -2 * n <= u <= -n - 1 and abs(v) <= 2 * n
-        if self.kind == "T3":
-            return n + 1 <= v <= 2 * n and abs(u) <= 2 * n
-        return -2 * n <= v <= -n - 1 and abs(u) <= 2 * n
-
-
-def region_contains(region: TiltedRegion, point) -> bool:
-    """Evaluate the region's defining inequalities on real coordinates."""
-    return region.contains(point)
+        return bool(in_region(self.kind, self.n, x + y - 1, x - y))
 
 
 def q_radius(point) -> int:
     """Smallest m such that Q_m contains ``point`` (an integer site)."""
     a, b = point
-    return max(abs(a + b - 1), abs(a - b))
+    return int(tilted_radius(a + b - 1, a - b))
 
 
 def vertex_in_q(vertex, n) -> bool:
     """Q_n membership for a tilted vertex given as a real pair."""
     x, y = vertex
-    return abs(x + y - 1) <= n and abs(x - y) <= n
+    return bool(in_region("Q", n, x + y - 1, x - y))
+
+
+# Steps from a vertex (or face) index to its four tilted neighbours, in
+# lexicographic order.
+DIAGONAL = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+
+
+def site_between(v, w):
+    """The site whose edge joins (or, between faces, separates) neighbouring
+    vertex or face indices ``v`` and ``w``."""
+    return (v[0] + w[0] + 1) // 2, (v[1] + w[1] + 1) // 2
+
+
+def edge_ends(a, b):
+    """Vertex indices (i1, j1, i2, j2) of the edge at site (a, b), west end
+    first; elementwise on arrays."""
+    ne = (a - b) % 2 == 0
+    return a - 1, b - ne, a, b - 1 + ne
+
+
+@lru_cache(maxsize=8)
+def site_endpoints(M: int):
+    """(A, B, i1, j1, i2, j2): every site of extent M, flattened in field
+    order (A major), with the vertex indices of its edge's two ends."""
+    rng = np.arange(-M, M + 1, dtype=np.int32)
+    A, B = (g.ravel() for g in np.meshgrid(rng, rng, indexing="ij"))
+    arrays = (A, B) + edge_ends(A, B)
+    for x in arrays:
+        x.flags.writeable = False  # shared by every caller of the cache
+    return arrays

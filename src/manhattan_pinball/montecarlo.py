@@ -23,13 +23,7 @@ import numpy as np
 
 from .configuration import GENERATOR_ID, atomic_write_text, hybrid, sample
 from .enhancement import Pattern, check_detour, enhance
-from .events import (
-    radial_closed_path,
-    rect_crossing,
-    rect_min_extent,
-    surrounding_circuit_4rect,
-    surrounding_circuit_exact,
-)
+from .events import EVENTS, Event, EventResult, surrounding_circuit_exact
 from .tracer import trace_summary
 
 _Z95 = 1.959963984540054
@@ -105,21 +99,13 @@ class PairedReport:
 # ---------------------------------------------------------------------------
 
 
-def _closure_holds(c, n):
+def _closure(c, n, witness=False):
+    """The origin ray closes before it leaves Q_n (or its start's own Q_m)."""
     status, _, _, _ = trace_summary(c, abort_radius=n)
-    return status == "closed"
+    return EventResult(holds=status == "closed", event=f"closure_{n}")
 
 
-_EVENTS = {
-    # name: (min extent for scale n, detector)
-    "closure": (lambda n: n + 2, _closure_holds),
-    "A": (lambda n: n + 2, lambda c, n: radial_closed_path(c, n).holds),
-    "Aprime": (lambda n: rect_min_extent(n, "T"),
-               lambda c, n: rect_crossing(c, n, "T").holds),
-    "Acirc": (lambda n: 2 * n + 2, lambda c, n: surrounding_circuit_exact(c, n).holds),
-    "Acirc4": (lambda n: 2 * n + 2, lambda c, n: surrounding_circuit_4rect(c, n).holds),
-}
-
+_EVENTS = {"closure": Event(lambda n: n + 2, _closure), **EVENTS}
 EVENT_NAMES = tuple(_EVENTS)
 
 
@@ -127,20 +113,20 @@ def event_extent(event: str, n: int, pattern: Pattern | None = None) -> int:
     """Extent covering the event region, plus matching padding when enhancing."""
     if event not in _EVENTS:
         raise ValueError(f"unknown event {event!r}; choose from {EVENT_NAMES}")
-    base = _EVENTS[event][0](n)
+    base = _EVENTS[event].min_extent(n)
     return base + (pattern.radius if pattern is not None else 0)
 
 
 def _eval_samples(args):
     """Worker body: evaluate one event on a run of sample indices."""
     event, p, n, seed, extent, pattern, indices = args
-    detect = _EVENTS[event][1]
+    detect = _EVENTS[event].detect
     hits = 0
     for i in indices:
         c = sample(p, extent, seed, stream_index=i)
         if pattern is not None:
             c = enhance(c, pattern)
-        if detect(c, n):
+        if detect(c, n).holds:
             hits += 1
     return hits
 
@@ -217,12 +203,12 @@ def estimate_event(event: str, p: float, n: int, N: int, seed: int,
 
 def _paired_samples(args):
     event, p, n, seed, extent, pattern, indices = args
-    detect = _EVENTS[event][1]
+    detect = _EVENTS[event].detect
     tally = np.zeros(4, dtype=np.int64)  # [neither, only plain, only enhanced, both]
     for i in indices:
         c = sample(p, extent, seed, stream_index=i)
-        a = detect(c, n)
-        b = detect(enhance(c, pattern), n)
+        a = detect(c, n).holds
+        b = detect(enhance(c, pattern), n).holds
         tally[int(a) + 2 * int(b)] += 1
     return tally
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .configuration import Configuration
-from .geometry import mirror_orientation
+from .geometry import mirror_orientation, region_bounds
 
 ALL_LAYERS = ("lattice", "mirrors", "trajectory", "circuit_witness",
               "pattern_matches", "regions")
@@ -112,18 +112,8 @@ def render_svg(config: Configuration, spec: RenderSpec | None = None,
                                           s, color, 2))
     if "regions" in spec.layers:
         for region in regions:
-            n = region.n
-            # corners of the region in (x, y), following the defining
-            # inequalities in u = x + y - 1, v = x - y
-            if region.kind == "Q":
-                box = [(-n, n), (n, n), (n, -n), (-n, -n)]
-            elif region.kind in ("T", "T1", "T2"):
-                u0, u1 = (1, n) if region.kind == "T" else (
-                    (n + 1, 2 * n) if region.kind == "T1" else (-2 * n, -n - 1))
-                box = [(u0, -2 * n), (u0, 2 * n), (u1, 2 * n), (u1, -2 * n)]
-            else:
-                v0, v1 = (n + 1, 2 * n) if region.kind == "T3" else (-2 * n, -n - 1)
-                box = [(-2 * n, v0), (2 * n, v0), (2 * n, v1), (-2 * n, v1)]
+            u0, u1, v0, v1 = region_bounds(region.kind, region.n)
+            box = [(u0, v0), (u0, v1), (u1, v1), (u1, v0)]
             pts = [((u + 1 + v) / 2, (u + 1 - v) / 2) for u, v in box]
             parts.append(_polyline(pts + pts[:1], s, pal["regions"], 1.5, dash="6,4"))
     if "pattern_matches" in spec.layers and matches is not None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .configuration import Configuration
 from .errors import ConfigParseError
-from .geometry import UNIT, Direction, mirror_orientation, q_radius, reflect
+from .geometry import UNIT, Direction, mirror_orientation, q_radius, reflect, tilted_radius
 
 
 class RayState(NamedTuple):
@@ -88,7 +88,7 @@ def _radius_table(M):
     """Q-radius (int16) of every site of extent M; int16 holds the largest
     radius, 2M + 1, of any extent the field budget allows."""
     a = np.arange(-M, M + 1, dtype=np.int16)
-    radius = np.maximum(np.abs(a[:, None] + a[None, :] - 1), np.abs(a[:, None] - a[None, :]))
+    radius = tilted_radius(a[:, None] + a[None, :] - 1, a[:, None] - a[None, :])
     radius.flags.writeable = False
     return radius
 
@@ -164,7 +164,7 @@ def _walk(c: Configuration, start: RayState, max_steps: int | None,
     a -= M + 1
     b -= M + 1
     diam = max(np.ptp(a), np.ptp(b))
-    radius = max(np.abs(a + b - 1).max(), np.abs(a - b).max())
+    radius = tilted_radius(a + b - 1, a - b).max()
     return status, a, b, s & 3, int(diam), int(radius)
 
 

@@ -152,3 +152,15 @@ def test_bad_trajectory_file_is_parse_error(tmp_path, capsys):
     assert run(["render", "--config", str(cfg), "--trajectory", str(traj),
                 "--layers", "trajectory", "--out", str(tmp_path / "r.svg")]) == 2
     assert "line 7" in capsys.readouterr().err
+
+
+def test_bad_witness_file_is_parse_error(tmp_path, capsys):
+    cfg, wit = tmp_path / "c.txt", tmp_path / "w.txt"
+    run(["sample", "--p", "0.5", "--extent", "6", "--seed", "1", "--out", str(cfg)])
+    for body, line in (("holds \n", 3), ("holds 1\n0.5 0.5 0.5\n", 4),
+                       ("holds 1\n1.5 nan\n", 4)):
+        wit.write_text("manhattan-pinball witness v1\nevent A_2\n" + body)
+        capsys.readouterr()
+        assert run(["render", "--config", str(cfg), "--witness", str(wit),
+                    "--layers", "circuit_witness", "--out", str(tmp_path / "r.svg")]) == 2
+        assert f"line {line}" in capsys.readouterr().err

@@ -21,7 +21,13 @@ from manhattan_pinball.configuration import (
     uniforms,
 )
 from manhattan_pinball.errors import ConfigParseError, ResourceLimitError
-from manhattan_pinball.geometry import edge_for_site, vertex_in_q
+from manhattan_pinball.geometry import edge_for_site
+
+
+def vertex_in_q(vertex, k):
+    """Q_k membership of a real point, from the paper's inequalities."""
+    x, y = vertex
+    return abs(x + y - 1) <= k and abs(x - y) <= k
 
 
 def test_extreme_p():
@@ -136,12 +142,14 @@ def test_hybrid_against_enumeration_oracle():
 
 
 def test_edge_inside_q_mask_matches_oracle():
-    M, k = 6, 4
-    mask = edge_inside_q_mask(M, k)
-    for a in range(-M, M + 1):
-        for b in range(-M, M + 1):
-            v1, v2 = edge_for_site((a, b))
-            assert mask[a + M, b + M] == (vertex_in_q(v1, k) and vertex_in_q(v2, k))
+    for M, k in ((6, 4), (5, 1), (4, 9)):
+        mask = edge_inside_q_mask(M, k)
+        for a in range(-M, M + 1):
+            for b in range(-M, M + 1):
+                v1, v2 = edge_for_site((a, b))
+                assert mask[a + M, b + M] == (vertex_in_q(v1, k) and vertex_in_q(v2, k))
+        assert not mask.flags.writeable
+        assert edge_inside_q_mask(M, k) is mask  # built once per (M, k)
 
 
 def test_hybrid_requires_matching_extents():

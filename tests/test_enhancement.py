@@ -20,7 +20,13 @@ from manhattan_pinball.enhancement import (
     validate_pattern,
 )
 from manhattan_pinball.errors import ConfigParseError
-from manhattan_pinball.geometry import edge_for_site, vertex_in_q
+from manhattan_pinball.geometry import edge_for_site
+
+
+def vertex_in_q(vertex, k):
+    """Q_k membership of a real point, from the paper's inequalities."""
+    x, y = vertex
+    return abs(x + y - 1) <= k and abs(x - y) <= k
 
 
 def brute_match(c, g, excluded_core=None):

@@ -6,12 +6,24 @@ from edge_for_site, and events are decided by path existence or cycle-basis
 parity, never by the detectors' own machinery.
 """
 
+import hashlib
+import itertools
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from manhattan_pinball.configuration import constant, from_closed_sites, sample
+from manhattan_pinball.configuration import constant, dumps, from_closed_sites, sample
+from manhattan_pinball.enhancement import (
+    check_essential,
+    default_pattern,
+    dumps_pattern,
+    search_patterns,
+)
 from manhattan_pinball.events import (
+    EventResult,
     dual_crosscheck,
     dump_witness,
     loads_witness,
@@ -21,7 +33,8 @@ from manhattan_pinball.events import (
     surrounding_circuit_exact,
     walk_winding,
 )
-from manhattan_pinball.geometry import TiltedRegion, edge_for_site
+from manhattan_pinball.errors import ConfigParseError
+from manhattan_pinball.geometry import edge_for_site
 
 
 def closed_graph(c):
@@ -44,10 +57,23 @@ def brute_radial(c, n):
     return any(max(abs(i + j), abs(i - j)) > n for i, j in comp)
 
 
+def in_rect(kind, n, x, y):
+    """The rectangles T_n and T1..T4, from the paper's inequalities on a real point."""
+    u, v = x + y - 1, x - y
+    if kind == "T":
+        return 1 <= u <= n and abs(v) <= 2 * n
+    if kind == "T1":
+        return n + 1 <= u <= 2 * n and abs(v) <= 2 * n
+    if kind == "T2":
+        return -2 * n <= u <= -n - 1 and abs(v) <= 2 * n
+    if kind == "T3":
+        return n + 1 <= v <= 2 * n and abs(u) <= 2 * n
+    return -2 * n <= v <= -n - 1 and abs(u) <= 2 * n
+
+
 def brute_rect(c, n, kind):
-    region = TiltedRegion(kind, n)
     g = closed_graph(c)
-    keep = [v for v in g if region.contains((v[0] + 0.5, v[1] + 0.5))]
+    keep = [v for v in g if in_rect(kind, n, v[0] + 0.5, v[1] + 0.5)]
     sub = g.subgraph(keep)
     long_coord = (lambda v: v[0] - v[1]) if kind in ("T", "T1", "T2") else (
         lambda v: v[0] + v[1])
@@ -97,7 +123,8 @@ def random_tiny_configs(count, seed0=0):
 
 
 def test_detectors_match_brute_oracles():
-    for c, n in random_tiny_configs(120):
+    extremes = [(sample(p, 2 * n + 2, seed=1), n) for p in (0.0, 1.0) for n in (2, 3)]
+    for c, n in random_tiny_configs(120) + extremes:
         assert radial_closed_path(c, n).holds == brute_radial(c, n)
         for kind in ("T", "T1", "T2", "T3", "T4"):
             assert rect_crossing(c, n, kind).holds == brute_rect(c, n, kind), (
@@ -231,3 +258,77 @@ def test_witness_dump_roundtrip():
     r2 = loads_witness(dump_witness(r))
     assert r2.holds == r.holds and r2.event == r.event
     assert r2.witness == [(float(u), float(v)) for u, v in r.witness]
+
+
+def test_witness_loader_errors_carry_line_numbers():
+    ok = "manhattan-pinball witness v1\nevent A_2\nholds 1\n0.5 0.5\n1.5 1.5\n"
+    assert loads_witness(ok).witness == [(0.5, 0.5), (1.5, 1.5)]
+    for text, line in (
+        ("nonsense\n", 1),
+        ("manhattan-pinball witness v1\n", 2),
+        ("manhattan-pinball witness v1\nevent \nholds 1\n", 2),
+        (ok.replace("holds 1", "holds "), 3),
+        (ok.replace("holds 1", "holds 2"), 3),
+        (ok.replace("holds 1", "holds"), 3),
+        (ok.replace("1.5 1.5", "1.5 1.5 2.5"), 5),
+        (ok.replace("1.5 1.5", "1.5"), 5),
+        (ok.replace("1.5 1.5", "1.5 x"), 5),
+        (ok.replace("1.5 1.5", "1.5 nan"), 5),
+        (ok.replace("0.5 0.5", "inf 0.5"), 4),
+    ):
+        with pytest.raises(ConfigParseError) as ei:
+            loads_witness(text)
+        assert ei.value.line == line, text
+
+
+_WITNESS_TOKENS = st.sampled_from(["0", "1", "-1", "0.5", "1.5", "x", "nan", "inf",
+                                   "-inf", "1e999", "event", "holds", "A_2", "", "\t"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(st.lists(_WITNESS_TOKENS, max_size=4).map(" ".join), max_size=6).map(
+        lambda rows: "\n".join(("manhattan-pinball witness v1", *rows))),
+    st.tuples(st.integers(1, 4), st.lists(_WITNESS_TOKENS, max_size=4).map(" ".join)).map(
+        lambda edit: "\n".join(
+            ("manhattan-pinball witness v1", "event A_2", "holds 1", "0.5 0.5", "1.5 1.5")[
+                :edit[0]] + (edit[1],))),
+))
+def test_witness_loader_fuzz_returns_result_or_parse_error(text):
+    try:
+        r = loads_witness(text)
+    except ConfigParseError:
+        return
+    assert isinstance(r, EventResult) and r.event
+    assert all(np.isfinite(u) and np.isfinite(v) for u, v in r.witness or [])
+
+
+# sha256 of the witness sweep below, computed before the witness searches were
+# merged into one breadth-first routine; every witness must keep its bytes
+WITNESS_DIGEST = "46fd75cb79c2c6ff4dee730ec1ccdc40ff17d04805a9faed79bf94a756e54068"
+
+
+def test_witness_bytes_match_pinned_digest():
+    h = hashlib.sha256()
+    circuits = duals = 0
+    for k, (p, n) in enumerate(itertools.product((0.3, 0.5, 0.6, 0.75, 0.9), (2, 3, 5, 8))):
+        for s in range(4):
+            c = sample(p, 2 * n + 2, seed=7000 + 10 * k + s)
+            results = [radial_closed_path(c, n, witness=True)]
+            results += [rect_crossing(c, n, kind, witness=True)
+                        for kind in ("T", "T1", "T2", "T3", "T4")]
+            results.append(surrounding_circuit_exact(c, n, witness=True))
+            circuits += results[-1].holds
+            duals += not results[-1].holds
+            for r in results:
+                h.update(dump_witness(r).encode())
+    assert circuits >= 10 and duals >= 10  # both witness kinds are exercised
+    w, _ = check_essential(default_pattern())
+    h.update(dumps(w).encode())
+    # a small essentiality budget keeps the run short; every candidate still
+    # goes through the chain construction and the endpoint search
+    found, _ = search_patterns(3, essential_budget=5)
+    for g in found:
+        h.update(dumps_pattern(g).encode())
+    assert h.hexdigest() == WITNESS_DIGEST

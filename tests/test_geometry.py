@@ -13,10 +13,13 @@ from manhattan_pinball.geometry import (
     TiltedRegion,
     edge_for_site,
     is_tilted_vertex,
+    edge_ends,
+    in_region,
+    long_sides,
     mirror_orientation,
     q_radius,
     reflect,
-    region_contains,
+    site_endpoints,
     vertex_in_q,
 )
 
@@ -124,7 +127,6 @@ def test_region_membership_examples():
     assert TiltedRegion("T2", 4).contains((-3, -1))  # u = -5
     assert TiltedRegion("T3", 4).contains((5, -2))  # v = 7, u = 2
     assert TiltedRegion("T4", 4).contains((-2, 5))  # v = -7, u = 2
-    assert region_contains(TiltedRegion("T4", 4), (-2, 5))
 
 
 def test_t2_inequalities():
@@ -163,3 +165,61 @@ def test_region_nesting(n, x, y):
 def test_vertex_in_q_agrees_with_region(i, j, n):
     v = (i + 0.5, j + 0.5)
     assert vertex_in_q(v, n) == TiltedRegion("Q", n).contains(v)
+
+
+def paper_region(kind, n, x, y):
+    """The paper's regions, written out in the real coordinates of (x, y)."""
+    if kind == "Q":
+        return abs(x + y - 1) <= n and abs(x - y) <= n
+    if kind == "T":
+        return 1 <= x + y - 1 <= n and abs(x - y) <= 2 * n
+    if kind == "T1":
+        return n + 1 <= x + y - 1 <= 2 * n and abs(x - y) <= 2 * n
+    if kind == "T2":
+        return -2 * n <= x + y - 1 <= -n - 1 and abs(x - y) <= 2 * n
+    if kind == "T3":
+        return n + 1 <= x - y <= 2 * n and abs(x + y - 1) <= 2 * n
+    return -2 * n <= x - y <= -n - 1 and abs(x + y - 1) <= 2 * n
+
+
+KINDS = ("Q", "T", "T1", "T2", "T3", "T4")
+
+
+def test_shared_predicate_matches_paper_regions():
+    # real points on the half-integer grid: vertices, sites and face centers
+    pts = [(x / 2, y / 2) for x in range(-30, 31) for y in range(-30, 31)]
+    xs = np.array([x for x, _ in pts])
+    ys = np.array([y for _, y in pts])
+    for kind in KINDS:
+        for n in (1, 2, 3, 5):
+            want = [paper_region(kind, n, x, y) for x, y in pts]
+            got = in_region(kind, n, xs + ys - 1, xs - ys)  # arrays
+            assert got.tolist() == want, (kind, n)
+            for (x, y), w in zip(pts[::7], want[::7]):  # scalars
+                assert in_region(kind, n, x + y - 1, x - y) == w
+                assert TiltedRegion(kind, n).contains((x, y)) == w
+
+
+def test_long_sides_are_the_rectangle_ends():
+    # the short sides of a T rectangle lie at distance 2n along its long side
+    n = 3
+    for kind in KINDS[1:]:
+        for i in range(-8, 9):
+            for j in range(-8, 9):
+                x, y = i + 0.5, j + 0.5
+                long_coord = x - y if kind in ("T", "T1", "T2") else x + y - 1
+                side_a, side_b = long_sides(kind, n, i + j, i - j)
+                assert side_a == (long_coord == -2 * n)
+                assert side_b == (long_coord == 2 * n)
+
+
+def test_site_endpoints_match_edge_for_site():
+    M = 4
+    A, B, i1, j1, i2, j2 = site_endpoints(M)
+    assert len(A) == (2 * M + 1) ** 2
+    for k in range(len(A)):
+        a, b = int(A[k]), int(B[k])
+        assert k == (a + M) * (2 * M + 1) + (b + M)  # field order
+        (x1, y1), (x2, y2) = edge_for_site((a, b))
+        assert (i1[k], j1[k], i2[k], j2[k]) == (x1 - 0.5, y1 - 0.5, x2 - 0.5, y2 - 0.5)
+        assert edge_ends(a, b) == (i1[k], j1[k], i2[k], j2[k])
