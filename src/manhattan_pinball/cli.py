@@ -119,9 +119,11 @@ def _cmd_verify(args):
     )
     if args.csv:
         write_csv(verification_csv(records), args.csv)
+    # with no circuit the pass rate of 1.0 checked nothing
     print(f"trials={summary.trials} circuits={summary.circuits} "
           f"failures={summary.failures} "
-          f"conditional_pass_rate={summary.conditional_pass_rate}")
+          f"conditional_pass_rate={summary.conditional_pass_rate} "
+          f"vacuous={int(summary.circuits == 0)}")
     for r in records:
         if not r.passed:
             print(f"FAIL sample {r.sample}: {r.diagnostics}", file=sys.stderr)

@@ -107,59 +107,75 @@ class PatternReport:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _offsets(M, g, excluded_core):
+    """(t1_lo, t2_lo, allowed): the offsets (t1_lo + i, t2_lo + j) keep every
+    site of a copy of ``g`` inside extent M, and ``allowed[i, j]`` says the
+    offset is parity-valid and, with ``excluded_core = k``, its red edge is
+    not inside Q_k.  Cached per (M, pattern, core), read-only."""
+    if M < g.radius:
+        raise ValueError("extent smaller than pattern radius")
+    a, b = zip(*g.sites)
+    t1 = np.arange(-M - min(a), M - max(a) + 1)[:, np.newaxis]
+    t2 = np.arange(-M - min(b), M - max(b) + 1)[np.newaxis, :]
+    allowed = (t1 + t2) % 2 == 0
+    if excluded_core is not None:
+        # the red edge of the copy at offset (t1, t2) joins the red edge's
+        # ends translated by (t1, t2)
+        i1, j1, i2, j2 = edge_ends(*g.red_site)
+        allowed &= ~edge_in_region("Q", excluded_core, i1 + t1, j1 + t2, i2 + t1, j2 + t2)
+    allowed.flags.writeable = False
+    return int(t1[0, 0]), int(t2[0, 0]), allowed
+
+
+def _match_mask(closed, g, excluded_core=None):
+    """Where copies of ``g`` appear in fields of shape (..., 2M+1, 2M+1).
+
+    Returns (t1_lo, t2_lo, ok): ``ok[..., i, j]`` says the copy at offset
+    (t1_lo + i, t2_lo + j) appears in that field, inside the extent, at a
+    parity-valid offset and, with ``excluded_core = k``, with its red edge
+    outside Q_k.
+    """
+    M = closed.shape[-1] // 2
+    t1_lo, t2_lo, allowed = _offsets(M, g, excluded_core)
+    n1, n2 = allowed.shape
+    ok = np.broadcast_to(allowed, closed.shape[:-2] + allowed.shape).copy()
+    for (a, b) in sorted(g.closed_sites):
+        ok &= closed[..., t1_lo + a + M : t1_lo + a + M + n1,
+                     t2_lo + b + M : t2_lo + b + M + n2]
+    for (a, b) in sorted(g.open_sites):
+        ok &= ~closed[..., t1_lo + a + M : t1_lo + a + M + n1,
+                      t2_lo + b + M : t2_lo + b + M + n2]
+    return t1_lo, t2_lo, ok
+
+
 def match_pattern(c: Configuration, g: Pattern, excluded_core=None) -> MatchSet:
     """All parity-valid offsets whose translated copy appears in ``c``.
 
     Copies must lie fully inside the extent.  With ``excluded_core = k``,
     offsets whose red edge is inside Q_k are dropped.
     """
-    M = c.extent
-    if M < g.radius:
-        raise ValueError("extent smaller than pattern radius")
-    sites = sorted(g.sites)
-    lo_a = min(a for a, _ in sites)
-    hi_a = max(a for a, _ in sites)
-    lo_b = min(b for _, b in sites)
-    hi_b = max(b for _, b in sites)
-    # offset bounds keeping every pattern site inside the extent
-    t1_lo, t1_hi = -M - lo_a, M - hi_a
-    t2_lo, t2_hi = -M - lo_b, M - hi_b
-    if t1_lo > t1_hi or t2_lo > t2_hi:
-        return MatchSet(offsets=())
-    n1 = t1_hi - t1_lo + 1
-    n2 = t2_hi - t2_lo + 1
-    ok = np.ones((n1, n2), dtype=bool)
-    for (a, b) in sorted(g.closed_sites):
-        ok &= c.closed[t1_lo + a + M : t1_lo + a + M + n1,
-                       t2_lo + b + M : t2_lo + b + M + n2]
-    for (a, b) in sorted(g.open_sites):
-        ok &= ~c.closed[t1_lo + a + M : t1_lo + a + M + n1,
-                        t2_lo + b + M : t2_lo + b + M + n2]
-    T1, T2 = np.meshgrid(
-        np.arange(t1_lo, t1_hi + 1), np.arange(t2_lo, t2_hi + 1), indexing="ij"
-    )
-    ok &= (T1 + T2) % 2 == 0
-    if excluded_core is not None:
-        # the red edge of the copy at offset (t1, t2) joins the red edge's
-        # ends translated by (t1, t2)
-        i1, j1, i2, j2 = edge_ends(*g.red_site)
-        ok &= ~edge_in_region("Q", excluded_core, i1 + T1, j1 + T2, i2 + T1, j2 + T2)
-    idx = np.argwhere(ok)
-    offsets = tuple((int(i + t1_lo), int(j + t2_lo)) for i, j in idx)
-    return MatchSet(offsets=offsets)
+    t1_lo, t2_lo, ok = _match_mask(c.closed, g, excluded_core)
+    return MatchSet(offsets=tuple((int(i + t1_lo), int(j + t2_lo)) for i, j in np.argwhere(ok)))
+
+
+def enhance_stack(closed, g: Pattern, excluded_core=None):
+    """``enhance`` on fields of shape (..., 2M+1, 2M+1): a new array in
+    which the red edge of every copy matched in a field is closed."""
+    M = closed.shape[-1] // 2
+    t1_lo, t2_lo, ok = _match_mask(closed, g, excluded_core)
+    out = closed.copy()
+    a, b = g.red_site[0] + t1_lo + M, g.red_site[1] + t2_lo + M
+    out[..., a : a + ok.shape[-2], b : b + ok.shape[-1]] |= ok
+    return out
 
 
 def enhance(c: Configuration, g: Pattern, excluded_core=None) -> Configuration:
     """Close the red edge of every matched copy (single pass over ``c``)."""
-    ms = match_pattern(c, g, excluded_core)
-    closed = c.closed.copy()
-    M = c.extent
-    ra, rb = g.red_site
-    for t1, t2 in ms.offsets:
-        closed[ra + t1 + M, rb + t2 + M] = True
     return Configuration(
-        extent=M, closed=closed, p=c.p, seed=c.seed,
-        stream_index=c.stream_index, provenance="enhanced", generator=c.generator,
+        extent=c.extent, closed=enhance_stack(c.closed, g, excluded_core), p=c.p,
+        seed=c.seed, stream_index=c.stream_index, provenance="enhanced",
+        generator=c.generator,
     )
 
 
@@ -270,22 +286,25 @@ def check_detour(g: Pattern, max_radius: int = 5) -> DetourReport:
 
 @lru_cache(maxsize=4)
 def _window_bands(M):
-    """Node ids of the vertices in the west (i <= 1 - M) and east (i >= M - 1)
-    bands of a window of extent M."""
-    I, J = _ev.node_grid(M)
-    vertex = (I - J) % 2 == 0
-    return np.flatnonzero(vertex & (I <= -M + 1)), np.flatnonzero(vertex & (I >= M - 1))
+    """The edge graph of a window of extent M and its nodes in the west
+    (i <= 1 - M) and east (i >= M - 1) bands."""
+    graph, I, _ = _ev.edge_graph(M)
+    return graph, np.flatnonzero(I <= -M + 1), np.flatnonzero(I >= M - 1)
 
 
-def _window_crossing(c: Configuration) -> bool:
-    """Closed path joining the west and east bands of the window."""
-    return _ev.sides_joined(c, _ev.edge_graph(c.extent), *_window_bands(c.extent))
+def _window_crossing(closed):
+    """Closed path joining the west and east bands, per field of a (K, W, W)
+    window stack."""
+    return _ev.sides_joined(closed, *_window_bands(closed.shape[-1] // 2))
 
 
-def _is_essential_witness(c: Configuration, g: Pattern) -> bool:
-    if (0, 0) not in match_pattern(c, g).offsets:
-        return False
-    return (not _window_crossing(c)) and _window_crossing(enhance(c, g))
+def _essential_witnesses(closed, g: Pattern):
+    """Per field of a (K, W, W) window stack: the copy of ``g`` at offset
+    (0, 0) matches, and closing the matched red edges makes a crossing that
+    was not there."""
+    t1_lo, t2_lo, ok = _match_mask(closed, g)
+    return (ok[:, -t1_lo, -t2_lo] & ~_window_crossing(closed)
+            & _window_crossing(enhance_stack(closed, g)))
 
 
 def _chain_to_boundary(g, extent, start_vertex, westward, blocked_vertices):
@@ -337,22 +356,24 @@ def check_essential(g: Pattern, window: int | None = None, budget: int = 2000):
             sites_e, _ = built_e
             cfg = from_closed_sites(W, set(g.closed_sites) | set(sites_w) | set(sites_e))
             trials += 1
-            if _is_essential_witness(cfg, g):
+            if _essential_witnesses(cfg.closed[np.newaxis], g)[0]:
                 return cfg, trials
     rng = np.random.default_rng(12345)
-    grid = [
-        (a, b)
-        for a in range(-W, W + 1)
-        for b in range(-W, W + 1)
-        if (a, b) not in g.sites
-    ]
+    free = np.flatnonzero(~from_closed_sites(W, g.sites).closed)
+    base = from_closed_sites(W, g.closed_sites).closed
+    # the fills are tried in stacks of doubling size: a witness found early
+    # wastes little, a long search pays few connected-components calls
+    size = 4
     while trials < budget:
-        trials += 1
-        q = rng.uniform(0.2, 0.7)
-        extra = [s for s in grid if rng.random() < q]
-        cfg = from_closed_sites(W, set(g.closed_sites) | set(extra))
-        if _is_essential_witness(cfg, g):
-            return cfg, trials
+        size = min(2 * size, budget - trials)
+        stack = np.broadcast_to(base, (size,) + base.shape).copy()
+        for field in stack.reshape(size, -1):
+            q = rng.uniform(0.2, 0.7)
+            field[free[rng.random(len(free)) < q]] = True
+        hits = np.flatnonzero(_essential_witnesses(stack, g))
+        if hits.size:
+            return Configuration(extent=W, closed=stack[hits[0]].copy()), trials + int(hits[0]) + 1
+        trials += size
     return None, trials
 
 

@@ -23,9 +23,13 @@ the parity of the ray crossings.
 
 Region membership (Q_n, the annulus Q_2n minus Q_n, the rectangles) is
 decided by ``geometry.in_region`` on tilted coordinates.  Bulk detection
-builds a static edge catalogue per (extent, n) once, masks it with the
-sample's closed field, and runs scipy connected components.  Witnesses come
-from ``breadth_first``, one deterministic FIFO search that the enhancement
+builds a static edge catalogue per (extent, n) once, on just the vertices
+the region's edges touch.  Each ``*_holds`` function decides a (K, W, W)
+stack of closed fields: it masks the catalogue with every field, numbers
+node x of field k as km + x, and runs one scipy connected-components call
+on the union of the K graphs, so labels never mix fields.  The detector of
+a single configuration is the call with K = 1.  Witnesses come from
+``breadth_first``, one deterministic FIFO search that the enhancement
 module shares: each caller passes its own neighbours and stops at its own
 goal.
 """
@@ -56,10 +60,15 @@ from .geometry import (
 __all__ = [
     "EVENTS",
     "EventResult",
+    "Graph",
     "breadth_first",
+    "circuit4_holds",
+    "circuit_holds",
     "first_path",
     "radial_closed_path",
+    "radial_holds",
     "rect_crossing",
+    "rect_holds",
     "sides_joined",
     "surrounding_circuit_exact",
     "surrounding_circuit_4rect",
@@ -111,27 +120,41 @@ def node_grid(M):
     return tuple(g.ravel() for g in np.meshgrid(rng, rng, indexing="ij"))
 
 
+class Graph(NamedTuple):
+    """Edge k is the edge of the site with flat field index ``sites[k]`` and
+    joins nodes ``e1[k]`` and ``e2[k]`` of ``nodes``."""
+
+    sites: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+    nodes: int
+
+
 def _subgraph(M, keep):
-    """The edges of the sites in mask ``keep`` as a graph (sites, e1, e2,
-    n_nodes): edge k is the edge of flat field index sites[k] and joins node
-    ids e1[k] and e2[k] of ``node_grid(M)``."""
+    """The edges of the sites in mask ``keep`` as a ``Graph`` on the
+    vertices they touch, and the index pairs (I, J) of those vertices.
+
+    The nodes are numbered in row-major order of their vertex.  A vertex no
+    edge touches is left out: it can never join anything.
+    """
     _, _, i1, j1, i2, j2 = site_endpoints(M)
     L = M + 1
-    return (np.flatnonzero(keep), _vid(i1[keep], j1[keep], L), _vid(i2[keep], j2[keep], L),
-            (2 * L + 1) ** 2)
+    v1, v2 = _vid(i1[keep], j1[keep], L), _vid(i2[keep], j2[keep], L)
+    I, J = node_grid(M)
+    touched = np.zeros(len(I), dtype=bool)
+    touched[v1] = touched[v2] = True
+    ids = np.flatnonzero(touched)
+    node = np.zeros(len(I), dtype=np.int32)
+    node[ids] = np.arange(len(ids), dtype=np.int32)
+    graph = Graph(np.flatnonzero(keep).astype(np.int32), node[v1], node[v2], len(ids))
+    return graph, I[ids], J[ids]
 
 
 @lru_cache(maxsize=64)
 def edge_graph(M):
-    """Every edge of extent M as a graph on ``node_grid(M)``."""
+    """Every edge of extent M as a ``Graph``, with the index pairs (I, J)
+    of its nodes."""
     return _subgraph(M, np.ones((2 * M + 1) ** 2, dtype=bool))
-
-
-@lru_cache(maxsize=64)
-def _outside_q(M, n):
-    """Mask over node ids: the vertices outside Q_n."""
-    I, J = node_grid(M)
-    return np.logical_not(in_region("Q", n, I + J, I - J)) & ((I - J) % 2 == 0)
 
 
 _RECT_KINDS = ("T", "T1", "T2", "T3", "T4")
@@ -142,27 +165,36 @@ def rect_min_extent(n, which):
 
 
 @lru_cache(maxsize=64)
+def _radial_static(M, n):
+    """The full edge graph with its center node and the nodes outside Q_n."""
+    graph, I, J = edge_graph(M)
+    return (graph, np.flatnonzero((I == 0) & (J == 0)),
+            np.flatnonzero(np.logical_not(in_region("Q", n, I + J, I - J))))
+
+
+@lru_cache(maxsize=64)
 def _rect_static(M, n, kind):
-    """The rectangle's edge subgraph and the vertex ids of its two short sides."""
+    """The rectangle's edge subgraph, the nodes of its two short sides, and
+    the index pairs (I, J) of the nodes of the first side."""
     _, _, i1, j1, i2, j2 = site_endpoints(M)
-    I, J = node_grid(M)
-    U, V = I + J, I - J
-    inside = in_region(kind, n, U, V) & (V % 2 == 0)
-    side_a, side_b = long_sides(kind, n, U, V)
-    return (
-        _subgraph(M, edge_in_region(kind, n, i1, j1, i2, j2)),
-        np.flatnonzero(inside & side_a),
-        np.flatnonzero(inside & side_b),
-    )
+    graph, I, J = _subgraph(M, edge_in_region(kind, n, i1, j1, i2, j2))
+    side_a, side_b = (np.flatnonzero(s) for s in long_sides(kind, n, I + J, I - J))
+    return graph, side_a, side_b, (I[side_a], J[side_a])
 
 
 @lru_cache(maxsize=64)
 def _annulus_static(M, n):
-    """Usable-edge subgraph for the circuit detectors, with the cut-ray
-    crossing flag of each edge; the closed state is applied per sample."""
+    """The doubled cover of the usable-edge subgraph, for the circuit
+    detector.  Node 2x + s is copy s of vertex x, and each usable edge has
+    two cover edges: an edge that crosses the cut ray joins opposite copies,
+    any other edge the same copies."""
     A, B, i1, j1, i2, j2 = site_endpoints(M)
     keep = _usable(n, i1, j1, i2, j2)
-    return _subgraph(M, keep), _crosses_cut(A, B)[keep].astype(np.int64)
+    graph, _, _ = _subgraph(M, keep)
+    cross = _crosses_cut(A, B)[keep].astype(np.int32)
+    e1, e2 = 2 * graph.e1, 2 * graph.e2 + cross
+    return Graph(np.concatenate([graph.sites, graph.sites]), np.concatenate([e1, e1 + 1]),
+                 np.concatenate([e2, e2 + 1 - 2 * cross]), 2 * graph.nodes)
 
 
 @lru_cache(maxsize=64)
@@ -190,14 +222,29 @@ def _components(r, c, n_nodes):
     return labels
 
 
-def sides_joined(c: Configuration, graph, side_a, side_b) -> bool:
-    """Do the closed edges of ``graph`` join a node of ``side_a`` to one of
-    ``side_b``?  ``graph`` is a (sites, e1, e2, n_nodes) catalogue such as
-    ``edge_graph`` makes; the sides are arrays of node ids."""
-    sites, e1, e2, n_nodes = graph
-    mask = c.closed.ravel()[sites]
-    labels = _components(e1[mask], e2[mask], n_nodes)
-    return bool(np.intersect1d(labels[side_a], labels[side_b]).size)
+def _labels(closed, graph):
+    """Component labels of the closed edges of ``graph`` in each field of
+    the (K, W, W) stack ``closed``: a (K, m) array for a graph of m nodes.
+
+    One connected-components call labels the block-diagonal union of the K
+    graphs, where node x of field k is node km + x, so no label is shared by
+    two fields.
+    """
+    K, m = len(closed), graph.nodes
+    mask = closed.reshape(K, -1)[:, graph.sites]
+    r, c = (np.concatenate([e[mk] + np.int32(k * m) for k, mk in enumerate(mask)])
+            for e in (graph.e1, graph.e2))
+    return _components(r, c, K * m).reshape(K, m)
+
+
+def sides_joined(closed, graph, side_a, side_b):
+    """For each field of the (K, W, W) stack ``closed``: do its closed edges
+    of ``graph`` join a node of ``side_a`` to one of ``side_b``?  A bool
+    array of length K; the sides are arrays of nodes of ``graph``."""
+    labels = _labels(closed, graph)
+    on_a = np.zeros(labels.size, dtype=bool)
+    on_a[labels[:, side_a]] = True
+    return on_a[labels[:, side_b]].any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +315,27 @@ def _vertex_real(v):
 # ---------------------------------------------------------------------------
 
 
-def _require_extent(c, event, n):
+def _require_extent(M, event, n):
     need = EVENTS[event].min_extent(n)
-    if c.extent < need:
-        raise ValueError(f"extent {c.extent} is below {need}, the least that covers {event} at n={n}")
+    if M < need:
+        raise ValueError(f"extent {M} is below {need}, the least that covers {event} at n={n}")
+
+
+def _extent(closed):
+    """The extent M of a stack of (2M+1, 2M+1) closed fields."""
+    return closed.shape[-1] // 2
+
+
+def radial_holds(closed, n: int):
+    """``radial_closed_path`` on each field of a (K, W, W) stack: bool array."""
+    M = _extent(closed)
+    _require_extent(M, "A", n)
+    return sides_joined(closed, *_radial_static(M, n))
 
 
 def radial_closed_path(c: Configuration, n: int, witness: bool = False) -> EventResult:
     """Event A_n: closed path from (1/2, 1/2) to some vertex outside Q_n."""
-    _require_extent(c, "A", n)
-    _, e1, e2, n_nodes = edge_graph(c.extent)
-    mask = c.closed.ravel()
-    labels = _components(e1[mask], e2[mask], n_nodes)
-    outside = _outside_q(c.extent, n)
-    holds = bool((outside & (labels == labels[_vid(0, 0, c.extent + 1)])).any())
+    holds = bool(radial_holds(c.closed[np.newaxis], n)[0])
     w = None
     if witness and holds:
         path = first_path([(0, 0)], lambda v: _closed_neighbors(c, v),
@@ -290,24 +344,30 @@ def radial_closed_path(c: Configuration, n: int, witness: bool = False) -> Event
     return EventResult(holds=holds, witness=w, event=f"A_{n}")
 
 
+def rect_holds(closed, n: int, which: str = "T"):
+    """``rect_crossing`` on each field of a (K, W, W) stack: bool array."""
+    if which not in _RECT_KINDS:
+        raise ValueError(f"unknown rectangle {which!r}")
+    M = _extent(closed)
+    if M < rect_min_extent(n, which):
+        raise ValueError(f"extent {M} does not cover {which} at n={n}")
+    graph, side_a, side_b, _ = _rect_static(M, n, which)
+    return sides_joined(closed, graph, side_a, side_b)
+
+
 def rect_crossing(c: Configuration, n: int, which: str = "T",
                   witness: bool = False) -> EventResult:
     """Event A'_n (which='T') or one of the four rectangle crossings."""
-    if which not in _RECT_KINDS:
-        raise ValueError(f"unknown rectangle {which!r}")
-    if c.extent < rect_min_extent(n, which):
-        raise ValueError(f"extent {c.extent} does not cover {which} at n={n}")
-    graph, side_a, side_b = _rect_static(c.extent, n, which)
-    holds = sides_joined(c, graph, side_a, side_b)
+    holds = bool(rect_holds(c.closed[np.newaxis], n, which)[0])
     w = None
     if witness and holds:
-        I, J = node_grid(c.extent)
+        _, _, _, (I, J) = _rect_static(c.extent, n, which)
 
         def inside(v):
             return in_region(which, n, v[0] + v[1], v[0] - v[1])
 
         path = first_path(
-            [(int(I[k]), int(J[k])) for k in side_a],
+            [(int(i), int(j)) for i, j in zip(I, J)],
             lambda v: [x for x in _closed_neighbors(c, v) if inside(x)],
             lambda v: long_sides(which, n, v[0] + v[1], v[0] - v[1])[1],
         )
@@ -380,37 +440,47 @@ def _circuit_witness(c, n):
     return None
 
 
-def surrounding_circuit_exact(c: Configuration, n: int,
-                              witness: bool = False) -> EventResult:
-    """Event A''_n: a closed circuit in Q_2n with Q_n in its interior.
+def circuit_holds(closed, n: int):
+    """``surrounding_circuit_exact`` on each field of a (K, W, W) stack: bool
+    array.
 
-    On the doubled cover each vertex has two copies and an edge crossing the
-    cut ray swaps them; a circuit of odd cut parity, one that surrounds Q_n,
-    exists iff some vertex's two copies share a component.  A vertex with no
-    usable closed edge has two isolated copies, which never do.
+    On the doubled cover a circuit of odd cut parity, one that surrounds
+    Q_n, exists iff some vertex's two copies share a component.  A vertex
+    with no usable closed edge has two isolated copies, which never do.
     """
     if n < 2:
         raise ValueError("surrounding circuit needs n >= 2")
-    _require_extent(c, "Acirc", n)
-    (sites, e1, e2, n_nodes), cross = _annulus_static(c.extent, n)
-    mask = c.closed.ravel()[sites]
-    e1 = e1[mask]
-    e2 = e2[mask]
-    cr = cross[mask]
-    r = np.concatenate([2 * e1, 2 * e1 + 1])
-    cc = np.concatenate([2 * e2 + cr, 2 * e2 + 1 - cr])
-    labels = _components(r, cc, 2 * n_nodes)
-    holds = bool(np.any(labels[0::2] == labels[1::2]))
+    M = _extent(closed)
+    _require_extent(M, "Acirc", n)
+    labels = _labels(closed, _annulus_static(M, n))
+    return (labels[:, 0::2] == labels[:, 1::2]).any(axis=1)
+
+
+def surrounding_circuit_exact(c: Configuration, n: int,
+                              witness: bool = False) -> EventResult:
+    """Event A''_n: a closed circuit in Q_2n with Q_n in its interior."""
+    holds = bool(circuit_holds(c.closed[np.newaxis], n)[0])
     w = None
     if witness:
         w = _circuit_witness(c, n) if holds else _dual_path(c, n)
     return EventResult(holds=holds, witness=w, event=f"A''_{n}")
 
 
+def circuit4_holds(closed, n: int):
+    """``surrounding_circuit_4rect`` on each field of a (K, W, W) stack: bool
+    array.  Each rectangle is tried only on the fields that crossed the ones
+    before it."""
+    _require_extent(_extent(closed), "Acirc4", n)
+    holds = np.ones(len(closed), dtype=bool)
+    for kind in ("T1", "T2", "T3", "T4"):
+        if holds.any():
+            holds[holds] = rect_holds(closed[holds], n, kind)
+    return holds
+
+
 def surrounding_circuit_4rect(c: Configuration, n: int) -> EventResult:
     """Sufficient condition: all four rectangles crossed in the long direction."""
-    _require_extent(c, "Acirc4", n)
-    holds = all(rect_crossing(c, n, k).holds for k in ("T1", "T2", "T3", "T4"))
+    holds = bool(circuit4_holds(c.closed[np.newaxis], n)[0])
     return EventResult(holds=holds, event=f"A''_{n}[4rect]")
 
 
@@ -434,7 +504,7 @@ def dual_crosscheck(c: Configuration, n: int) -> bool:
     """True iff no open dual face path escapes the annulus (circuit exists)."""
     if n < 2:
         raise ValueError("dual crosscheck needs n >= 2")
-    _require_extent(c, "Acirc", n)
+    _require_extent(c.extent, "Acirc", n)
     f1, f2, n_nodes, structural, start, targets = _dual_static(c.extent, n)
     keep = ~(c.closed.ravel() & structural)
     labels = _components(f1[keep], f2[keep], n_nodes)
@@ -444,16 +514,26 @@ def dual_crosscheck(c: Configuration, n: int) -> bool:
 class Event(NamedTuple):
     min_extent: Callable  # scale n -> least extent that covers the event
     detect: Callable  # (configuration, n, witness=False) -> EventResult
+    holds: Callable  # ((K, W, W) closed stack, n) -> bool array of length K
+    reads: Callable  # (extent, n) -> flat field indices of every site holds reads
+
+
+def _rect_reads(M, n, kinds):
+    return np.concatenate([_rect_static(M, n, kind)[0].sites for kind in kinds])
 
 
 # The percolation events by name; the Monte Carlo harness adds "closure".
 EVENTS = {
-    "A": Event(lambda n: n + 2, radial_closed_path),
+    "A": Event(lambda n: n + 2, radial_closed_path, radial_holds,
+               lambda M, n: edge_graph(M)[0].sites),
     "Aprime": Event(lambda n: rect_min_extent(n, "T"),
-                    lambda c, n, witness=False: rect_crossing(c, n, "T", witness)),
-    "Acirc": Event(lambda n: 2 * n + 2, surrounding_circuit_exact),
+                    lambda c, n, witness=False: rect_crossing(c, n, "T", witness),
+                    rect_holds, lambda M, n: _rect_reads(M, n, ("T",))),
+    "Acirc": Event(lambda n: 2 * n + 2, surrounding_circuit_exact, circuit_holds,
+                   lambda M, n: _annulus_static(M, n).sites),
     "Acirc4": Event(lambda n: 2 * n + 2,
-                    lambda c, n, witness=False: surrounding_circuit_4rect(c, n)),
+                    lambda c, n, witness=False: surrounding_circuit_4rect(c, n),
+                    circuit4_holds, lambda M, n: _rect_reads(M, n, ("T1", "T2", "T3", "T4"))),
 }
 
 

@@ -2,7 +2,10 @@
 
 Every trial draws its own configuration with stream_index equal to the
 sample index, so tallies are identical for any worker count and any
-scheduling.  The harness replays the localization argument per sample: if
+scheduling.  Estimates and paired comparisons fill a stack of closed fields
+one sample at a time and hand each stack to the event's stacked detector;
+the stack size follows from a fixed byte budget, and no tally depends on
+it.  The harness replays the localization argument per sample: if
 the enhanced field carries an exact surrounding circuit at scale n, the
 origin trajectory of the raw field must close inside Q_{2n+2D} and the
 hybrid field (raw core, enhanced exterior) must localize inside Q_{2n}.
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import GENERATOR_ID, atomic_write_text, hybrid, sample
-from .enhancement import Pattern, check_detour, enhance
+from .configuration import GENERATOR_ID, Configuration, atomic_write_text, hybrid, sample, uniforms
+from .enhancement import Pattern, check_detour, enhance, enhance_stack
 from .events import EVENTS, Event, EventResult, surrounding_circuit_exact
 from .tracer import trace_summary
 
@@ -105,7 +108,16 @@ def _closure(c, n, witness=False):
     return EventResult(holds=status == "closed", event=f"closure_{n}")
 
 
-_EVENTS = {"closure": Event(lambda n: n + 2, _closure), **EVENTS}
+def _closure_holds(closed, n):
+    """``_closure`` on each field of a (K, W, W) stack: bool array."""
+    M = closed.shape[-1] // 2
+    return np.array([_closure(Configuration(extent=M, closed=f), n).holds for f in closed],
+                    dtype=bool)
+
+
+_EVENTS = {"closure": Event(lambda n: n + 2, _closure, _closure_holds,
+                            lambda M, n: np.arange((2 * M + 1) ** 2)),
+           **EVENTS}
 EVENT_NAMES = tuple(_EVENTS)
 
 
@@ -117,17 +129,40 @@ def event_extent(event: str, n: int, pattern: Pattern | None = None) -> int:
     return base + (pattern.radius if pattern is not None else 0)
 
 
+# Bytes of closed fields a sample loop holds at once: it fills and detects
+# stacks of K = max(1, _STACK_BYTES // (2M + 1)^2) fields.  Each field of a
+# stack adds about 0.2 MB of graph and enhancement arrays to the peak memory,
+# so peak RSS sets this: K = 9 at the Aprime extent of n = 64 (M = 101),
+# 22 at the closure extent of n = 64, and 1 from M = 222 on, which covers
+# the verify extent.
+_STACK_BYTES = 3 << 17
+
+
+def _field_stacks(p, extent, seed, indices):
+    """The closed fields of the samples in ``indices`` at probability ``p``,
+    as (K, W, W) stacks in sample order; each is a view of one buffer that
+    the next overwrites."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    W = 2 * extent + 1
+    K = max(1, min(len(indices), _STACK_BYTES // (W * W)))
+    stack = np.empty((K, W, W), dtype=bool)
+    for lo in range(0, len(indices), K):
+        chunk = indices[lo : lo + K]
+        for k, i in enumerate(chunk):
+            np.less(uniforms(extent, seed, i).u, p, out=stack[k])
+        yield stack[: len(chunk)]
+
+
 def _eval_samples(args):
     """Worker body: evaluate one event on a run of sample indices."""
     event, p, n, seed, extent, pattern, indices = args
-    detect = _EVENTS[event].detect
+    holds = _EVENTS[event].holds
     hits = 0
-    for i in indices:
-        c = sample(p, extent, seed, stream_index=i)
+    for closed in _field_stacks(p, extent, seed, indices):
         if pattern is not None:
-            c = enhance(c, pattern)
-        if detect(c, n).holds:
-            hits += 1
+            closed = enhance_stack(closed, pattern)
+        hits += int(np.count_nonzero(holds(closed, n)))
     return hits
 
 
@@ -203,13 +238,23 @@ def estimate_event(event: str, p: float, n: int, N: int, seed: int,
 
 def _paired_samples(args):
     event, p, n, seed, extent, pattern, indices = args
-    detect = _EVENTS[event].detect
+    ev = _EVENTS[event]
+    reads = ev.reads(extent, n)
     tally = np.zeros(4, dtype=np.int64)  # [neither, only plain, only enhanced, both]
-    for i in indices:
-        c = sample(p, extent, seed, stream_index=i)
-        a = detect(c, n).holds
-        b = detect(enhance(c, pattern), n).holds
-        tally[int(a) + 2 * int(b)] += 1
+    for closed in _field_stacks(p, extent, seed, indices):
+        a = ev.holds(closed, n)
+        enhanced = enhance_stack(closed, pattern)
+        # The detector reads only the sites ``reads``: where enhancement
+        # changed none of them it would see the same input again, so b = a.
+        # Any other sample is detected anew, which keeps a monotonicity
+        # violation (only_plain) visible.
+        K = len(closed)
+        changed = (enhanced.reshape(K, -1)[:, reads]
+                   != closed.reshape(K, -1)[:, reads]).any(axis=1)
+        b = a.copy()
+        if changed.any():
+            b[changed] = ev.holds(enhanced[changed], n)
+        tally += np.bincount(a + 2 * b, minlength=4)
     return tally
 
 

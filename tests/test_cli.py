@@ -112,6 +112,20 @@ def test_verify_exit_codes(tmp_path, capsys):
                 "--seed", "1"]) == 2
 
 
+def test_verify_marks_vacuous_runs(tmp_path, capsys):
+    # at p = 0 no circuit exists, so the pass rate of 1.0 checked nothing
+    csv = tmp_path / "v.csv"
+    assert run(["verify", "--p", "0", "--n", "101", "--trials", "2",
+                "--seed", "1", "--csv", str(csv)]) == 0
+    out = capsys.readouterr().out
+    assert "circuits=0" in out and "conditional_pass_rate=1.0" in out
+    assert out.rstrip().endswith("vacuous=1")
+    assert csv.read_text().splitlines()[1:] == ["0,0,,,,1", "1,0,,,,1"]
+    assert run(["verify", "--p", "1", "--n", "101", "--trials", "1",
+                "--seed", "1"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("vacuous=0")
+
+
 def test_pattern_check_and_search(tmp_path, capsys):
     assert run(["pattern", "check", "--pattern", "default"]) == 0
     out = capsys.readouterr().out

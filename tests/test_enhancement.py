@@ -157,8 +157,8 @@ def test_essential_witness_is_pivotal():
     # crossing (checked through the public enhancement map)
     assert (0, 0) in match_pattern(w, g).offsets
     from manhattan_pinball.enhancement import _window_crossing
-    assert not _window_crossing(w)
-    assert _window_crossing(enhance(w, g))
+    assert not _window_crossing(w.closed[np.newaxis])[0]
+    assert _window_crossing(enhance(w, g).closed[np.newaxis])[0]
 
 
 def test_essential_absent_when_red_is_sealed_off():

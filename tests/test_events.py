@@ -24,11 +24,15 @@ from manhattan_pinball.enhancement import (
 )
 from manhattan_pinball.events import (
     EventResult,
+    circuit4_holds,
+    circuit_holds,
     dual_crosscheck,
     dump_witness,
     loads_witness,
     radial_closed_path,
+    radial_holds,
     rect_crossing,
+    rect_holds,
     surrounding_circuit_4rect,
     surrounding_circuit_exact,
     walk_winding,
@@ -134,6 +138,40 @@ def test_detectors_match_brute_oracles():
         assert exact == dual_crosscheck(c, n)
         if surrounding_circuit_4rect(c, n).holds:
             assert exact
+
+
+@pytest.mark.parametrize("K", [1, 2, 7])
+def test_stacked_detectors_match_per_sample_oracles(K):
+    # each field of a stack is decided as if it were alone: the stacked
+    # answers equal the per-sample oracles, and permuting the stack permutes
+    # the answers
+    ps = (0.0, 0.3, 0.5, 0.55, 0.7, 1.0)
+    rng = np.random.default_rng(K)
+    seen = set()
+    for t in range(6):
+        n = 2 + t % 2
+        cfgs = [sample(ps[(K * t + k) % len(ps)], 2 * n + 2, seed=40 + K, stream_index=K * t + k)
+                for k in range(K)]
+        closed = np.stack([c.closed for c in cfgs])
+        perm = rng.permutation(K)
+        answers = {
+            "radial": (lambda f: radial_holds(f, n), [brute_radial(c, n) for c in cfgs]),
+            "circuit": (lambda f: circuit_holds(f, n), [brute_circuit(c, n) for c in cfgs]),
+            "dual": (lambda f: circuit_holds(f, n), [dual_crosscheck(c, n) for c in cfgs]),
+            "circuit4": (lambda f: circuit4_holds(f, n),
+                         [all(brute_rect(c, n, k) for k in ("T1", "T2", "T3", "T4"))
+                          for c in cfgs]),
+        }
+        for kind in ("T", "T1", "T2", "T3", "T4"):
+            answers[kind] = (lambda f, kind=kind: rect_holds(f, n, kind),
+                             [brute_rect(c, n, kind) for c in cfgs])
+        for name, (holds, oracle) in answers.items():
+            got = holds(closed)
+            assert got.dtype == bool and got.tolist() == oracle, (name, n, t)
+            assert holds(closed[perm]).tolist() == got[perm].tolist(), (name, n, t)
+            seen.update((name, x) for x in oracle)
+    if K > 1:  # both answers of every detector are exercised
+        assert len(seen) == 2 * len(answers)
 
 
 def test_planted_diamond_ring():

@@ -1,11 +1,15 @@
 """Estimators, intervals, the decay fit, and the verification harness."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from manhattan_pinball.enhancement import Pattern, default_pattern
+from manhattan_pinball import montecarlo
+from manhattan_pinball.configuration import Configuration, sample
+from manhattan_pinball.enhancement import Pattern, default_pattern, enhance_stack
+from manhattan_pinball.events import rect_crossing
 from manhattan_pinball.montecarlo import (
     EstimationReport,
     compare_enhanced,
@@ -198,3 +202,76 @@ def test_coupled_monotonicity_small():
         assert rect_crossing(lo, n, "T").holds <= rect_crossing(hi, n, "T").holds
         assert (surrounding_circuit_exact(lo, n).holds
                 <= surrounding_circuit_exact(hi, n).holds)
+
+
+# Graph events at scales and p where some samples hold, plain and enhanced.
+GRAPH_CASES = (("A", 0.5, 6), ("Aprime", 0.55, 6), ("Acirc", 0.75, 4), ("Acirc4", 0.8, 4))
+PAIRED_CASES = ((0.55, 8, 400, 29, "Aprime"), (0.75, 4, 90, 31, "Acirc"))
+
+
+def _paired_text(pr):
+    return estimates_csv([pr.plain, pr.enhanced]) + repr(
+        (pr.both, pr.only_enhanced, pr.only_plain, pr.gap, pr.gap_ci_lo, pr.gap_ci_hi))
+
+
+def _graph_run_text(N, workers):
+    g = default_pattern()
+    reports = [estimate_event(ev, p, n, N, seed=19, enhanced=enhanced, workers=workers)
+               for ev, p, n in GRAPH_CASES for enhanced in (False, True)]
+    paired = [compare_enhanced(p, n, min(N, trials), seed, g, event, workers=workers)
+              for p, n, trials, seed, event in PAIRED_CASES]
+    return estimates_csv(reports) + "".join(_paired_text(pr) for pr in paired)
+
+
+# sha256 of _graph_run_text(50, 1), computed before graph events were detected
+# on stacks of samples; every byte must stay
+GRAPH_RUN_DIGEST = "9536a79a72478b5114978cf50c2b93e8d95378f7de564db606523676c45a53a9"
+
+
+def test_graph_estimates_match_pinned_digest():
+    text = _graph_run_text(50, 1)
+    assert "Acirc4,0.8,4,50,6," in text  # some samples of each event hold
+    assert hashlib.sha256(text.encode()).hexdigest() == GRAPH_RUN_DIGEST
+
+
+def test_reports_do_not_depend_on_workers_or_stack_size(monkeypatch):
+    # 37 is prime, so no stack size divides it: every run has a short stack
+    reference = _graph_run_text(37, 1)
+    monkeypatch.setattr(montecarlo, "_STACK_BYTES", 2000)  # 2 to 6 fields a stack
+    assert _graph_run_text(37, 1) == reference
+    assert _graph_run_text(37, 3) == reference
+
+
+def test_paired_shortcut_keeps_every_change_of_outcome(monkeypatch):
+    # a non-monotone "enhancement": fields whose site (0, 0) is open lose
+    # closed edges and can lose their crossing, the others gain a straight
+    # crossing of T.  The paired comparison must count both changes exactly
+    # as a per-sample comparison without the shortcut does.
+    g = default_pattern()
+    p, n, N, seed = 0.55, 6, 120, 29
+    real = enhance_stack
+    extent = event_extent("Aprime", n, g)
+    a, b = np.meshgrid(np.arange(-extent, extent + 1), np.arange(-extent, extent + 1),
+                       indexing="ij")
+    cut = (a - b == 1) & (b % 2 == 0)  # every other edge across a - b = 1
+    line = a + b - 1 == 3  # the straight crossing of T along u = 3
+
+    def fake(closed, pattern):
+        out = real(closed, pattern)
+        center = closed[:, extent, extent]
+        out[~center] &= ~cut
+        out[center] |= line
+        return out
+
+    monkeypatch.setattr(montecarlo, "enhance_stack", fake)
+    pr = compare_enhanced(p, n, N, seed, g)
+    only_plain = only_enhanced = 0
+    for i in range(N):
+        c = sample(p, extent, seed, stream_index=i)
+        e = Configuration(extent=extent, closed=fake(c.closed[np.newaxis], g)[0])
+        before, after = rect_crossing(c, n).holds, rect_crossing(e, n).holds
+        only_plain += before and not after
+        only_enhanced += after and not before
+    assert pr.only_plain == only_plain > 0
+    assert pr.only_enhanced == only_enhanced > 0
+    assert pr.only_plain < pr.plain.hits  # the cut spares some crossings
