@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 assertion or verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification or pattern check failure, 2 usage error,
+3 internal error (a defect of the program, such as non-injective dynamics).
 All file writes are atomic (temp file + rename).  Randomness flows only
 through explicit --seed flags.
 """
@@ -30,7 +31,7 @@ from .enhancement import (
     search_patterns,
     validate_pattern,
 )
-from .errors import ConfigParseError, ResourceLimitError
+from .errors import ConfigParseError, DynamicsError, ResourceLimitError
 from .events import EVENTS, dump_witness, loads_witness
 from .montecarlo import (
     EVENT_NAMES,
@@ -270,6 +271,9 @@ def main(argv=None) -> int:
     except (ConfigParseError, ResourceLimitError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except DynamicsError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -26,17 +26,62 @@ FORMAT_VERSION = 1
 # Dense fields above this byte count are rejected (one byte per site).
 MAX_FIELD_BYTES = 1 << 29
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
+# 0-d arrays: ufuncs take them faster than numpy scalars or Python numbers
+_GOLDEN, _M1, _M2, _S11, _S27, _S30, _S31 = (
+    np.array(k, dtype=np.uint64)
+    for k in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 11, 27, 30, 31))
+_ULP = np.array(2.0 ** -53)
 
 
-def _fmix(z):
-    """splitmix64 finalizer, elementwise on uint64 arrays or scalars."""
-    with np.errstate(over="ignore"):  # wraparound is the point
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        return z ^ (z >> np.uint64(31))
+def _fmix(z, tmp=None):
+    """splitmix64 finalizer of the uint64 array ``z``, in place; returns ``z``.
+
+    ``tmp`` is a scratch array of z's shape (allocated when not given).
+    Array arithmetic wraps around without a warning, as the hash needs.
+    """
+    if tmp is None:
+        tmp = np.empty_like(z)
+    np.bitwise_xor(z, np.right_shift(z, _S30, out=tmp), out=z)
+    np.multiply(z, _M1, out=z)
+    np.bitwise_xor(z, np.right_shift(z, _S27, out=tmp), out=z)
+    np.multiply(z, _M2, out=z)
+    np.bitwise_xor(z, np.right_shift(z, _S31, out=tmp), out=z)
+    return z
+
+
+def _as_uint64(x):
+    """Integers as a new uint64 array with int64 wraparound: -1 becomes 2**64 - 1."""
+    return np.array(x, dtype=np.int64).view(np.uint64)
+
+
+# The uniform of site (a, b) in sample stream i is
+# unit(site_hash(row_hash(stream_base(seed, i), a), b)).
+
+
+def row_hash(key, x, out=None, tmp=None):
+    """fmix(x ^ key) for uint64 arrays, elementwise with broadcasting.
+
+    The hash key of row ``x`` of the stream keyed ``key``; as ``site_hash``,
+    the hash of site (a, x) from the key of row a.
+    """
+    return _fmix(np.bitwise_xor(x, key, out=out), tmp)
+
+
+site_hash = row_hash
+
+
+def stream_base(seed, stream_index):
+    """Hash key fmix(i ^ fmix(seed ^ golden)) of each sample stream i in
+    ``stream_index`` (uint64, shaped like it)."""
+    key = _as_uint64(seed)
+    row_hash(_GOLDEN, key, out=key)
+    i = _as_uint64(stream_index)
+    return row_hash(key, i, out=i)
+
+
+def unit(h, out=None):
+    """The top 53 bits of hash ``h`` as a double in [0, 1); shifts ``h`` in place."""
+    return np.multiply(np.right_shift(h, _S11, out=h), _ULP, out=out)
 
 
 def _check_extent(M):
@@ -98,12 +143,14 @@ class Configuration:
 def uniforms(M: int, seed: int, stream_index: int) -> UniformField:
     """Counter-based uniform field over sites |a|, |b| <= M."""
     _check_extent(M)
-    coords = np.arange(-M, M + 1, dtype=np.int64).astype(np.uint64)
-    base = _fmix(np.uint64(np.int64(seed)) ^ _GOLDEN)
-    base = _fmix(np.uint64(np.int64(stream_index)) ^ base)
-    ha = _fmix(coords ^ base)
-    h = _fmix(coords[np.newaxis, :] ^ ha[:, np.newaxis])
-    u = (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    W = 2 * M + 1
+    coords = _as_uint64(np.arange(-M, M + 1))
+    rows = row_hash(stream_base(seed, stream_index), coords)
+    u = np.empty((W, W))
+    # the hash needs one W x W scratch array; u's buffer serves until unit() fills it
+    h = site_hash(rows[:, np.newaxis], coords, out=np.empty((W, W), dtype=np.uint64),
+                  tmp=u.view(np.uint64))
+    unit(h, out=u)
     u.flags.writeable = False
     return UniformField(extent=M, u=u, seed=seed, stream_index=stream_index)
 

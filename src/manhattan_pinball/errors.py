@@ -16,3 +16,11 @@ class ConfigParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class DynamicsError(RuntimeError):
+    """The ray dynamics repeated a state other than the start.
+
+    The step map is a bijection, so this is a defect of the program, not an
+    outcome of the model.
+    """

@@ -4,11 +4,13 @@ Every trial draws its own configuration with stream_index equal to the
 sample index, so tallies are identical for any worker count and any
 scheduling.  Estimates and paired comparisons fill a stack of closed fields
 one sample at a time and hand each stack to the event's stacked detector;
-the stack size follows from a fixed byte budget, and no tally depends on
-it.  The harness replays the localization argument per sample: if
-the enhanced field carries an exact surrounding circuit at scale n, the
-origin trajectory of the raw field must close inside Q_{2n+2D} and the
-hybrid field (raw core, enhanced exterior) must localize inside Q_{2n}.
+plain closure builds no field and traces a worker's samples together with
+``trace_lockstep``.  Stack and walk sizes follow from a fixed byte budget,
+and no tally depends on them.  The harness replays the localization
+argument per sample: if the enhanced field carries an exact surrounding
+circuit at scale n, the origin trajectory of the raw field must close inside
+Q_{2n+2D} and the hybrid field (raw core, enhanced exterior) must localize
+inside Q_{2n}.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .configuration import GENERATOR_ID, Configuration, atomic_write_text, hybrid, sample, uniforms
 from .enhancement import Pattern, check_detour, enhance, enhance_stack
 from .events import EVENTS, Event, EventResult, surrounding_circuit_exact
-from .tracer import trace_summary
+from .tracer import CLOSED, LOCKSTEP_RAY_BYTES, trace_lockstep, trace_summary
 
 _Z95 = 1.959963984540054
 
@@ -132,9 +134,10 @@ def event_extent(event: str, n: int, pattern: Pattern | None = None) -> int:
 # Bytes of closed fields a sample loop holds at once: it fills and detects
 # stacks of K = max(1, _STACK_BYTES // (2M + 1)^2) fields.  Each field of a
 # stack adds about 0.2 MB of graph and enhancement arrays to the peak memory,
-# so peak RSS sets this: K = 9 at the Aprime extent of n = 64 (M = 101),
-# 22 at the closure extent of n = 64, and 1 from M = 222 on, which covers
-# the verify extent.
+# so peak RSS sets this: K = 9 at the Aprime extent of n = 64 (M = 101)
+# and 1 from M = 222 on, which covers the verify extent.  Plain closure
+# builds no fields; it walks up to _STACK_BYTES // LOCKSTEP_RAY_BYTES = 3072
+# rays at once.
 _STACK_BYTES = 3 << 17
 
 
@@ -157,6 +160,11 @@ def _field_stacks(p, extent, seed, indices):
 def _eval_samples(args):
     """Worker body: evaluate one event on a run of sample indices."""
     event, p, n, seed, extent, pattern, indices = args
+    if event == "closure" and pattern is None:  # no field needed: one walk per chunk
+        K = max(1, _STACK_BYTES // LOCKSTEP_RAY_BYTES)
+        return sum(int(np.count_nonzero(
+            trace_lockstep(p, extent, seed, indices[lo : lo + K], abort_radius=n) == CLOSED))
+            for lo in range(0, len(indices), K))
     holds = _EVENTS[event].holds
     hits = 0
     for closed in _field_stacks(p, extent, seed, indices):

@@ -5,6 +5,8 @@ The ray state is (site just departed, outgoing direction); the origin ray is
 is either a closed orbit or leaves the extent.  ``step`` and ``step_back``
 are the reference dynamics; ``trace`` and ``trace_summary`` share one
 table-driven kernel that walks a flat byte copy of the field.
+``trace_lockstep`` walks the origin rays of many sampled fields at once
+without building the fields: each step hashes just the sites the rays enter.
 """
 
 from __future__ import annotations
@@ -16,8 +18,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .configuration import Configuration
-from .errors import ConfigParseError
+from .configuration import (
+    Configuration,
+    _as_uint64,
+    _check_extent,
+    row_hash,
+    site_hash,
+    stream_base,
+    uniforms,
+    unit,
+)
+from .errors import ConfigParseError, DynamicsError
 from .geometry import UNIT, Direction, mirror_orientation, q_radius, reflect, tilted_radius
 
 
@@ -60,10 +71,9 @@ def step_back(s: RayState, c: Configuration) -> RayState:
     return RayState((pa, pb), d)
 
 
-_CLOSED, _ESCAPED, _BUDGET, _REPEAT, _ABORTED = 0, 1, 2, 3, 4
+CLOSED, ESCAPED, BUDGET_EXCEEDED, ABORTED = range(4)
 
-_STATUS_NAMES = {_CLOSED: "closed", _ESCAPED: "escaped",
-                 _BUDGET: "budget_exceeded", _ABORTED: "aborted"}
+STATUS_NAMES = ("closed", "escaped", "budget_exceeded", "aborted")  # by status code
 
 # The kernel reads the field from a padded (2M+3)^2 byte table with flat index
 # j = (a + M + 1) * P + (b + M + 1), row length P = 2M + 3.  Each byte holds
@@ -93,47 +103,59 @@ def _radius_table(M):
     return radius
 
 
-def _cells(c: Configuration, abort_at: int | None) -> bytes:
-    """The padded code table of ``c``; sites of radius above ``abort_at`` read as _FAR."""
-    M = c.extent
+def _cells(closed: np.ndarray, abort_at: int | None) -> bytes:
+    """The padded code table of the mirror field ``closed``; sites of radius above
+    ``abort_at`` read as _FAR."""
+    M = closed.shape[0] // 2
     table = np.full((2 * M + 3, 2 * M + 3), _OUT, dtype=np.uint8)
     inner = table[1:-1, 1:-1]
-    np.multiply(c.closed, _code_table(M), out=inner)
+    np.multiply(closed, _code_table(M), out=inner)
     if abort_at is not None:
         np.copyto(inner, _FAR, where=_radius_table(M) > abort_at)
     return table.tobytes()
 
 
-def _trace_kernel(cells: bytes, P: int, s0: int, max_steps: int):
+_REPEATED = "non-start state repeated: dynamics not injective"
+
+
+def _trace_kernel(cells: bytes, P: int, s0: int, max_steps: int, at: int | None = None):
     """Walk from state ``s0`` until closure, escape, abort or ``max_steps`` steps.
 
     Returns (status, path) with path the visited states, start first.  An
     aborted walk ends with the first site beyond the abort radius, recorded
-    with the direction the ray entered it.
+    with the direction the ray entered it.  With ``at``, the walk resumes
+    from state ``at`` of a walk that started at ``s0``; the path starts at
+    ``at``.
     """
     step = (P, 1, -P, -1)
     turn = _TURN
     seen = bytearray(len(cells) << 2)
     seen[s0] = 2  # entering the start state again closes the orbit
-    path = array("q", (s0,))
+    if at is None:
+        at = s0
+    elif at != s0:
+        seen[at] = 1
+    path = array("q", (at,))
     append = path.append
-    i, d = s0 >> 2, s0 & 3
+    i, d = at >> 2, at & 3
     for _ in range(max_steps):
         j = i + step[d]
         c = cells[j]
         if c >= _OUT:
             if c == _OUT:
-                return _ESCAPED, path
+                return ESCAPED, path
             append(4 * j + d)
-            return _ABORTED, path
+            return ABORTED, path
         d = turn[c + d]
         s = 4 * j + d
         if seen[s]:
-            return (_CLOSED if seen[s] == 2 else _REPEAT), path
+            if seen[s] == 1:
+                raise DynamicsError(_REPEATED)
+            return CLOSED, path
         seen[s] = 1
         append(s)
         i = j
-    return _BUDGET, path
+    return BUDGET_EXCEEDED, path
 
 
 def _walk(c: Configuration, start: RayState, max_steps: int | None,
@@ -156,9 +178,7 @@ def _walk(c: Configuration, start: RayState, max_steps: int | None,
     abort_at = max(abort_radius, q_radius(start.site)) if abort_radius >= 0 else None
     a0, b0 = start.site
     s0 = 4 * ((a0 + M + 1) * P + b0 + M + 1) + int(start.dir)
-    status, path = _trace_kernel(_cells(c, abort_at), P, s0, max_steps)
-    if status == _REPEAT:
-        raise AssertionError("non-start state repeated: dynamics not injective")
+    status, path = _trace_kernel(_cells(c.closed, abort_at), P, s0, max_steps)
     s = np.frombuffer(path, dtype=np.int64)
     a, b = np.divmod(s >> 2, P)
     a -= M + 1
@@ -166,6 +186,135 @@ def _walk(c: Configuration, start: RayState, max_steps: int | None,
     diam = max(np.ptp(a), np.ptp(b))
     radius = tilted_radius(a + b - 1, a - b).max()
     return status, a, b, s & 3, int(diam), int(radius)
+
+
+# The lockstep walk keeps each ray's direction doubled, e = 2d, and reads its
+# next direction from _lockstep_turn() at 2 * (4 * code + d) + closed: an
+# open site passes the ray straight on, a closed one turns it as _TURN does,
+# and the pad ring and the sites beyond the abort radius end it with the
+# sentinel _ESC or _ABORT whatever their uniform.
+_ESC, _ABORT = 8, 10
+# Peak bytes a lockstep walk holds per ray: the ray state (site, direction,
+# stream base, checkpoint, sample position), one step's temporaries and the
+# copies a compaction makes.  tracemalloc measured 115 at M = 66 for 1000 to
+# 8000 rays, on top of about 0.44 MB of tables that depend on M alone.
+LOCKSTEP_RAY_BYTES = 128
+# A lockstep step costs about 30 us however few rays are live; _trace_kernel
+# costs about 0.5 us a step plus 0.3 ms to build the ray's field (M = 66).
+# So a walk ends when this many rays are left, and they finish one by one:
+# 1000 rays at p = 0.5, n = 64 then take 84 ms instead of 102 ms, and a
+# chunk this small never pays for a lockstep step (16 to 32 measured best).
+_LOCKSTEP_MIN_RAYS = 32
+
+
+def _lockstep_turn():
+    """Turn table of the lockstep walk, built from _TURN when it is called."""
+    table = np.empty((5, 4, 2), dtype=np.intp)  # code, d, closed
+    table[:3, :, 0] = 2 * np.arange(4)  # open site: straight on
+    table[:3, :, 1] = 2 * np.reshape(_TURN, (3, 4))
+    table[3], table[4] = _ESC, _ABORT
+    return table.ravel()
+
+
+def trace_lockstep(p: float, M: int, seed: int, stream_indices,
+                   abort_radius: int = -1, max_steps: int | None = None) -> np.ndarray:
+    """Status codes (int8, see STATUS_NAMES) of the origin rays of the fields
+    ``sample(p, M, seed, i)``, i in ``stream_indices``, traced in lockstep.
+
+    Equal to ``trace_summary(sample(p, M, seed, i), abort_radius=...,
+    max_steps=...)`` ray by ray.  While more than _LOCKSTEP_MIN_RAYS rays
+    are live, one numpy step moves them all and hashes only the site each
+    enters, so no field is built; the rays left then finish one by one on
+    their own fields.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    _check_extent(M)
+    if max_steps is None:
+        max_steps = default_max_steps(M)
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    P = 2 * M + 3
+    abort_at = max(abort_radius, q_radius((0, 0))) if abort_radius >= 0 else None
+    s0 = 4 * ((M + 1) * P + M + 1) + int(Direction.E)
+    K = len(stream_indices)
+    status = np.full(K, BUDGET_EXCEEDED, dtype=np.int8)
+    steps, pos, at = 0, np.arange(K), np.full(K, s0)
+    if K > _LOCKSTEP_MIN_RAYS:
+        steps, pos, at = _lockstep(p, M, seed, stream_indices, abort_at, max_steps, s0, status)
+    if steps < max_steps:
+        for k, s in zip(pos.tolist(), at.tolist()):
+            field = np.less(uniforms(M, seed, stream_indices[k]).u, p)
+            status[k] = _trace_kernel(_cells(field, abort_at), P, s0, max_steps - steps, s)[0]
+    return status
+
+
+def _lockstep(p, M, seed, stream_indices, abort_at, max_steps, s0, status):
+    """Walk the origin rays in lockstep until at most _LOCKSTEP_MIN_RAYS are
+    live or ``max_steps`` steps are done, writing the status of each ray that
+    ends into ``status``.  Returns (steps, positions, states) of the rest.
+
+    A ray holds its site, direction, stream base and a checkpoint state.  The
+    checkpoint is reset at steps 1, 2, 4, 8, ... (Brent), so a ray that
+    repeats a state other than its start raises ``DynamicsError`` within
+    3 * 4W^2 steps, well inside the default budget of 16W^2; a ray handed
+    on before that repeats a state _trace_kernel has marked.
+    """
+    P = 2 * M + 3
+    W = 2 * M + 1
+    # 8 * code of every cell of the padded table, and its uint64 coordinates
+    cells = 2 * np.frombuffer(_cells(np.ones((W, W), dtype=bool), abort_at),
+                              dtype=np.uint8).astype(np.intp)
+    axis = _as_uint64(np.arange(-M - 1, M + 2))
+    cell_a, cell_b = np.repeat(axis, P), np.tile(axis, P)
+    step = np.repeat((P, 1, -P, -1), 2)  # by doubled direction
+    turn = _lockstep_turn()
+    ending = np.full(_ABORT + 1, CLOSED, dtype=np.int8)  # status by final e
+    ending[_ESC], ending[_ABORT] = ESCAPED, ABORTED
+
+    K = len(stream_indices)
+    key0 = np.array(2 * s0)  # the start's state key 8j + e
+    j = np.full(K, s0 >> 2)
+    e = np.full(K, 2 * (s0 & 3))
+    base = stream_base(seed, stream_indices)
+    checkpoint = np.full(K, key0)
+    pos = np.arange(K)
+    scratch = np.empty(K, dtype=np.uint64)
+    u = np.empty(K)
+    p, esc, three = np.array(p), np.array(_ESC), np.array(3)  # 0-d: faster ufunc calls
+    steps = 0
+    while len(j) > _LOCKSTEP_MIN_RAYS and steps < max_steps:
+        steps += 1
+        L = len(j)
+        tmp = scratch[:L]
+        j += step[e]
+        # the entered site's uniform, exactly as uniforms() draws it
+        h = row_hash(base, cell_a[j], tmp=tmp)
+        site_hash(h, cell_b[j], out=h, tmp=tmp)
+        closed = np.less(unit(h, out=u[:L]), p)
+        idx = cells[j]
+        idx += e
+        idx += closed
+        e = turn[idx]
+        # a ray ends on its start state, on a sentinel, or on a checkpoint
+        # that is not its start (then the dynamics is broken)
+        key = np.left_shift(j, three)
+        key += e
+        hit = key == key0
+        hit |= key == checkpoint
+        hit |= e >= esc
+        if steps & (steps - 1) == 0:
+            checkpoint = key
+        if not np.count_nonzero(hit):
+            continue
+        done = np.flatnonzero(hit)
+        ed, kd = e[done], key[done]
+        if np.any((ed < _ESC) & (kd != key0)):
+            raise DynamicsError(_REPEATED)
+        status[pos[done]] = ending[ed]
+        live = ~hit
+        j, e, base, checkpoint, pos = (x[live] for x in (j, e, base, checkpoint, pos))
+    return steps, pos, (j << 2) + (e >> 1)
 
 
 @dataclass(frozen=True)
@@ -207,7 +356,7 @@ def trace(c: Configuration, start: RayState = RayState((0, 0), Direction.E),
     return Trajectory(
         start=start,
         states=states,
-        status=_STATUS_NAMES[status],
+        status=STATUS_NAMES[status],
         linf_diameter=diam,
         containment=radius,
     )
@@ -222,7 +371,7 @@ def trace_summary(c: Configuration, start: RayState = RayState((0, 0), Direction
     by event estimators that only care about closure within Q_n.
     """
     status, a, _, _, diam, radius = _walk(c, start, max_steps, abort_radius)
-    return _STATUS_NAMES[status], len(a), diam, radius
+    return STATUS_NAMES[status], len(a), diam, radius
 
 
 # Trajectory dump format: header with status and metrics, one state per line.
@@ -250,7 +399,7 @@ def loads_trajectory(text: str) -> Trajectory:
         if len(parts) != 2 or parts[0] != key:
             raise ConfigParseError(f"expected '{key} ...'", line=i + 2)
         meta[key] = parts[1]
-    if meta["status"] not in _STATUS_NAMES.values():
+    if meta["status"] not in STATUS_NAMES:
         raise ConfigParseError(f"unknown status {meta['status']!r}", line=2)
     for lineno, key in ((3, "states"), (4, "linf_diameter"), (5, "containment")):
         meta[key] = _parse_int(meta[key], lineno)

@@ -25,6 +25,13 @@ def test_usage_error_exit_2(capsys):
     assert "--extent" in capsys.readouterr().err
 
 
+def test_probability_outside_unit_interval_exit_2(capsys):
+    for event in ("closure", "A"):
+        assert run(["estimate", "--event", event, "--p", "1.5", "--n", "4",
+                    "--trials", "5", "--seed", "1"]) == 2
+        assert "p must lie in [0, 1]" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(tmp_path, capsys):
     rc = run(["trace", "--config", str(tmp_path / "nope.txt"),
               "--out", str(tmp_path / "t.txt")])

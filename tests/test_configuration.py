@@ -1,5 +1,7 @@
 """Sampling, coupling, and serialization of mirror fields."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,14 @@ from manhattan_pinball.configuration import (
     hybrid,
     load,
     loads,
+    row_hash,
     sample,
     save,
+    site_hash,
+    stream_base,
     threshold,
     uniforms,
+    unit,
 )
 from manhattan_pinball.errors import ConfigParseError, ResourceLimitError
 from manhattan_pinball.geometry import edge_for_site
@@ -62,6 +68,33 @@ def test_reproducibility_and_stream_independence():
     assert a.same_field(b)
     assert not a.same_field(c)
     assert not a.same_field(d)
+
+
+# sha256 of the uniforms below, computed before the hash was split into the
+# shared helpers; every byte must stay
+UNIFORMS_DIGEST = "9e4fbc64aa5f33f36cc2c9f40a73168f2f3cf42bb07c29b1ab23839852015f7a"
+
+
+def test_uniforms_bytes_match_pinned_digest():
+    h = hashlib.sha256()
+    for M in (1, 2, 7, 66, 267):
+        for seed in (0, -1, 2**62, -2**63, 2**63 - 1):
+            for i in (0, 7, -3, 2**40, 2**63 - 1):
+                f = uniforms(M, seed, i)
+                assert f.u.dtype == np.float64 and not f.u.flags.writeable
+                h.update(f.u.tobytes())
+    assert h.hexdigest() == UNIFORMS_DIGEST
+
+
+def test_site_by_site_hash_matches_uniforms():
+    # the helpers hash single sites of many streams, as the lockstep tracer does
+    M, seed = 5, -17
+    streams = np.array([0, 3, -2, 2**40])
+    a, b = np.meshgrid(np.arange(-M, M + 1), np.arange(-M, M + 1), indexing="ij")
+    for k, i in enumerate(streams):
+        base = stream_base(seed, streams)[k]
+        h = site_hash(row_hash(base, a.astype(np.uint64)), b.astype(np.uint64))
+        assert np.array_equal(unit(h), uniforms(M, seed, int(i)).u)
 
 
 def test_coupling_across_extents():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from manhattan_pinball import montecarlo
+from manhattan_pinball import montecarlo, tracer
 from manhattan_pinball.configuration import Configuration, sample
 from manhattan_pinball.enhancement import Pattern, default_pattern, enhance_stack
 from manhattan_pinball.events import rect_crossing
@@ -240,6 +240,45 @@ def test_reports_do_not_depend_on_workers_or_stack_size(monkeypatch):
     monkeypatch.setattr(montecarlo, "_STACK_BYTES", 2000)  # 2 to 6 fields a stack
     assert _graph_run_text(37, 1) == reference
     assert _graph_run_text(37, 3) == reference
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.55, 0.6, 0.7, 1.0])
+def test_closure_estimate_matches_per_sample_closure(p):
+    # the lockstep walk of plain closure against the field-by-field detector
+    for n in (1, 2, 3, 8, 16, 64):
+        for seed in (2, 1001):
+            N = 70  # more rays than a walk finishes one by one
+            hits = sum(montecarlo._closure(sample(p, n + 2, seed, i), n).holds for i in range(N))
+            assert estimate_event("closure", p, n, N, seed).hits == hits, (p, n, seed)
+
+
+CLOSURE_CASES = ((0.3, 6), (0.45, 10), (0.5, 3), (0.55, 16), (0.65, 4), (0.8, 2))
+
+
+def _closure_run_text(N, workers):
+    return estimates_csv([estimate_event("closure", p, n, N, seed=23, enhanced=enhanced,
+                                         workers=workers)
+                          for p, n in CLOSURE_CASES for enhanced in (False, True)])
+
+
+# sha256 of _closure_run_text(120, 1), computed before plain closure was traced
+# in lockstep; every byte must stay
+CLOSURE_RUN_DIGEST = "1f9b23b45244dad9d44ec970c75a99ec63fcb04749a70f7785b2883678eaae9b"
+
+
+def test_closure_estimates_match_pinned_digest():
+    text = _closure_run_text(120, 1)
+    assert "closure,0.55,16,120,74," in text and "closure,0.3,6,120,2," in text
+    assert hashlib.sha256(text.encode()).hexdigest() == CLOSURE_RUN_DIGEST
+
+
+def test_closure_does_not_depend_on_workers_or_walk_size(monkeypatch):
+    reference = _closure_run_text(53, 1)  # prime: no walk size divides it
+    monkeypatch.setattr(montecarlo, "_STACK_BYTES", 1000)  # walks of 7 rays
+    for min_rays in (32, 2):
+        monkeypatch.setattr(tracer, "_LOCKSTEP_MIN_RAYS", min_rays)
+        assert _closure_run_text(53, 1) == reference
+        assert _closure_run_text(53, 3) == reference
 
 
 def test_paired_shortcut_keeps_every_change_of_outcome(monkeypatch):

@@ -1,16 +1,21 @@
 """Light dynamics: hand-trace oracles, bijectivity, the ``step`` oracle."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manhattan_pinball import tracer
+from manhattan_pinball.cli import main
 from manhattan_pinball.configuration import constant, from_closed_sites, sample
-from manhattan_pinball.errors import ConfigParseError
+from manhattan_pinball.errors import ConfigParseError, DynamicsError, ResourceLimitError
 from manhattan_pinball.geometry import Direction, q_radius
 from manhattan_pinball.tracer import (
+    LOCKSTEP_RAY_BYTES,
+    STATUS_NAMES,
     Escape,
     RayState,
     Trajectory,
@@ -20,6 +25,7 @@ from manhattan_pinball.tracer import (
     step,
     step_back,
     trace,
+    trace_lockstep,
     trace_summary,
 )
 
@@ -153,6 +159,111 @@ def test_trace_matches_step_oracle():
                 got = trace_summary(c, start, max_steps, abort_radius)
                 assert got == (status, len(states), diam, radius), (
                     case, start, max_steps, abort_radius)
+
+
+def _summary_statuses(p, M, seed, indices, abort_radius=-1, max_steps=None):
+    return [trace_summary(sample(p, M, seed, i), abort_radius=abort_radius,
+                          max_steps=max_steps)[0] for i in indices]
+
+
+def _lockstep_statuses(*args, **kwargs):
+    return [STATUS_NAMES[code] for code in trace_lockstep(*args, **kwargs)]
+
+
+# 0: every ray is walked in lockstep; 8: the last 8 live rays of a walk finish
+# on their own fields
+MIN_RAYS = pytest.mark.parametrize("min_rays", [0, 8])
+
+
+@MIN_RAYS
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.55, 0.6, 0.7, 1.0])
+def test_lockstep_matches_trace_summary_at_closure_extents(p, min_rays, monkeypatch):
+    # the estimator's walk: extent n + 2, abort radius n
+    monkeypatch.setattr(tracer, "_LOCKSTEP_MIN_RAYS", min_rays)
+    for n in (1, 2, 3, 8, 16, 64):
+        for seed in (3, 1001, -8):
+            indices = range(seed % 7, seed % 7 + 30)
+            assert (_lockstep_statuses(p, n + 2, seed, indices, abort_radius=n)
+                    == _summary_statuses(p, n + 2, seed, indices, abort_radius=n)), (p, n, seed)
+
+
+@MIN_RAYS
+def test_lockstep_matches_trace_summary_on_budgets_and_radii(min_rays, monkeypatch):
+    # seeded sweep over p, extent, abort radius (none, inside and beyond the
+    # start's radius 1) and step budget, so every status occurs
+    monkeypatch.setattr(tracer, "_LOCKSTEP_MIN_RAYS", min_rays)
+    rng = random.Random(77)
+    seen = set()
+    for case in range(60):
+        p = rng.choice((0.0, 1.0, rng.random()))
+        M = rng.randint(1, 12)
+        abort_radius = rng.choice((-1, 0, 1, 2, M, 2 * M))
+        max_steps = rng.choice((1, rng.randint(2, 40), None))
+        indices = [rng.randrange(-50, 10**6) for _ in range(rng.randint(1, 30))]
+        want = _summary_statuses(p, M, case, indices, abort_radius, max_steps)
+        assert _lockstep_statuses(p, M, case, indices, abort_radius, max_steps) == want, case
+        seen.update(want)
+    assert seen == set(STATUS_NAMES)
+
+
+def test_lockstep_guards():
+    assert len(trace_lockstep(0.5, 4, 1, [])) == 0
+    for p in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="p must lie"):
+            trace_lockstep(p, 4, 1, range(3))
+    with pytest.raises(ValueError, match="max_steps"):
+        trace_lockstep(0.5, 4, 1, range(3), max_steps=0)
+    with pytest.raises(ResourceLimitError):
+        trace_lockstep(0.5, 10**5, 1, range(3))
+
+
+def test_lockstep_memory_per_ray_within_declared_bytes(monkeypatch):
+    monkeypatch.setattr(tracer, "_LOCKSTEP_MIN_RAYS", 0)  # no per-field tail
+    peaks = []
+    for K in (1000, 3000):
+        tracemalloc.start()
+        try:
+            trace_lockstep(0.5, 66, 1001, range(K), abort_radius=64)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert 0 < (peaks[1] - peaks[0]) / 2000 <= LOCKSTEP_RAY_BYTES
+
+
+# NE mirrors send a ray entering southward on south, as they do one entering
+# westward: two states step to the same state
+_NON_INJECTIVE_TURN = (0, 1, 2, 3, 1, 0, 3, 3, 3, 2, 1, 0)
+
+
+def test_non_injective_dynamics_raise_on_the_same_samples(monkeypatch, capsys):
+    monkeypatch.setattr(tracer, "_TURN", _NON_INJECTIVE_TURN)
+    p, n, seed = 0.5, 8, 5
+
+    def raises(fn, *args, **kwargs):
+        try:
+            fn(*args, **kwargs)
+        except DynamicsError:
+            return True
+        return False
+
+    scalar = [raises(trace_summary, sample(p, n + 2, seed, i), abort_radius=n)
+              for i in range(60)]
+    assert 0 < sum(scalar) < 60
+    sound = [i for i in range(60) if not scalar[i]]
+    first = scalar.index(True)
+    args = ["estimate", "--event", "closure", "--p", str(p), "--n", str(n), "--seed", str(seed)]
+    for min_rays in (0, 4, tracer._LOCKSTEP_MIN_RAYS):
+        monkeypatch.setattr(tracer, "_LOCKSTEP_MIN_RAYS", min_rays)
+        assert [raises(trace_lockstep, p, n + 2, seed, [i], abort_radius=n)
+                for i in range(60)] == scalar
+        assert raises(trace_lockstep, p, n + 2, seed, range(60), abort_radius=n)
+        assert (_lockstep_statuses(p, n + 2, seed, sound, abort_radius=n)
+                == _summary_statuses(p, n + 2, seed, sound, abort_radius=n))
+        if first:
+            assert main(args + ["--trials", str(first)]) == 0
+        assert main(args + ["--trials", str(first + 1)]) == 3
+        assert main(args + ["--trials", "60"]) == 3
+    assert "internal error: non-start state repeated" in capsys.readouterr().err
 
 
 def test_trace_summary_agrees_with_trace():
