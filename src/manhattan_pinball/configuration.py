@@ -55,28 +55,22 @@ def _as_uint64(x):
 
 
 # The uniform of site (a, b) in sample stream i is
-# unit(site_hash(row_hash(stream_base(seed, i), a), b)).
+# unit(hash_key(hash_key(stream_base(seed, i), a), b)): the stream's key
+# hashes row a into the row's key, and that hashes column b into the site's.
 
 
-def row_hash(key, x, out=None, tmp=None):
-    """fmix(x ^ key) for uint64 arrays, elementwise with broadcasting.
-
-    The hash key of row ``x`` of the stream keyed ``key``; as ``site_hash``,
-    the hash of site (a, x) from the key of row a.
-    """
+def hash_key(key, x, out=None, tmp=None):
+    """fmix(x ^ key) for uint64 arrays, elementwise with broadcasting."""
     return _fmix(np.bitwise_xor(x, key, out=out), tmp)
-
-
-site_hash = row_hash
 
 
 def stream_base(seed, stream_index):
     """Hash key fmix(i ^ fmix(seed ^ golden)) of each sample stream i in
     ``stream_index`` (uint64, shaped like it)."""
     key = _as_uint64(seed)
-    row_hash(_GOLDEN, key, out=key)
+    hash_key(_GOLDEN, key, out=key)
     i = _as_uint64(stream_index)
-    return row_hash(key, i, out=i)
+    return hash_key(key, i, out=i)
 
 
 def unit(h, out=None):
@@ -145,20 +139,24 @@ def uniforms(M: int, seed: int, stream_index: int) -> UniformField:
     _check_extent(M)
     W = 2 * M + 1
     coords = _as_uint64(np.arange(-M, M + 1))
-    rows = row_hash(stream_base(seed, stream_index), coords)
+    rows = hash_key(stream_base(seed, stream_index), coords)
     u = np.empty((W, W))
     # the hash needs one W x W scratch array; u's buffer serves until unit() fills it
-    h = site_hash(rows[:, np.newaxis], coords, out=np.empty((W, W), dtype=np.uint64),
+    h = hash_key(rows[:, np.newaxis], coords, out=np.empty((W, W), dtype=np.uint64),
                   tmp=u.view(np.uint64))
     unit(h, out=u)
     u.flags.writeable = False
     return UniformField(extent=M, u=u, seed=seed, stream_index=stream_index)
 
 
-def threshold(f: UniformField, p: float) -> Configuration:
-    """Close exactly the sites with uniform below ``p`` (monotone in p)."""
+def check_probability(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+
+
+def threshold(f: UniformField, p: float) -> Configuration:
+    """Close exactly the sites with uniform below ``p`` (monotone in p)."""
+    check_probability(p)
     return Configuration(
         extent=f.extent,
         closed=f.u < p,

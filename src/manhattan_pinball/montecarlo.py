@@ -26,7 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import GENERATOR_ID, Configuration, atomic_write_text, hybrid, sample, uniforms
+from .configuration import (
+    GENERATOR_ID,
+    Configuration,
+    atomic_write_text,
+    check_probability,
+    hybrid,
+    sample,
+    uniforms,
+)
 from .enhancement import Pattern, check_detour, enhance, enhance_stack
 from .events import EVENTS, Event, EventResult, surrounding_circuit_exact
 from .tracer import CLOSED, LOCKSTEP_RAY_BYTES, trace_lockstep, trace_summary
@@ -145,8 +153,7 @@ def _field_stacks(p, extent, seed, indices):
     """The closed fields of the samples in ``indices`` at probability ``p``,
     as (K, W, W) stacks in sample order; each is a view of one buffer that
     the next overwrites."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    check_probability(p)
     W = 2 * extent + 1
     K = max(1, min(len(indices), _STACK_BYTES // (W * W)))
     stack = np.empty((K, W, W), dtype=bool)

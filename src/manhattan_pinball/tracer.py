@@ -22,10 +22,10 @@ from .configuration import (
     Configuration,
     _as_uint64,
     _check_extent,
-    row_hash,
-    site_hash,
+    check_probability,
+    hash_key,
+    sample,
     stream_base,
-    uniforms,
     unit,
 )
 from .errors import ConfigParseError, DynamicsError
@@ -217,23 +217,19 @@ def _lockstep_turn():
 
 
 def trace_lockstep(p: float, M: int, seed: int, stream_indices,
-                   abort_radius: int = -1, max_steps: int | None = None) -> np.ndarray:
+                   abort_radius: int) -> np.ndarray:
     """Status codes (int8, see STATUS_NAMES) of the origin rays of the fields
     ``sample(p, M, seed, i)``, i in ``stream_indices``, traced in lockstep.
 
-    Equal to ``trace_summary(sample(p, M, seed, i), abort_radius=...,
-    max_steps=...)`` ray by ray.  While more than _LOCKSTEP_MIN_RAYS rays
-    are live, one numpy step moves them all and hashes only the site each
-    enters, so no field is built; the rays left then finish one by one on
-    their own fields.
+    Equal to ``trace_summary(sample(p, M, seed, i), abort_radius=abort_radius)``
+    ray by ray, within the same budget of default_max_steps(M) steps.  While
+    more than _LOCKSTEP_MIN_RAYS rays are live, one numpy step moves them all
+    and hashes only the site each enters, so no field is built; the rays left
+    then finish one by one on their own fields.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    check_probability(p)
     _check_extent(M)
-    if max_steps is None:
-        max_steps = default_max_steps(M)
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
+    max_steps = default_max_steps(M)
     P = 2 * M + 3
     abort_at = max(abort_radius, q_radius((0, 0))) if abort_radius >= 0 else None
     s0 = 4 * ((M + 1) * P + M + 1) + int(Direction.E)
@@ -244,7 +240,7 @@ def trace_lockstep(p: float, M: int, seed: int, stream_indices,
         steps, pos, at = _lockstep(p, M, seed, stream_indices, abort_at, max_steps, s0, status)
     if steps < max_steps:
         for k, s in zip(pos.tolist(), at.tolist()):
-            field = np.less(uniforms(M, seed, stream_indices[k]).u, p)
+            field = sample(p, M, seed, stream_indices[k]).closed
             status[k] = _trace_kernel(_cells(field, abort_at), P, s0, max_steps - steps, s)[0]
     return status
 
@@ -257,8 +253,9 @@ def _lockstep(p, M, seed, stream_indices, abort_at, max_steps, s0, status):
     A ray holds its site, direction, stream base and a checkpoint state.  The
     checkpoint is reset at steps 1, 2, 4, 8, ... (Brent), so a ray that
     repeats a state other than its start raises ``DynamicsError`` within
-    3 * 4W^2 steps, well inside the default budget of 16W^2; a ray handed
-    on before that repeats a state _trace_kernel has marked.
+    3 * 4W^2 steps, inside the budget default_max_steps(M) = 16W^2; a ray
+    handed on before that repeats, within 4W^2 more steps, a state that
+    _trace_kernel has marked.
     """
     P = 2 * M + 3
     W = 2 * M + 1
@@ -289,8 +286,8 @@ def _lockstep(p, M, seed, stream_indices, abort_at, max_steps, s0, status):
         tmp = scratch[:L]
         j += step[e]
         # the entered site's uniform, exactly as uniforms() draws it
-        h = row_hash(base, cell_a[j], tmp=tmp)
-        site_hash(h, cell_b[j], out=h, tmp=tmp)
+        h = hash_key(base, cell_a[j], tmp=tmp)
+        hash_key(h, cell_b[j], out=h, tmp=tmp)
         closed = np.less(unit(h, out=u[:L]), p)
         idx = cells[j]
         idx += e

@@ -14,13 +14,12 @@ from manhattan_pinball.configuration import (
     dumps,
     edge_inside_q_mask,
     from_closed_sites,
+    hash_key,
     hybrid,
     load,
     loads,
-    row_hash,
     sample,
     save,
-    site_hash,
     stream_base,
     threshold,
     uniforms,
@@ -93,7 +92,7 @@ def test_site_by_site_hash_matches_uniforms():
     a, b = np.meshgrid(np.arange(-M, M + 1), np.arange(-M, M + 1), indexing="ij")
     for k, i in enumerate(streams):
         base = stream_base(seed, streams)[k]
-        h = site_hash(row_hash(base, a.astype(np.uint64)), b.astype(np.uint64))
+        h = hash_key(hash_key(base, a.astype(np.uint64)), b.astype(np.uint64))
         assert np.array_equal(unit(h), uniforms(M, seed, int(i)).u)
 
 

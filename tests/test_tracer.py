@@ -161,13 +161,13 @@ def test_trace_matches_step_oracle():
                     case, start, max_steps, abort_radius)
 
 
-def _summary_statuses(p, M, seed, indices, abort_radius=-1, max_steps=None):
-    return [trace_summary(sample(p, M, seed, i), abort_radius=abort_radius,
-                          max_steps=max_steps)[0] for i in indices]
+def _summary_statuses(p, M, seed, indices, abort_radius):
+    return [trace_summary(sample(p, M, seed, i), abort_radius=abort_radius)[0]
+            for i in indices]
 
 
-def _lockstep_statuses(*args, **kwargs):
-    return [STATUS_NAMES[code] for code in trace_lockstep(*args, **kwargs)]
+def _lockstep_statuses(p, M, seed, indices, abort_radius):
+    return [STATUS_NAMES[code] for code in trace_lockstep(p, M, seed, indices, abort_radius)]
 
 
 # 0: every ray is walked in lockstep; 8: the last 8 live rays of a walk finish
@@ -190,31 +190,34 @@ def test_lockstep_matches_trace_summary_at_closure_extents(p, min_rays, monkeypa
 @MIN_RAYS
 def test_lockstep_matches_trace_summary_on_budgets_and_radii(min_rays, monkeypatch):
     # seeded sweep over p, extent, abort radius (none, inside and beyond the
-    # start's radius 1) and step budget, so every status occurs
+    # start's radius 1) and step budget, so every status occurs; both walks
+    # read their budget from default_max_steps
     monkeypatch.setattr(tracer, "_LOCKSTEP_MIN_RAYS", min_rays)
+    default = tracer.default_max_steps
     rng = random.Random(77)
     seen = set()
     for case in range(60):
         p = rng.choice((0.0, 1.0, rng.random()))
         M = rng.randint(1, 12)
         abort_radius = rng.choice((-1, 0, 1, 2, M, 2 * M))
-        max_steps = rng.choice((1, rng.randint(2, 40), None))
+        budget = rng.choice((1, rng.randint(2, 40), default(M)))
+        monkeypatch.setattr(tracer, "default_max_steps", lambda M, budget=budget: budget)
         indices = [rng.randrange(-50, 10**6) for _ in range(rng.randint(1, 30))]
-        want = _summary_statuses(p, M, case, indices, abort_radius, max_steps)
-        assert _lockstep_statuses(p, M, case, indices, abort_radius, max_steps) == want, case
+        want = _summary_statuses(p, M, case, indices, abort_radius)
+        assert _lockstep_statuses(p, M, case, indices, abort_radius) == want, case
         seen.update(want)
     assert seen == set(STATUS_NAMES)
 
 
 def test_lockstep_guards():
-    assert len(trace_lockstep(0.5, 4, 1, [])) == 0
+    assert len(trace_lockstep(0.5, 4, 1, [], 2)) == 0
     for p in (-0.1, 1.5):
         with pytest.raises(ValueError, match="p must lie"):
-            trace_lockstep(p, 4, 1, range(3))
-    with pytest.raises(ValueError, match="max_steps"):
-        trace_lockstep(0.5, 4, 1, range(3), max_steps=0)
+            trace_lockstep(p, 4, 1, range(3), 2)
+        with pytest.raises(ValueError, match="p must lie"):
+            trace_lockstep(p, 4, 1, range(100), 2)
     with pytest.raises(ResourceLimitError):
-        trace_lockstep(0.5, 10**5, 1, range(3))
+        trace_lockstep(0.5, 10**5, 1, range(3), 2)
 
 
 def test_lockstep_memory_per_ray_within_declared_bytes(monkeypatch):
