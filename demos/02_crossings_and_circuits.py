@@ -3,9 +3,10 @@
 Three families of events drive the localization argument: a closed radial
 path from the center past Q_n, long-direction closed crossings of tilted
 rectangles, and a closed circuit inside Q_2n that surrounds Q_n.  The exact
-circuit detector works on a parity-doubled cover of the closed graph; a
-planar-dual reachability check must always agree with it, and crossing all
-four rectangles ringing Q_n is a sufficient (strictly weaker) condition.
+circuit detector asks whether the mirrors cut the center face off from the
+faces outside Q_2n (planar-dual reachability); a primal check, the parity of
+crossings of a cut ray, must always agree with it, and crossing all four
+rectangles ringing Q_n is a sufficient (strictly weaker) condition.
 """
 
 from manhattan_pinball.configuration import sample
@@ -36,7 +37,7 @@ def main():
     print(f"  circuit (exact)      {frequency(lambda c: surrounding_circuit_exact(c, N).holds):.3f}")
     print(f"  circuit (4 rect)     {frequency(lambda c: surrounding_circuit_4rect(c, N).holds):.3f}")
 
-    print("\nexact detector vs planar dual on 500 fresh samples:", end=" ")
+    print("\nexact detector vs primal crosscheck on 500 fresh samples:", end=" ")
     agree = all(
         surrounding_circuit_exact(c, N).holds == dual_crosscheck(c, N)
         for c in (sample(0.5, 2 * N + 2, seed=8, stream_index=i) for i in range(500))

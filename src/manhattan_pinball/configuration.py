@@ -299,6 +299,9 @@ def loads(text: str) -> Configuration:
     M = _parse_meta(meta["extent"], int, 3)
     if M is None or M < 1:
         raise ConfigParseError("bad extent", line=3)
+    p = _parse_meta(meta["p"], float, 4)
+    if p is not None and not 0.0 <= p <= 1.0:  # also rejects nan
+        raise ConfigParseError(f"p {meta['p']!r} is not a probability in [0, 1]", line=4)
     n_rows = 2 * M + 1
     if len(lines) != 7 + n_rows:
         raise ConfigParseError(
@@ -332,7 +335,7 @@ def loads(text: str) -> Configuration:
     return Configuration(
         extent=M,
         closed=closed,
-        p=_parse_meta(meta["p"], float, 4),
+        p=p,
         seed=_parse_meta(meta["seed"], int, 5),
         stream_index=_parse_meta(meta["stream"], int, 6),
         provenance=meta["provenance"],

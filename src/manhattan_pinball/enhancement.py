@@ -45,6 +45,10 @@ from .geometry import (
 from .tracer import RayState, trace
 
 PATTERN_FORMAT_VERSION = 1
+# Largest |a| or |b| of a site in a pattern file.  A pattern is a local
+# template (the search stops at radius 4), and its checks build fields and
+# scan offsets of a few times its radius.
+PATTERN_MAX_RADIUS = 16
 
 
 @dataclass(frozen=True)
@@ -185,27 +189,19 @@ def enhance(c: Configuration, g: Pattern, excluded_core=None) -> Configuration:
 
 
 def check_translation_lemma(g: Pattern):
-    """(ok, first counterexample offset or None), by exhaustive offset scan."""
-    sites = g.sites
-    lo_a = min(a for a, _ in sites)
-    hi_a = max(a for a, _ in sites)
-    lo_b = min(b for _, b in sites)
-    hi_b = max(b for _, b in sites)
-    span_a = hi_a - lo_a
-    span_b = hi_b - lo_b
-    closed = g.closed_sites
-    opens = g.open_sites
-    ra, rb = g.red_site
-    for t1 in range(-span_a, span_a + 1):
-        for t2 in range(-span_b, span_b + 1):
-            if (t1, t2) == (0, 0) or (t1 + t2) % 2 != 0:
-                continue
-            shifted_closed = {(a + t1, b + t2) for a, b in closed}
-            shifted_open = {(a + t1, b + t2) for a, b in opens}
-            if closed & shifted_open or shifted_closed & opens:
-                continue  # the two copies can never appear jointly
-            if (ra + t1, rb + t2) in opens or (ra - t1, rb - t2) in opens:
-                return False, (t1, t2)
+    """(ok, first counterexample offset or None), in lexicographic order.
+
+    Only an offset t = +-(o - red), for an open site o, can put the red site
+    of one copy on an open site of the other.
+    """
+    closed, opens, (ra, rb) = g.closed_sites, g.open_sites, g.red_site
+    for t1, t2 in sorted({(s * (a - ra), s * (b - rb)) for a, b in opens for s in (1, -1)}):
+        if (t1, t2) == (0, 0) or (t1 + t2) % 2 != 0:
+            continue
+        shifted_closed = {(a + t1, b + t2) for a, b in closed}
+        shifted_open = {(a + t1, b + t2) for a, b in opens}
+        if not (closed & shifted_open or shifted_closed & opens):  # may appear jointly
+            return False, (t1, t2)
     return True, None
 
 
@@ -284,18 +280,14 @@ def check_detour(g: Pattern, max_radius: int = 5) -> DetourReport:
     )
 
 
-@lru_cache(maxsize=4)
-def _window_bands(M):
-    """The edge graph of a window of extent M and its nodes in the west
-    (i <= 1 - M) and east (i >= M - 1) bands."""
-    graph, I, _ = _ev.edge_graph(M)
-    return graph, np.flatnonzero(I <= -M + 1), np.flatnonzero(I >= M - 1)
-
-
 def _window_crossing(closed):
-    """Closed path joining the west and east bands, per field of a (K, W, W)
-    window stack."""
-    return _ev.sides_joined(closed, *_window_bands(closed.shape[-1] // 2))
+    """Closed path joining the west (i <= 1 - M) and east (i >= M - 1) bands,
+    per field of a (K, W, W) window stack of extent M; a vertex has
+    i = (u + v) / 2."""
+    M = closed.shape[-1] // 2
+    raster = _ev.edge_raster(M, np.ones((2 * M + 1) ** 2, dtype=bool))
+    return _ev.sides_joined(closed, raster, raster.where(lambda u, v: u + v <= 2 - 2 * M),
+                            raster.where(lambda u, v: u + v >= 2 * M - 2))
 
 
 def _essential_witnesses(closed, g: Pattern):
@@ -362,7 +354,7 @@ def check_essential(g: Pattern, window: int | None = None, budget: int = 2000):
     free = np.flatnonzero(~from_closed_sites(W, g.sites).closed)
     base = from_closed_sites(W, g.closed_sites).closed
     # the fills are tried in stacks of doubling size: a witness found early
-    # wastes little, a long search pays few connected-components calls
+    # wastes little, a long search pays few labelling calls
     size = 4
     while trials < budget:
         size = min(2 * size, budget - trials)
@@ -538,13 +530,14 @@ def loads_pattern(text: str) -> Pattern:
                 site = (int(parts[1]), int(parts[2]))
             except ValueError:
                 raise ConfigParseError("bad site coordinates", line=lineno)
+            if max(map(abs, site)) > PATTERN_MAX_RADIUS:
+                raise ConfigParseError(f"site {site} is beyond radius {PATTERN_MAX_RADIUS}",
+                                       line=lineno)
+            if site in (opens if parts[0] == "closed" else closed):
+                raise ConfigParseError(f"site {site} is both closed and open", line=lineno)
             if parts[0] == "red":
                 red = site
-                opens.add(site)
-            elif parts[0] == "closed":
-                closed.add(site)
-            else:
-                opens.add(site)
+            (closed if parts[0] == "closed" else opens).add(site)
             continue
         raise ConfigParseError(f"unrecognized line {line!r}", line=lineno)
     if name is None or red is None:

@@ -6,12 +6,12 @@ Events, from local to global:
   * rectangle crossing: a closed path inside a tilted rectangle joining its
     two short sides (the long-direction crossing).
   * surrounding circuit, exact: a closed circuit inside Q_2n with Q_n in its
-    interior, detected by parity of crossings of a fixed cut ray on a doubled
-    cover of the closed graph.
+    interior, detected by planar duality: the closed edges a circuit may use
+    cut the center face off from the faces outside Q_2n.
   * surrounding circuit, four-rectangle: the sufficient construction from
     four long crossings.
-  * dual crosscheck: the planar-dual reformulation (no open face path from
-    the center to outside Q_2n); must agree with the exact detector.
+  * dual crosscheck: the exact event decided on the primal graph instead,
+    by the parity of crossings of a fixed cut ray; the two must agree.
 
 Vertices are indexed by integer pairs (i, j) with i - j even, standing for
 the tilted vertex (i + 1/2, j + 1/2).  Faces of the tilted lattice are
@@ -21,29 +21,28 @@ midpoint site (a, b) crosses it iff b == 1 and a >= 1.  No vertex lies on
 the line y = 1, and winding parity about any point of the central block is
 the parity of the ray crossings.
 
-Region membership (Q_n, the annulus Q_2n minus Q_n, the rectangles) is
-decided by ``geometry.in_region`` on tilted coordinates.  Bulk detection
-builds a static edge catalogue per (extent, n) once, on just the vertices
-the region's edges touch.  Each ``*_holds`` function decides a (K, W, W)
-stack of closed fields: it masks the catalogue with every field, numbers
-node x of field k as km + x, and runs one scipy connected-components call
-on the union of the K graphs, so labels never mix fields.  The detector of
-a single configuration is the call with K = 1.  Witnesses come from
-``breadth_first``, one deterministic FIFO search that the enhancement
-module shares: each caller passes its own neighbours and stops at its own
-goal.
+Detection labels images.  In tilted coordinates (u, v) = (i + j, i - j)
+vertices sit at (even, even), faces at (odd, odd) and the site (a, b) at
+(a + b - 1, a - b), between its edge's two ends and the two faces the edge
+separates.  So, 4-connected, vertex pixels plus closed site pixels have the
+components of the closed graph, and face pixels plus open site pixels
+those of its dual.  Each event builds a ``Raster`` once per (extent, n) on
+the box of its region.  A ``*_holds`` function gathers a (K, W, W) stack of
+closed fields into a (K, H, W') image and makes one ``scipy.ndimage.label``
+call that links nothing across the stack; one configuration is a stack of
+one.  Witnesses come from ``breadth_first``, one deterministic FIFO search
+that the enhancement module shares; the circuit witness searches the
+parity-doubled cover of the closed graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .configuration import Configuration
 from .errors import ConfigParseError
@@ -60,7 +59,7 @@ from .geometry import (
 __all__ = [
     "EVENTS",
     "EventResult",
-    "Graph",
+    "Raster",
     "breadth_first",
     "circuit4_holds",
     "circuit_holds",
@@ -73,8 +72,7 @@ __all__ = [
     "surrounding_circuit_exact",
     "surrounding_circuit_4rect",
     "dual_crosscheck",
-    "edge_graph",
-    "node_grid",
+    "edge_raster",
 ]
 
 
@@ -89,12 +87,8 @@ class EventResult:
 
 
 # ---------------------------------------------------------------------------
-# static catalogues
+# event images
 # ---------------------------------------------------------------------------
-
-
-def _vid(i, j, L):
-    return (i + L) * (2 * L + 1) + (j + L)
 
 
 def _in_ring(n, i, j):
@@ -109,52 +103,82 @@ def _usable(n, i1, j1, i2, j2):
     return _in_ring(n, i1, j1) & _in_ring(n, i2, j2)
 
 
-@lru_cache(maxsize=64)
-def node_grid(M):
-    """(I, J): the index pair of every node of the graphs at extent M.
-
-    The nodes are the pairs |i|, |j| <= M + 1 in row-major order; those with
-    i - j even are vertices, the others faces.
-    """
-    rng = np.arange(-M - 1, M + 2, dtype=np.int32)
-    return tuple(g.ravel() for g in np.meshgrid(rng, rng, indexing="ij"))
+def _crosses_cut(a, b):
+    """The edge of site (a, b) crosses the cut ray; scalars or arrays."""
+    return (b == 1) & (a >= 1)
 
 
-class Graph(NamedTuple):
-    """Edge k is the edge of the site with flat field index ``sites[k]`` and
-    joins nodes ``e1[k]`` and ``e2[k]`` of ``nodes``."""
+class Raster(NamedTuple):
+    """An event's graph as a binary image: tilted coordinates (u, v) sit at
+    row u - origin[0], column v - origin[1].  A field's image is ``base``
+    with pixel ``pixels[k]`` set to the bit of the site with flat field index
+    ``sites[k]``."""
 
+    base: np.ndarray
+    pixels: np.ndarray
     sites: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    nodes: int
+    origin: tuple
+
+    def pixel(self, u, v):
+        """Flat image index of tilted coordinates (u, v); scalars or arrays."""
+        return (u - self.origin[0]) * self.base.shape[1] + (v - self.origin[1])
+
+    def where(self, mask):
+        """Flat indices of the base pixels where ``mask(U, V)`` holds, for
+        open grids U, V of the rows' and columns' coordinates."""
+        (H, W), (u0, v0) = self.base.shape, self.origin
+        return np.flatnonzero(self.base & mask(*np.ogrid[u0 : u0 + H, v0 : v0 + W]))
 
 
-def _subgraph(M, keep):
-    """The edges of the sites in mask ``keep`` as a ``Graph`` on the
-    vertices they touch, and the index pairs (I, J) of those vertices.
-
-    The nodes are numbered in row-major order of their vertex.  A vertex no
-    edge touches is left out: it can never join anything.
-    """
-    _, _, i1, j1, i2, j2 = site_endpoints(M)
-    L = M + 1
-    v1, v2 = _vid(i1[keep], j1[keep], L), _vid(i2[keep], j2[keep], L)
-    I, J = node_grid(M)
-    touched = np.zeros(len(I), dtype=bool)
-    touched[v1] = touched[v2] = True
-    ids = np.flatnonzero(touched)
-    node = np.zeros(len(I), dtype=np.int32)
-    node[ids] = np.arange(len(ids), dtype=np.int32)
-    graph = Graph(np.flatnonzero(keep).astype(np.int32), node[v1], node[v2], len(ids))
-    return graph, I[ids], J[ids]
+def _raster(M, sites, base, origin):
+    """The ``Raster`` on ``base`` that gathers the sites of extent M with
+    flat field indices ``sites``."""
+    A, B = (x[sites] for x in site_endpoints(M)[:2])
+    box = Raster(base, None, sites, origin)
+    return box._replace(pixels=box.pixel(A + B - 1, A - B).astype(np.intp))
 
 
-@lru_cache(maxsize=64)
-def edge_graph(M):
-    """Every edge of extent M as a ``Graph``, with the index pairs (I, J)
-    of its nodes."""
-    return _subgraph(M, np.ones((2 * M + 1) ** 2, dtype=bool))
+def edge_raster(M, keep):
+    """The edges of the sites of extent M in the flat mask ``keep`` as a
+    ``Raster`` on the box of their ends: the base is the vertices they
+    touch, and a closed site joins its two ends."""
+    if not keep.any():  # as in T_1, which holds no vertex
+        none = np.empty(0, dtype=np.intp)
+        return Raster(np.zeros((1, 1), dtype=bool), none, none, (0, 0))
+    _, _, i1, j1, i2, j2 = (x[keep] for x in site_endpoints(M))
+    u, v = np.concatenate([i1 + j1, i2 + j2]), np.concatenate([i1 - j1, i2 - j2])
+    base = np.zeros((u.max() - u.min() + 1, v.max() - v.min() + 1), dtype=bool)
+    base[u - u.min(), v - v.min()] = True
+    return _raster(M, np.flatnonzero(keep), base, (int(u.min()), int(v.min())))
+
+
+# Links the four neighbours of a pixel within its field, none across the stack.
+_PLANE = np.zeros((3, 3, 3), dtype=bool)
+_PLANE[1, 1, :] = _PLANE[1, :, 1] = True
+
+
+def _label(bits, raster):
+    """Component labels of the images of the fields of the (K, W, W) stack
+    ``bits``: (K, H * W) labels from one ``ndimage.label`` call, unique
+    across the stack, and their count."""
+    from scipy import ndimage  # imported on first use: closure runs need no scipy
+
+    K = len(bits)
+    image = np.empty((K,) + raster.base.shape, dtype=bool)
+    image[:] = raster.base
+    image.reshape(K, -1)[:, raster.pixels] = bits.reshape(K, -1)[:, raster.sites]
+    labels, count = ndimage.label(image, _PLANE)
+    return labels.reshape(K, -1), count
+
+
+def sides_joined(closed, raster, side_a, side_b):
+    """For each field of the (K, W, W) stack ``closed``: does its image of
+    ``raster`` join a pixel of ``side_a`` to one of ``side_b``?  A bool array
+    of length K; the sides are flat indices of base pixels."""
+    labels, count = _label(closed, raster)
+    on_a = np.zeros(count + 1, dtype=bool)
+    on_a[labels[:, side_a]] = True
+    return on_a[labels[:, side_b]].any(axis=1)
 
 
 _RECT_KINDS = ("T", "T1", "T2", "T3", "T4")
@@ -166,85 +190,52 @@ def rect_min_extent(n, which):
 
 @lru_cache(maxsize=64)
 def _radial_static(M, n):
-    """The full edge graph with its center node and the nodes outside Q_n."""
-    graph, I, J = edge_graph(M)
-    return (graph, np.flatnonzero((I == 0) & (J == 0)),
-            np.flatnonzero(np.logical_not(in_region("Q", n, I + J, I - J))))
+    """The raster of the edges inside Q_{n+2}, its center vertex and its
+    vertices outside Q_n.  A closed path from the center first leaves Q_n
+    at a vertex of Q_{n+2}, so no other edge matters."""
+    _, _, i1, j1, i2, j2 = site_endpoints(M)
+    raster = edge_raster(M, edge_in_region("Q", n + 2, i1, j1, i2, j2))
+    return raster, [raster.pixel(0, 0)], raster.where(lambda u, v: ~in_region("Q", n, u, v))
 
 
 @lru_cache(maxsize=64)
 def _rect_static(M, n, kind):
-    """The rectangle's edge subgraph, the nodes of its two short sides, and
-    the index pairs (I, J) of the nodes of the first side."""
+    """The rectangle's raster and the vertices of its two short sides."""
     _, _, i1, j1, i2, j2 = site_endpoints(M)
-    graph, I, J = _subgraph(M, edge_in_region(kind, n, i1, j1, i2, j2))
-    side_a, side_b = (np.flatnonzero(s) for s in long_sides(kind, n, I + J, I - J))
-    return graph, side_a, side_b, (I[side_a], J[side_a])
+    raster = edge_raster(M, edge_in_region(kind, n, i1, j1, i2, j2))
+    return (raster, *(raster.where(lambda u, v, end=end: long_sides(kind, n, u, v)[end])
+                      for end in (0, 1)))
 
 
 @lru_cache(maxsize=64)
-def _annulus_static(M, n):
-    """The doubled cover of the usable-edge subgraph, for the circuit
-    detector.  Node 2x + s is copy s of vertex x, and each usable edge has
-    two cover edges: an edge that crosses the cut ray joins opposite copies,
-    any other edge the same copies."""
+def _circuit_static(M, n):
+    """The dual image of the circuit detector on the box |u|, |v| <= 2n + 1,
+    its center face (u, v) = (-1, 1) and its faces at tilted radius 2n + 1.
+
+    Faces and sites are on and vertices off, except that a usable site takes
+    its open bit: a dual step across an edge is blocked iff the edge is
+    closed and a circuit may use it.
+    """
+    _, _, i1, j1, i2, j2 = site_endpoints(M)
+    r = 2 * n + 1
+    U, V = np.ogrid[-r : r + 1, -r : r + 1]
+    raster = _raster(M, np.flatnonzero(_usable(n, i1, j1, i2, j2)),
+                     (U % 2 == 1) | (V % 2 == 1), (-r, -r))
+    ring = (U % 2 == 1) & (V % 2 == 1) & (np.maximum(abs(U), abs(V)) == r)
+    return raster, raster.pixel(-1, 1), np.flatnonzero(ring)
+
+
+@lru_cache(maxsize=64)
+def _cycle_static(M, n):
+    """The primal image of the crosscheck, the usable edges that do not cross
+    the cut ray; the sites of the usable edges that do and their ends' pixels."""
     A, B, i1, j1, i2, j2 = site_endpoints(M)
-    keep = _usable(n, i1, j1, i2, j2)
-    graph, _, _ = _subgraph(M, keep)
-    cross = _crosses_cut(A, B)[keep].astype(np.int32)
-    e1, e2 = 2 * graph.e1, 2 * graph.e2 + cross
-    return Graph(np.concatenate([graph.sites, graph.sites]), np.concatenate([e1, e1 + 1]),
-                 np.concatenate([e2, e2 + 1 - 2 * cross]), 2 * graph.nodes)
-
-
-@lru_cache(maxsize=64)
-def _dual_static(M, n):
-    """Face adjacency catalogue for the dual crosscheck.
-
-    The faces on either side of the edge from (i1, j1) to (i2, j2) are
-    (i2, j1) and (i1, j2).  A dual step across a site is blocked iff the
-    site's edge is usable (closed and structurally eligible for the circuit);
-    the closed state is applied per sample.
-    """
-    _, _, i1, j1, i2, j2 = site_endpoints(M)
-    I, J = node_grid(M)
-    F = M + 1
-    far = ((I - J) % 2 != 0) & np.logical_not(in_region("Q", 2 * n, I + J, I - J))
-    return (_vid(i2, j1, F), _vid(i1, j2, F), len(I), _usable(n, i1, j1, i2, j2),
-            _vid(0, -1, F), np.flatnonzero(far))
-
-
-def _components(r, c, n_nodes):
-    g = coo_matrix(
-        (np.ones(len(r), dtype=np.int8), (r, c)), shape=(n_nodes, n_nodes)
-    )
-    _, labels = connected_components(g, directed=False)
-    return labels
-
-
-def _labels(closed, graph):
-    """Component labels of the closed edges of ``graph`` in each field of
-    the (K, W, W) stack ``closed``: a (K, m) array for a graph of m nodes.
-
-    One connected-components call labels the block-diagonal union of the K
-    graphs, where node x of field k is node km + x, so no label is shared by
-    two fields.
-    """
-    K, m = len(closed), graph.nodes
-    mask = closed.reshape(K, -1)[:, graph.sites]
-    r, c = (np.concatenate([e[mk] + np.int32(k * m) for k, mk in enumerate(mask)])
-            for e in (graph.e1, graph.e2))
-    return _components(r, c, K * m).reshape(K, m)
-
-
-def sides_joined(closed, graph, side_a, side_b):
-    """For each field of the (K, W, W) stack ``closed``: do its closed edges
-    of ``graph`` join a node of ``side_a`` to one of ``side_b``?  A bool
-    array of length K; the sides are arrays of nodes of ``graph``."""
-    labels = _labels(closed, graph)
-    on_a = np.zeros(labels.size, dtype=bool)
-    on_a[labels[:, side_a]] = True
-    return on_a[labels[:, side_b]].any(axis=1)
+    raster = edge_raster(M, _usable(n, i1, j1, i2, j2))
+    cut = _crosses_cut(A, B)[raster.sites]
+    bridges = raster.sites[cut]
+    ends = [raster.pixel(i[bridges] + j[bridges], i[bridges] - j[bridges])
+            for i, j in ((i1, j1), (i2, j2))]
+    return raster._replace(pixels=raster.pixels[~cut], sites=raster.sites[~cut]), bridges, ends
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +306,9 @@ def _vertex_real(v):
 # ---------------------------------------------------------------------------
 
 
-def _require_extent(M, event, n):
+def _require_extent(M, event, n, least_n=1):
+    if n < least_n:
+        raise ValueError(f"{event} needs n >= {least_n}, got {n}")
     need = EVENTS[event].min_extent(n)
     if M < need:
         raise ValueError(f"extent {M} is below {need}, the least that covers {event} at n={n}")
@@ -349,10 +342,10 @@ def rect_holds(closed, n: int, which: str = "T"):
     if which not in _RECT_KINDS:
         raise ValueError(f"unknown rectangle {which!r}")
     M = _extent(closed)
-    if M < rect_min_extent(n, which):
-        raise ValueError(f"extent {M} does not cover {which} at n={n}")
-    graph, side_a, side_b, _ = _rect_static(M, n, which)
-    return sides_joined(closed, graph, side_a, side_b)
+    if n < 1 or M < rect_min_extent(n, which):
+        raise ValueError(f"{which} needs n >= 1 and extent >= {rect_min_extent(n, which)}, "
+                         f"got n={n} and extent {M}")
+    return sides_joined(closed, *_rect_static(M, n, which))
 
 
 def rect_crossing(c: Configuration, n: int, which: str = "T",
@@ -361,13 +354,14 @@ def rect_crossing(c: Configuration, n: int, which: str = "T",
     holds = bool(rect_holds(c.closed[np.newaxis], n, which)[0])
     w = None
     if witness and holds:
-        _, _, _, (I, J) = _rect_static(c.extent, n, which)
+        raster, side_a, _ = _rect_static(c.extent, n, which)
+        u, v = np.divmod(side_a, raster.base.shape[1]) + np.reshape(raster.origin, (2, 1))
 
         def inside(v):
             return in_region(which, n, v[0] + v[1], v[0] - v[1])
 
         path = first_path(
-            [(int(i), int(j)) for i, j in zip(I, J)],
+            sorted(zip(((u + v) // 2).tolist(), ((u - v) // 2).tolist())),
             lambda v: [x for x in _closed_neighbors(c, v) if inside(x)],
             lambda v: long_sides(which, n, v[0] + v[1], v[0] - v[1])[1],
         )
@@ -395,11 +389,6 @@ def _reduce_to_simple_cycle(walk, parity_of):
         walk = inner if parity_of(inner) % 2 == 1 else outer
 
 
-def _crosses_cut(a, b):
-    """The edge of site (a, b) crosses the cut ray; scalars or arrays."""
-    return (b == 1) & (a >= 1)
-
-
 def walk_winding(walk):
     """Signed crossings of the cut ray; +-1 for a surrounding simple cycle.
     Its parity is the parity of the number of crossings."""
@@ -419,7 +408,7 @@ def _circuit_witness(c, n):
             if _usable(n, *v, *w):
                 yield w, p ^ int(_crosses_cut(*site_between(v, w)))
 
-    I, J = node_grid(c.extent)
+    I, J = (g.ravel() for g in np.mgrid[-2 * n : 2 * n + 1, -2 * n : 2 * n + 1])
     for k in np.flatnonzero(_in_ring(n, I, J) & ((I - J) % 2 == 0)):
         root = (int(I[k]), int(J[k]))
         parent = {}
@@ -444,16 +433,14 @@ def circuit_holds(closed, n: int):
     """``surrounding_circuit_exact`` on each field of a (K, W, W) stack: bool
     array.
 
-    On the doubled cover a circuit of odd cut parity, one that surrounds
-    Q_n, exists iff some vertex's two copies share a component.  A vertex
-    with no usable closed edge has two isolated copies, which never do.
+    By planar duality a usable closed circuit surrounds Q_n iff the usable
+    closed edges cut the center face off from the faces outside Q_2n.
     """
-    if n < 2:
-        raise ValueError("surrounding circuit needs n >= 2")
     M = _extent(closed)
-    _require_extent(M, "Acirc", n)
-    labels = _labels(closed, _annulus_static(M, n))
-    return (labels[:, 0::2] == labels[:, 1::2]).any(axis=1)
+    _require_extent(M, "Acirc", n, 2)
+    raster, center, ring = _circuit_static(M, n)
+    labels, _ = _label(~closed, raster)
+    return (labels[:, ring] != labels[:, [center]]).all(axis=1)
 
 
 def surrounding_circuit_exact(c: Configuration, n: int,
@@ -500,15 +487,31 @@ def _dual_path(c, n):
     return None if path is None else [_vertex_real(f) for f in path]
 
 
+def _odd_cycle(edges):
+    """Does the multigraph of ``edges``, a list of node pairs, have a cycle
+    of odd length (a loop counts)?  It does iff some edge joins two nodes
+    of equal depth parity in a breadth-first forest."""
+    adjacent = defaultdict(list)
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    parent, odd = {}, {}
+    for root in adjacent:
+        for v in breadth_first([root], adjacent.__getitem__, parent):
+            odd[v] = parent[v] is not None and not odd[parent[v]]
+    return any(odd[a] == odd[b] for a, b in edges)
+
+
 def dual_crosscheck(c: Configuration, n: int) -> bool:
-    """True iff no open dual face path escapes the annulus (circuit exists)."""
-    if n < 2:
-        raise ValueError("dual crosscheck needs n >= 2")
-    _require_extent(c.extent, "Acirc", n)
-    f1, f2, n_nodes, structural, start, targets = _dual_static(c.extent, n)
-    keep = ~(c.closed.ravel() & structural)
-    labels = _components(f1[keep], f2[keep], n_nodes)
-    return not bool(np.any(labels[targets] == labels[start]))
+    """True iff a usable closed circuit surrounds Q_n, decided on the primal
+    graph as a check on the dual image of ``circuit_holds``: a cycle crossing
+    the cut ray an odd number of times exists iff the components of the
+    usable closed edges off the ray, joined by those across it, have one."""
+    _require_extent(c.extent, "Acirc", n, 2)
+    raster, bridges, (e1, e2) = _cycle_static(c.extent, n)
+    labels = _label(c.closed[np.newaxis], raster)[0][0]
+    closed = c.closed.ravel()[bridges]
+    return _odd_cycle(list(zip(labels[e1[closed]].tolist(), labels[e2[closed]].tolist())))
 
 
 class Event(NamedTuple):
@@ -525,12 +528,12 @@ def _rect_reads(M, n, kinds):
 # The percolation events by name; the Monte Carlo harness adds "closure".
 EVENTS = {
     "A": Event(lambda n: n + 2, radial_closed_path, radial_holds,
-               lambda M, n: edge_graph(M)[0].sites),
+               lambda M, n: _radial_static(M, n)[0].sites),
     "Aprime": Event(lambda n: rect_min_extent(n, "T"),
                     lambda c, n, witness=False: rect_crossing(c, n, "T", witness),
                     rect_holds, lambda M, n: _rect_reads(M, n, ("T",))),
     "Acirc": Event(lambda n: 2 * n + 2, surrounding_circuit_exact, circuit_holds,
-                   lambda M, n: _annulus_static(M, n).sites),
+                   lambda M, n: _circuit_static(M, n)[0].sites),
     "Acirc4": Event(lambda n: 2 * n + 2,
                     lambda c, n, witness=False: surrounding_circuit_4rect(c, n),
                     circuit4_holds, lambda M, n: _rect_reads(M, n, ("T1", "T2", "T3", "T4"))),

@@ -141,8 +141,8 @@ def event_extent(event: str, n: int, pattern: Pattern | None = None) -> int:
 
 # Bytes of closed fields a sample loop holds at once: it fills and detects
 # stacks of K = max(1, _STACK_BYTES // (2M + 1)^2) fields.  Each field of a
-# stack adds about 0.2 MB of graph and enhancement arrays to the peak memory,
-# so peak RSS sets this: K = 9 at the Aprime extent of n = 64 (M = 101)
+# stack adds about 0.1 MB of event images and enhancement arrays to the peak
+# memory, so peak RSS sets this: K = 9 at the Aprime extent of n = 64 (M = 101)
 # and 1 from M = 222 on, which covers the verify extent.  Plain closure
 # builds no fields; it walks up to _STACK_BYTES // LOCKSTEP_RAY_BYTES = 3072
 # rays at once.

@@ -1,6 +1,8 @@
 """Sampling, coupling, and serialization of mirror fields."""
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,3 +207,46 @@ def test_rle_roundtrip_random_fields(M, data):
     )
     c = from_closed_sites(M, sites)
     assert loads(dumps(c)).same_field(c)
+
+
+def test_probability_line_must_lie_in_the_unit_interval():
+    text = dumps(sample(0.5, 3, seed=1))
+    assert "\np 0.5\n" in text
+    for bad in ("nan", "inf", "-inf", "5", "-1", "1.0000001"):
+        with pytest.raises(ConfigParseError) as ei:
+            loads(text.replace("\np 0.5\n", f"\np {bad}\n"))
+        assert ei.value.line == 4, bad
+    for good, p in (("none", None), ("0", 0.0), ("1", 1.0), ("0.25", 0.25)):
+        assert loads(text.replace("\np 0.5\n", f"\np {good}\n")).p == p
+
+
+_FIELD_LINES = dumps(sample(0.5, 6, seed=1)).splitlines()  # extent 6 covers Acirc at n=2
+_CONFIG_TOKENS = st.sampled_from(["0", "1", "2", "3", "7", "-1", "none", "nan", "inf", "0.5",
+                                  "x", "extent", "p", "seed", "stream", "", "\t"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.text(max_size=60),
+    st.lists(st.lists(_CONFIG_TOKENS, max_size=4).map(" ".join), max_size=12).map(
+        lambda rows: "\n".join(("manhattan-pinball configuration v1", *rows))),
+    st.tuples(st.integers(1, 19), st.lists(_CONFIG_TOKENS, max_size=4).map(" ".join)).map(
+        lambda edit: "\n".join(_FIELD_LINES[:edit[0]] + [edit[1]] + _FIELD_LINES[edit[0] + 1:])),
+))
+def test_configuration_loader_and_commands_fuzz(text):
+    # every input loads or is a parse error, and commands that read it exit
+    # 0, 1 or 2
+    from manhattan_pinball.cli import main
+
+    try:
+        c = loads(text)
+    except ConfigParseError:
+        c = None
+    if c is not None:
+        assert c.p is None or 0 <= c.p <= 1
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "field.txt"
+        path.write_text(text)
+        for args in (["trace", "--out", str(Path(d) / "t.txt")],
+                     ["event", "--event", "Acirc", "--n", "2"]):
+            assert main([*args, "--config", str(path)]) in (0, 1, 2)

@@ -1,8 +1,14 @@
 """Enhancement patterns: matching oracle, the three validity checks, search."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from manhattan_pinball.cli import main as cli_main
 from manhattan_pinball.configuration import constant, from_closed_sites, sample
 from manhattan_pinball.enhancement import (
     Pattern,
@@ -227,3 +233,90 @@ def test_search_radius_guards():
         search_patterns(5)
     with pytest.raises(ValueError):
         search_patterns(1)
+
+
+def brute_translation_lemma(g):
+    """The translation check by a scan of every offset in the pattern's span."""
+    span_a = max(a for a, _ in g.sites) - min(a for a, _ in g.sites)
+    span_b = max(b for _, b in g.sites) - min(b for _, b in g.sites)
+    ra, rb = g.red_site
+    for t1 in range(-span_a, span_a + 1):
+        for t2 in range(-span_b, span_b + 1):
+            if (t1, t2) == (0, 0) or (t1 + t2) % 2 != 0:
+                continue
+            shifted_closed = {(a + t1, b + t2) for a, b in g.closed_sites}
+            shifted_open = {(a + t1, b + t2) for a, b in g.open_sites}
+            if g.closed_sites & shifted_open or shifted_closed & g.open_sites:
+                continue
+            if (ra + t1, rb + t2) in g.open_sites or (ra - t1, rb - t2) in g.open_sites:
+                return False, (t1, t2)
+    return True, None
+
+
+_SMALL_SITES = st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SMALL_SITES, _SMALL_SITES, st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+def test_translation_lemma_matches_offset_scan(closed, opens, red):
+    closed = closed - {red}
+    g = Pattern(closed_sites=frozenset(closed), open_sites=frozenset((opens - closed) | {red}),
+                red_site=red)
+    assert check_translation_lemma(g) == brute_translation_lemma(g)
+
+
+def test_translation_lemma_keeps_its_answers_on_shipped_and_searched_patterns():
+    found, _ = search_patterns(3)
+    assert found
+    for g in [default_pattern(), *found]:
+        assert check_translation_lemma(g) == brute_translation_lemma(g) == (True, None)
+
+
+def test_far_pattern_site_is_a_parse_error_with_its_line(tmp_path, capsys):
+    ok = dumps_pattern(default_pattern())
+    for far in ("closed 99999999999 0", "open 0 -17", "red 17 1"):
+        with pytest.raises(ConfigParseError) as ei:
+            loads_pattern(ok + far + "\n")
+        assert ei.value.line == len(ok.splitlines()) + 1
+    edge = loads_pattern(ok.replace("closed -3 0", "closed -16 16"))
+    assert (-16, 16) in edge.closed_sites and edge.radius == 16
+    path = tmp_path / "far.txt"
+    path.write_text(ok + "closed 99999999999 0\n")
+    assert cli_main(["pattern", "check", "--pattern", str(path)]) == 2
+    assert "beyond radius 16" in capsys.readouterr().err
+
+
+def test_site_required_closed_and_open_is_a_parse_error():
+    ok = dumps_pattern(default_pattern())
+    for extra in ("closed 0 -2", "open 1 0", "closed 0 0"):
+        with pytest.raises(ConfigParseError, match="both closed and open") as ei:
+            loads_pattern(ok + extra + "\n")
+        assert ei.value.line == len(ok.splitlines()) + 1
+
+
+_PATTERN_TOKENS = st.sampled_from(["red", "closed", "open", "name", "0", "1", "-1", "2", "-3",
+                                   "16", "-17", "99999999999", "x", "1.5", ""])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.text(max_size=60),
+    st.lists(st.lists(_PATTERN_TOKENS, max_size=4).map(" ".join), max_size=8).map(
+        lambda rows: "\n".join(("manhattan-pinball pattern v1", *rows))),
+    st.tuples(st.integers(1, 16), st.lists(_PATTERN_TOKENS, max_size=4).map(" ".join)).map(
+        lambda edit: "\n".join(
+            dumps_pattern(default_pattern()).splitlines()[:edit[0]] + [edit[1]])),
+))
+def test_pattern_loader_and_check_fuzz(text):
+    # every input loads or is a parse error, and the command exits 0, 1 or 2
+    try:
+        g = loads_pattern(text)
+    except ConfigParseError:
+        g = None
+    if g is not None:
+        assert g.radius <= 16 and g.red_site in g.open_sites
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "pattern.txt"
+        path.write_text(text)
+        assert cli_main(["pattern", "check", "--pattern", str(path), "--budget", "2"]) in (
+            0, 1, 2)

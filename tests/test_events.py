@@ -8,6 +8,10 @@ parity, never by the detectors' own machinery.
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -15,14 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import manhattan_pinball
 from manhattan_pinball.configuration import constant, dumps, from_closed_sites, sample
 from manhattan_pinball.enhancement import (
+    _window_crossing,
     check_essential,
     default_pattern,
     dumps_pattern,
     search_patterns,
 )
 from manhattan_pinball.events import (
+    EVENTS,
     EventResult,
     circuit4_holds,
     circuit_holds,
@@ -140,18 +147,26 @@ def test_detectors_match_brute_oracles():
             assert exact
 
 
+def brute_window(c):
+    """The window crossing of the enhancement checks: a closed path from a
+    vertex with i <= 1 - M to one with i >= M - 1."""
+    g = closed_graph(c)
+    M = c.extent
+    for s in (v for v in g if v[0] <= 1 - M):
+        if any(v[0] >= M - 1 for v in nx.node_connected_component(g, s)):
+            return True
+    return False
+
+
 @pytest.mark.parametrize("K", [1, 2, 7])
 def test_stacked_detectors_match_per_sample_oracles(K):
     # each field of a stack is decided as if it were alone: the stacked
-    # answers equal the per-sample oracles, and permuting the stack permutes
-    # the answers
-    ps = (0.0, 0.3, 0.5, 0.55, 0.7, 1.0)
+    # answers equal the per-sample oracles for every p in 0, 0.1, ..., 1,
+    # and permuting the stack permutes the answers
     rng = np.random.default_rng(K)
     seen = set()
-    for t in range(6):
-        n = 2 + t % 2
-        cfgs = [sample(ps[(K * t + k) % len(ps)], 2 * n + 2, seed=40 + K, stream_index=K * t + k)
-                for k in range(K)]
+    for t, (p, n) in enumerate(itertools.product(np.linspace(0, 1, 11), (2, 3))):
+        cfgs = [sample(p, 2 * n + 2, seed=40 + K, stream_index=K * t + k) for k in range(K)]
         closed = np.stack([c.closed for c in cfgs])
         perm = rng.permutation(K)
         answers = {
@@ -161,17 +176,61 @@ def test_stacked_detectors_match_per_sample_oracles(K):
             "circuit4": (lambda f: circuit4_holds(f, n),
                          [all(brute_rect(c, n, k) for k in ("T1", "T2", "T3", "T4"))
                           for c in cfgs]),
+            "window": (_window_crossing, [brute_window(c) for c in cfgs]),
         }
         for kind in ("T", "T1", "T2", "T3", "T4"):
             answers[kind] = (lambda f, kind=kind: rect_holds(f, n, kind),
                              [brute_rect(c, n, kind) for c in cfgs])
         for name, (holds, oracle) in answers.items():
             got = holds(closed)
-            assert got.dtype == bool and got.tolist() == oracle, (name, n, t)
-            assert holds(closed[perm]).tolist() == got[perm].tolist(), (name, n, t)
+            assert got.dtype == bool and got.tolist() == oracle, (name, p, n)
+            assert holds(closed[perm]).tolist() == got[perm].tolist(), (name, p, n)
             seen.update((name, x) for x in oracle)
-    if K > 1:  # both answers of every detector are exercised
-        assert len(seen) == 2 * len(answers)
+    assert len(seen) == 2 * len(answers)  # both answers of every detector are exercised
+
+
+def test_circuit_detectors_agree_at_verify_scale():
+    # the dual image and the primal odd-cycle test at the extent verify uses
+    n, M = 128, 267
+    cfgs = [sample(p, M, seed=11, stream_index=i) for p in (0.45, 0.55) for i in range(2)]
+    got = circuit_holds(np.stack([c.closed for c in cfgs]), n).tolist()
+    assert got == [dual_crosscheck(c, n) for c in cfgs]
+    assert set(got) == {False, True}
+
+
+@pytest.mark.parametrize("event", sorted(EVENTS))
+def test_event_reads_cover_every_site_the_detector_sees(event):
+    # refilling every site outside Event.reads leaves each answer as it was,
+    # which is what lets a paired comparison skip unchanged samples
+    ev = EVENTS[event]
+    rng = np.random.default_rng(5)
+    for n in (2, 3):
+        M = ev.min_extent(n) + 3
+        outside = np.ones((2 * M + 1) ** 2, dtype=bool)
+        outside[ev.reads(M, n)] = False
+        assert outside.any()
+        closed = np.stack([sample(p, M, seed=9, stream_index=i).closed
+                           for i, p in enumerate((0.3, 0.5, 0.6, 0.75, 0.9))])
+        expected = ev.holds(closed, n).tolist()
+        for fill in (False, True, None):  # all open, all closed, random
+            refilled = closed.reshape(len(closed), -1).copy()
+            refilled[:, outside] = (fill if fill is not None else
+                                    rng.random((len(closed), int(outside.sum()))) < 0.5)
+            assert ev.holds(refilled.reshape(closed.shape), n).tolist() == expected, (
+                event, n, fill)
+
+
+def test_package_import_leaves_scipy_sparse_out():
+    # loading scipy.sparse beside scipy.ndimage costs set-up time and memory
+    # in every fresh interpreter and worker
+    src = str(Path(manhattan_pinball.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, manhattan_pinball; print(sorted(m for m in sys.modules"
+         " if m.startswith('scipy.sparse')))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_planted_diamond_ring():
@@ -286,6 +345,12 @@ def test_extent_and_scale_validation():
         surrounding_circuit_exact(c, 1)
     with pytest.raises(ValueError):
         dual_crosscheck(constant(5, False), 4)
+    for detect in (radial_closed_path, rect_crossing, surrounding_circuit_4rect):
+        with pytest.raises(ValueError):
+            detect(constant(5, True), 0)  # a scale is at least 1
+    # T_1 holds no vertex, so not even a full field crosses it; T3 at n = 1 is crossed
+    assert not rect_crossing(constant(5, True), 1, "T").holds
+    assert rect_crossing(constant(5, True), 1, "T3").holds
 
 
 def test_witness_dump_roundtrip():
