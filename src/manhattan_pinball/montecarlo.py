@@ -3,14 +3,15 @@
 Every trial draws its own configuration with stream_index equal to the
 sample index, so tallies are identical for any worker count and any
 scheduling.  Estimates and paired comparisons fill a stack of closed fields
-one sample at a time and hand each stack to the event's stacked detector;
-plain closure builds no field and traces a worker's samples together with
-``trace_lockstep``.  Stack and walk sizes follow from a fixed byte budget,
-and no tally depends on them.  The harness replays the localization
-argument per sample: if the enhanced field carries an exact surrounding
-circuit at scale n, the origin trajectory of the raw field must close inside
-Q_{2n+2D} and the hybrid field (raw core, enhanced exterior) must localize
-inside Q_{2n}.
+one sample at a time, drawing only the sites the event reads (dilated by the
+pattern when enhancing), and hand each stack to the event's stacked
+detector; plain closure builds no field and traces a worker's samples
+together with ``trace_lockstep``.  Stack and walk sizes follow from a fixed
+byte budget, and no tally depends on them.  The harness replays the
+localization argument per sample: if the enhanced field carries an exact
+surrounding circuit at scale n, the origin trajectory of the raw field must
+close inside Q_{2n+2D} and the hybrid field (raw core, enhanced exterior)
+must localize inside Q_{2n}.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +35,8 @@ from .configuration import (
     check_probability,
     hybrid,
     sample,
-    uniforms,
+    site_sampler,
+    stream_base,
 )
 from .enhancement import Pattern, check_detour, enhance, enhance_stack
 from .events import EVENTS, Event, EventResult, surrounding_circuit_exact
@@ -143,24 +146,46 @@ def event_extent(event: str, n: int, pattern: Pattern | None = None) -> int:
 # stacks of K = max(1, _STACK_BYTES // (2M + 1)^2) fields.  Each field of a
 # stack adds about 0.1 MB of event images and enhancement arrays to the peak
 # memory, so peak RSS sets this: K = 9 at the Aprime extent of n = 64 (M = 101)
-# and 1 from M = 222 on, which covers the verify extent.  Plain closure
-# builds no fields; it walks up to _STACK_BYTES // LOCKSTEP_RAY_BYTES = 3072
-# rays at once.
+# and 1 from M = 222 on, which covers the verify extent.  Only the drawn sites
+# are hashed, one sample at a time, in 33 bytes of buffers per site (8,868 at
+# M = 101).  Plain closure builds no fields; it walks up to
+# _STACK_BYTES // LOCKSTEP_RAY_BYTES = 3072 rays at once.
 _STACK_BYTES = 3 << 17
 
 
-def _field_stacks(p, extent, seed, indices):
-    """The closed fields of the samples in ``indices`` at probability ``p``,
-    as (K, W, W) stacks in sample order; each is a view of one buffer that
-    the next overwrites."""
+@lru_cache(maxsize=16)
+def _fill_sites(extent, n, event, pattern):
+    """Flat indices of the sites a sample loop draws: those the event reads and,
+    with a pattern, each site s + r - red of a copy whose red edge r is one of
+    them.  The enhanced field is then exact on every read site.  Cached,
+    read-only."""
+    W = 2 * extent + 1
+    a, b = np.divmod(_EVENTS[event].reads(extent, n), W)
+    fill = np.zeros((W, W), dtype=bool)
+    ra, rb = (0, 0) if pattern is None else pattern.red_site
+    for sa, sb in [(0, 0)] if pattern is None else pattern.sites:
+        ta, tb = a + (sa - ra), b + (sb - rb)
+        inside = (ta >= 0) & (ta < W) & (tb >= 0) & (tb < W)
+        fill[ta[inside], tb[inside]] = True
+    sites = np.flatnonzero(fill)
+    sites.flags.writeable = False
+    return sites
+
+
+def _field_stacks(p, extent, seed, indices, sites):
+    """The closed fields of the samples in ``indices`` at probability ``p``, as
+    (K, W, W) stacks in sample order, drawn on the flat ``sites`` only (the
+    rest open); each is a view of one buffer that the next overwrites."""
     check_probability(p)
     W = 2 * extent + 1
     K = max(1, min(len(indices), _STACK_BYTES // (W * W)))
-    stack = np.empty((K, W, W), dtype=bool)
+    stack = np.zeros((K, W, W), dtype=bool)
+    flat = stack.reshape(K, -1)
+    closed = site_sampler(extent, sites)
     for lo in range(0, len(indices), K):
         chunk = indices[lo : lo + K]
-        for k, i in enumerate(chunk):
-            np.less(uniforms(extent, seed, i).u, p, out=stack[k])
+        for k, base in enumerate(stream_base(seed, chunk)):
+            flat[k][sites] = closed(base, p)
         yield stack[: len(chunk)]
 
 
@@ -174,7 +199,8 @@ def _eval_samples(args):
             for lo in range(0, len(indices), K))
     holds = _EVENTS[event].holds
     hits = 0
-    for closed in _field_stacks(p, extent, seed, indices):
+    sites = _fill_sites(extent, n, event, pattern)
+    for closed in _field_stacks(p, extent, seed, indices, sites):
         if pattern is not None:
             closed = enhance_stack(closed, pattern)
         hits += int(np.count_nonzero(holds(closed, n)))
@@ -256,7 +282,8 @@ def _paired_samples(args):
     ev = _EVENTS[event]
     reads = ev.reads(extent, n)
     tally = np.zeros(4, dtype=np.int64)  # [neither, only plain, only enhanced, both]
-    for closed in _field_stacks(p, extent, seed, indices):
+    sites = _fill_sites(extent, n, event, pattern)
+    for closed in _field_stacks(p, extent, seed, indices, sites):
         a = ev.holds(closed, n)
         enhanced = enhance_stack(closed, pattern)
         # The detector reads only the sites ``reads``: where enhancement

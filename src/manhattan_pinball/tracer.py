@@ -11,6 +11,7 @@ without building the fields: each step hashes just the sites the rays enter.
 
 from __future__ import annotations
 
+import threading
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,10 +24,10 @@ from .configuration import (
     _as_uint64,
     _check_extent,
     check_probability,
+    closed_bits,
     hash_key,
     sample,
     stream_base,
-    unit,
 )
 from .errors import ConfigParseError, DynamicsError
 from .geometry import UNIT, Direction, mirror_orientation, q_radius, reflect, tilted_radius
@@ -118,6 +119,13 @@ def _cells(closed: np.ndarray, abort_at: int | None) -> bytes:
 _REPEATED = "non-start state repeated: dynamics not injective"
 
 
+@lru_cache(maxsize=4)
+def _visited_mask(n_states, thread):
+    """The zeroed visited mask the walks of one extent in one thread share;
+    each walk clears the states it marked."""
+    return bytearray(n_states)
+
+
 def _trace_kernel(cells: bytes, P: int, s0: int, max_steps: int, at: int | None = None):
     """Walk from state ``s0`` until closure, escape, abort or ``max_steps`` steps.
 
@@ -129,33 +137,37 @@ def _trace_kernel(cells: bytes, P: int, s0: int, max_steps: int, at: int | None 
     """
     step = (P, 1, -P, -1)
     turn = _TURN
-    seen = bytearray(len(cells) << 2)
-    seen[s0] = 2  # entering the start state again closes the orbit
+    seen = _visited_mask(len(cells) << 2, threading.get_ident())
     if at is None:
         at = s0
-    elif at != s0:
-        seen[at] = 1
     path = array("q", (at,))
-    append = path.append
-    i, d = at >> 2, at & 3
-    for _ in range(max_steps):
-        j = i + step[d]
-        c = cells[j]
-        if c >= _OUT:
-            if c == _OUT:
-                return ESCAPED, path
-            append(4 * j + d)
-            return ABORTED, path
-        d = turn[c + d]
-        s = 4 * j + d
-        if seen[s]:
-            if seen[s] == 1:
-                raise DynamicsError(_REPEATED)
-            return CLOSED, path
-        seen[s] = 1
-        append(s)
-        i = j
-    return BUDGET_EXCEEDED, path
+    try:
+        seen[s0] = 2  # entering the start state again closes the orbit
+        if at != s0:
+            seen[at] = 1
+        append = path.append
+        i, d = at >> 2, at & 3
+        for _ in range(max_steps):
+            j = i + step[d]
+            c = cells[j]
+            if c >= _OUT:
+                if c == _OUT:
+                    return ESCAPED, path
+                append(4 * j + d)
+                return ABORTED, path
+            d = turn[c + d]
+            s = 4 * j + d
+            if seen[s]:
+                if seen[s] == 1:
+                    raise DynamicsError(_REPEATED)
+                return CLOSED, path
+            seen[s] = 1
+            append(s)
+            i = j
+        return BUDGET_EXCEEDED, path
+    finally:  # every marked state is s0 or on the path, even after a raise
+        seen[s0] = 0
+        np.frombuffer(seen, dtype=np.uint8)[np.frombuffer(path, dtype=np.int64)] = 0
 
 
 def _walk(c: Configuration, start: RayState, max_steps: int | None,
@@ -277,21 +289,19 @@ def _lockstep(p, M, seed, stream_indices, abort_at, max_steps, s0, status):
     checkpoint = np.full(K, key0)
     pos = np.arange(K)
     scratch = np.empty(K, dtype=np.uint64)
-    u = np.empty(K)
-    p, esc, three = np.array(p), np.array(_ESC), np.array(3)  # 0-d: faster ufunc calls
+    esc, three = np.array(_ESC), np.array(3)  # 0-d: faster ufunc calls
     steps = 0
     while len(j) > _LOCKSTEP_MIN_RAYS and steps < max_steps:
         steps += 1
         L = len(j)
         tmp = scratch[:L]
         j += step[e]
-        # the entered site's uniform, exactly as uniforms() draws it
+        # the entered site's closed bit, exactly as sample() draws it
         h = hash_key(base, cell_a[j], tmp=tmp)
         hash_key(h, cell_b[j], out=h, tmp=tmp)
-        closed = np.less(unit(h, out=u[:L]), p)
         idx = cells[j]
         idx += e
-        idx += closed
+        idx += closed_bits(h, p)
         e = turn[idx]
         # a ray ends on its start state, on a sentinel, or on a checkpoint
         # that is not its start (then the dynamics is broken)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from manhattan_pinball.configuration import (
     GENERATOR_ID,
     Configuration,
+    _site_hash_blocks,
+    closed_bits,
     constant,
     dumps,
     edge_inside_q_mask,
@@ -22,6 +24,7 @@ from manhattan_pinball.configuration import (
     loads,
     sample,
     save,
+    site_sampler,
     stream_base,
     threshold,
     uniforms,
@@ -96,6 +99,36 @@ def test_site_by_site_hash_matches_uniforms():
         base = stream_base(seed, streams)[k]
         h = hash_key(hash_key(base, a.astype(np.uint64)), b.astype(np.uint64))
         assert np.array_equal(unit(h), uniforms(M, seed, int(i)).u)
+
+
+ORACLE_PROBABILITIES = (0.0, 1.0, 0.1 + 0.2, 0.5, np.nextafter(0.5, 0), np.nextafter(0.5, 1),
+                        2.0 ** -60, 1 - 2.0 ** -53)
+
+
+def test_raw_hash_rule_matches_thresholded_uniforms():
+    # closed iff (h >> 11) < ceil(p 2^53) is the bit u < p of the exact uniform
+    rng = np.random.default_rng(3)
+    for M in (1, 2, 66, 101):
+        W = 2 * M + 1
+        part = np.flatnonzero(rng.random(W * W) < 0.3)  # a site subset, drawn alone
+        draw_all, draw_part = site_sampler(M, np.arange(W * W)), site_sampler(M, part)
+        for seed in (0, -1, 2**62, -2**63):
+            for i in (0, 7, 2**40):
+                f = uniforms(M, seed, i)
+                base = stream_base(seed, i)
+                for p in ORACLE_PROBABILITIES:
+                    want = threshold(f, p).closed
+                    for block, h in _site_hash_blocks(M, seed, i):
+                        assert np.array_equal(closed_bits(h, p), want[block]), (M, seed, i, p)
+                    assert np.array_equal(sample(p, M, seed, i).closed, want)
+                    assert np.array_equal(draw_all(base, p), want.ravel())
+                    assert np.array_equal(draw_part(base, p), want.ravel()[part])
+    # raw hashes on both sides of each probability's boundary
+    for p in ORACLE_PROBABILITIES:
+        edge = int(np.ceil(p * 2.0 ** 53)) << 11
+        h = np.array([x for x in (0, edge - 2048, edge - 1, edge, edge + 2047, 2**64 - 1)
+                      if 0 <= x < 2**64], dtype=np.uint64)
+        assert np.array_equal(closed_bits(h.copy(), p), unit(h.copy()) < p), p
 
 
 def test_coupling_across_extents():

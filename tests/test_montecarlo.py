@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,62 @@ def test_reports_do_not_depend_on_workers_or_stack_size(monkeypatch):
     monkeypatch.setattr(montecarlo, "_STACK_BYTES", 2000)  # 2 to 6 fields a stack
     assert _graph_run_text(37, 1) == reference
     assert _graph_run_text(37, 3) == reference
+
+
+# An asymmetric pattern whose red site is not the origin: filling the copies
+# around a read site with offsets red - s instead of s - red misses its sites.
+# It matches often, so enhancement changes many outcomes.
+SKEWED_PATTERN = Pattern(closed_sites=frozenset({(4, 2)}), open_sites=frozenset({(1, 2), (1, 3)}),
+                         red_site=(1, 2), name="skewed")
+FILL_CASES = (("A", (2, 5)), ("Aprime", (3, 6)), ("Acirc", (2, 3)), ("Acirc4", (2, 3)))
+
+
+def _fill_run_text():
+    out = []
+    for event, scales in FILL_CASES:
+        for n in scales:
+            for p in (0.0, 0.3, 0.5, 0.7, 1.0):
+                out.append(estimates_csv([estimate_event(event, p, n, 30, seed=13)]))
+                for g in (default_pattern(), SKEWED_PATTERN):
+                    out.append(estimates_csv([estimate_event(event, p, n, 30, seed=13,
+                                                             enhanced=True, pattern=g)]))
+                    out.append(_paired_text(compare_enhanced(p, n, 30, 13, g, event)))
+    return "".join(out)
+
+
+def _enhanced_reads(event, p, n, g, sites):
+    extent = event_extent(event, n, g)
+    reads = montecarlo._EVENTS[event].reads(extent, n)
+    stacks = montecarlo._field_stacks(p, extent, 13, range(30), sites(extent, n, event, g))
+    return [enhance_stack(s, g).reshape(len(s), -1)[:, reads] for s in stacks]
+
+
+def test_reports_do_not_depend_on_drawing_only_the_read_sites(monkeypatch):
+    def every_site(extent, n, event, pattern):
+        return np.arange((2 * extent + 1) ** 2)
+
+    for event, scales in FILL_CASES:
+        for g in (default_pattern(), SKEWED_PATTERN):
+            for p in (0.3, 0.5, 0.7):
+                drawn = _enhanced_reads(event, p, scales[0], g, montecarlo._fill_sites)
+                full = _enhanced_reads(event, p, scales[0], g, every_site)
+                assert all(np.array_equal(x, y) for x, y in zip(drawn, full)), (event, g.name, p)
+    reference = _fill_run_text()
+    assert len(re.findall(r"\(\d+, [1-9]", reference)) >= 5  # enhancement changes outcomes
+    monkeypatch.setattr(montecarlo, "_fill_sites", every_site)
+    assert _fill_run_text() == reference
+
+
+# sha256 of the concatenated _paired_text of compare_enhanced(0.5, 64, 60, seed,
+# default_pattern()), seeds 1 to 3, computed before samples drew only the sites
+# their detector reads
+PAIRED_N64_DIGEST = "a105d04266d3fdf0cd5a7267ccf947cd41d5bc2d51448377969e750b33efcf6e"
+
+
+def test_paired_at_n64_matches_pinned_digest():
+    g = default_pattern()
+    text = "".join(_paired_text(compare_enhanced(0.5, 64, 60, seed, g)) for seed in (1, 2, 3))
+    assert hashlib.sha256(text.encode()).hexdigest() == PAIRED_N64_DIGEST
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.55, 0.6, 0.7, 1.0])

@@ -1,13 +1,20 @@
 """Light dynamics: hand-trace oracles, bijectivity, the ``step`` oracle."""
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import manhattan_pinball
 from manhattan_pinball import tracer
 from manhattan_pinball.cli import main
 from manhattan_pinball.configuration import constant, from_closed_sites, sample
@@ -267,6 +274,54 @@ def test_non_injective_dynamics_raise_on_the_same_samples(monkeypatch, capsys):
         assert main(args + ["--trials", str(first + 1)]) == 3
         assert main(args + ["--trials", "60"]) == 3
     assert "internal error: non-start state repeated" in capsys.readouterr().err
+
+
+_WALKS = """
+import hashlib
+from manhattan_pinball.configuration import sample
+from manhattan_pinball.tracer import dump_trajectory, trace
+text = "".join(dump_trajectory(trace(sample(0.5, 10, 5, i))) for i in range(40))
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_walk_that_raises_leaves_the_shared_visited_mask_clean(monkeypatch):
+    # the walks of one extent share one visited mask and clear their marks
+    # as they return, also when they raise
+    fields = [sample(0.5, 10, 5, i) for i in range(40)]
+    with monkeypatch.context() as patched:
+        patched.setattr(tracer, "_TURN", _NON_INJECTIVE_TURN)
+        with pytest.raises(DynamicsError):
+            for c in fields:
+                trace(c)
+    assert not any(tracer._visited_mask(4 * (2 * 10 + 3) ** 2, threading.get_ident()))
+    text = "".join(dump_trajectory(trace(c)) for c in fields)
+    src = str(Path(manhattan_pinball.__file__).resolve().parents[1])
+    fresh = subprocess.run([sys.executable, "-c", _WALKS], env={**os.environ, "PYTHONPATH": src},
+                           capture_output=True, text=True, timeout=120, check=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == fresh.stdout.strip()
+
+
+def test_walks_in_threads_keep_their_own_visited_masks():
+    fields = [sample(0.5, 10, 5, i) for i in range(40)]
+    want = [trace_summary(c) for c in fields]
+    results = {}
+
+    def walk(k):
+        results[k] = [trace_summary(c) for c in fields for _ in range(5)][::5]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads in the middle of walks
+    try:
+        threads = [threading.Thread(target=walk, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[k] == want for k in range(len(threads)))
 
 
 def test_trace_summary_agrees_with_trace():
