@@ -52,9 +52,13 @@ def _fmix(z, tmp=None):
     return z
 
 
-def _as_uint64(x):
-    """Integers as a new uint64 array with int64 wraparound: -1 becomes 2**64 - 1."""
-    return np.array(x, dtype=np.int64).view(np.uint64)
+def _as_uint64(x, name="value"):
+    """Integers as a new uint64 array with int64 wraparound: -1 becomes 2**64 - 1.
+    An integer outside [-2**63, 2**63) raises ValueError naming the ``name``."""
+    try:
+        return np.array(x, dtype=np.int64).view(np.uint64)
+    except OverflowError:
+        raise ValueError(f"{name} {x!r} lies outside [-2**63, 2**63)") from None
 
 
 # The uniform of site (a, b) in sample stream i is
@@ -70,9 +74,9 @@ def hash_key(key, x, out=None, tmp=None):
 def stream_base(seed, stream_index):
     """Hash key fmix(i ^ fmix(seed ^ golden)) of each sample stream i in
     ``stream_index`` (uint64, shaped like it)."""
-    key = _as_uint64(seed)
+    key = _as_uint64(seed, "seed")
     hash_key(_GOLDEN, key, out=key)
-    i = _as_uint64(stream_index)
+    i = _as_uint64(stream_index, "stream")
     return hash_key(key, i, out=i)
 
 
@@ -101,6 +105,40 @@ def site_sampler(M, sites):
     def closed(base, p):
         hash_key(np.take(hash_key(base, coords, out=keys), row, out=h), col, out=h, tmp=tmp)
         return closed_bits(h, p, out=bits)
+    return closed
+
+
+# Rows a region sampler hashes at a time, over the columns the block's sites
+# span: at M = 267 a block holds at most 17,120 sites, and its two uint64
+# buffers stay in cache as _site_hash_blocks' do.
+_REGION_ROWS = 32
+
+
+def region_sampler(M, mask):
+    """Draw the sites of extent M where the (2M+1, 2M+1) bool ``mask`` holds:
+    returns closed(base, p, out), which writes into the field ``out`` the bits
+    of sample(p, M, seed, i), keyed base = stream_base(seed, i), on each block
+    of _REGION_ROWS rows over the columns its masked sites span, and leaves
+    the rest of ``out`` as it is."""
+    W = 2 * M + 1
+    coords = _as_uint64(np.arange(-M, M + 1))
+    blocks = []
+    for lo in range(0, W, _REGION_ROWS):
+        cols = np.flatnonzero(mask[lo : lo + _REGION_ROWS].any(axis=0))
+        if len(cols):
+            blocks.append((slice(lo, min(lo + _REGION_ROWS, W)), slice(cols[0], cols[-1] + 1)))
+    size = max([(r.stop - r.start) * (c.stop - c.start) for r, c in blocks], default=0)
+    rows, (h, tmp) = np.empty_like(coords), np.empty((2, size), dtype=np.uint64)
+
+    def closed(base, p, out):
+        hash_key(base, coords, out=rows)
+        for r, c in blocks:
+            shape = (r.stop - r.start, c.stop - c.start)
+            k = shape[0] * shape[1]
+            block = hash_key(rows[r, np.newaxis], coords[c], out=h[:k].reshape(shape),
+                             tmp=tmp[:k].reshape(shape))
+            closed_bits(block, p, out=out[r, c])
+        return out
     return closed
 
 

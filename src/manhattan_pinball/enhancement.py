@@ -122,7 +122,7 @@ def _offsets(M, g, excluded_core):
     a, b = zip(*g.sites)
     t1 = np.arange(-M - min(a), M - max(a) + 1)[:, np.newaxis]
     t2 = np.arange(-M - min(b), M - max(b) + 1)[np.newaxis, :]
-    allowed = (t1 + t2) % 2 == 0
+    allowed = t1 % 2 == t2 % 2  # (t1 + t2) even, without an int64 (n1, n2) temporary
     if excluded_core is not None:
         # the red edge of the copy at offset (t1, t2) joins the red edge's
         # ends translated by (t1, t2)
@@ -144,12 +144,10 @@ def _match_mask(closed, g, excluded_core=None):
     t1_lo, t2_lo, allowed = _offsets(M, g, excluded_core)
     n1, n2 = allowed.shape
     ok = np.broadcast_to(allowed, closed.shape[:-2] + allowed.shape).copy()
-    for (a, b) in sorted(g.closed_sites):
-        ok &= closed[..., t1_lo + a + M : t1_lo + a + M + n1,
-                     t2_lo + b + M : t2_lo + b + M + n2]
-    for (a, b) in sorted(g.open_sites):
-        ok &= ~closed[..., t1_lo + a + M : t1_lo + a + M + n1,
-                      t2_lo + b + M : t2_lo + b + M + n2]
+    for sites, require in ((g.closed_sites, np.logical_and), (g.open_sites, np.greater)):
+        for (a, b) in sorted(sites):  # ok & s, or ok & ~s as ok > s, in place
+            require(ok, closed[..., t1_lo + a + M : t1_lo + a + M + n1,
+                               t2_lo + b + M : t2_lo + b + M + n2], out=ok)
     return t1_lo, t2_lo, ok
 
 

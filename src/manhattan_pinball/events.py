@@ -210,19 +210,25 @@ def _rect_static(M, n, kind):
 @lru_cache(maxsize=64)
 def _circuit_static(M, n):
     """The dual image of the circuit detector on the box |u|, |v| <= 2n + 1,
-    its center face (u, v) = (-1, 1) and its faces at tilted radius 2n + 1.
+    its center face and its faces at tilted radius 2n + 1.
 
     Faces and sites are on and vertices off, except that a usable site takes
     its open bit: a dual step across an edge is blocked iff the edge is
-    closed and a circuit may use it.
+    closed and a circuit may use it.  A usable site has tilted radius at
+    least n, so the pixels of radius below n - 3 never change, and those on
+    all join the face (-1, 1).  They are left off, which spares the labelling
+    about a quarter of the image, and the center is the face (-1, c) on the
+    frame of always-on pixels around them: c is the least odd number that is
+    at least n - 3 and at least 1.
     """
     _, _, i1, j1, i2, j2 = site_endpoints(M)
     r = 2 * n + 1
     U, V = np.ogrid[-r : r + 1, -r : r + 1]
+    interior = (abs(U) < n - 3) & (abs(V) < n - 3)
     raster = _raster(M, np.flatnonzero(_usable(n, i1, j1, i2, j2)),
-                     (U % 2 == 1) | (V % 2 == 1), (-r, -r))
-    ring = (U % 2 == 1) & (V % 2 == 1) & (np.maximum(abs(U), abs(V)) == r)
-    return raster, raster.pixel(-1, 1), np.flatnonzero(ring)
+                     ((U % 2 == 1) | (V % 2 == 1)) & ~interior, (-r, -r))
+    ring = (U % 2 == 1) & (V % 2 == 1) & ((abs(U) == r) | (abs(V) == r))
+    return raster, raster.pixel(-1, max(1, (n - 3) | 1)), np.flatnonzero(ring)
 
 
 @lru_cache(maxsize=64)
@@ -521,8 +527,16 @@ class Event(NamedTuple):
     reads: Callable  # (extent, n) -> flat field indices of every site holds reads
 
 
+@lru_cache(maxsize=64)
 def _rect_reads(M, n, kinds):
-    return np.concatenate([_rect_static(M, n, kind)[0].sites for kind in kinds])
+    """Flat indices of the sites the rectangles ``kinds`` read, each once and
+    sorted; cached, read-only."""
+    read = np.zeros((2 * M + 1) ** 2, dtype=bool)
+    for kind in kinds:
+        read[_rect_static(M, n, kind)[0].sites] = True
+    sites = np.flatnonzero(read)
+    sites.flags.writeable = False
+    return sites
 
 
 # The percolation events by name; the Monte Carlo harness adds "closure".

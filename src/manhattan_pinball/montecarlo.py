@@ -11,36 +11,50 @@ byte budget, and no tally depends on them.  The harness replays the
 localization argument per sample: if the enhanced field carries an exact
 surrounding circuit at scale n, the origin trajectory of the raw field must
 close inside Q_{2n+2D} and the hybrid field (raw core, enhanced exterior)
-must localize inside Q_{2n}.
+must localize inside Q_{2n}.  A verify worker allocates its field, dual
+image, labels and trace table once, and each sample draws only the sites its
+record reads: Q_{2n+2D}, and the usable sites and Q_{2n+1} dilated by the
+pattern.  The enhanced circuit image and the hybrid's walk are patches of the
+raw ones at the matched reds.  A sample is decided so only when its raw orbit
+closes inside Q_{2n+2D} and its hybrid orbit inside Q_{2n}; any other is
+recomputed on whole fields by ``_verify_reference``.
 """
 
 from __future__ import annotations
 
 import csv
-import ctypes
 import io
 import os
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .configuration import (
     GENERATOR_ID,
     Configuration,
+    _check_extent,
     atomic_write_text,
     check_probability,
     hybrid,
+    region_sampler,
     sample,
     site_sampler,
     stream_base,
 )
-from .enhancement import Pattern, check_detour, enhance, enhance_stack
-from .events import EVENTS, Event, EventResult, surrounding_circuit_exact
-from .tracer import CLOSED, LOCKSTEP_RAY_BYTES, trace_lockstep, trace_summary
+from .enhancement import Pattern, _match_mask, _offsets, check_detour, enhance, enhance_stack
+from .events import EVENTS, Event, EventResult, _circuit_static, surrounding_circuit_exact
+from .geometry import edge_ends, edge_in_region, in_region
+from .tracer import (
+    CLOSED,
+    LOCKSTEP_RAY_BYTES,
+    TableWalks,
+    trace_lockstep,
+    trace_summary,
+)
 
 _Z95 = 1.959963984540054
 
@@ -138,6 +152,8 @@ def event_extent(event: str, n: int, pattern: Pattern | None = None) -> int:
     """Extent covering the event region, plus matching padding when enhancing."""
     if event not in _EVENTS:
         raise ValueError(f"unknown event {event!r}; choose from {EVENT_NAMES}")
+    if n < 1:
+        raise ValueError(f"{event} needs n >= 1, got {n}")
     base = _EVENTS[event].min_extent(n)
     return base + (pattern.radius if pattern is not None else 0)
 
@@ -149,25 +165,37 @@ def event_extent(event: str, n: int, pattern: Pattern | None = None) -> int:
 # and 1 from M = 222 on, which covers the verify extent.  Only the drawn sites
 # are hashed, one sample at a time, in 33 bytes of buffers per site (8,868 at
 # M = 101).  Plain closure builds no fields; it walks up to
-# _STACK_BYTES // LOCKSTEP_RAY_BYTES = 3072 rays at once.
+# _STACK_BYTES // LOCKSTEP_RAY_BYTES = 3072 rays at once.  Verify does not
+# stack: K is 1 at its extent, and a stack would not pay, since ndimage.label
+# took 3.72 ms per image on a (9, 515, 515) stack and 3.63 ms on one image.
 _STACK_BYTES = 3 << 17
+
+
+def _dilated(mask, pattern):
+    """The (W, W) bool ``mask`` and, with a pattern, each site s + r - red of a
+    copy whose red edge r is in it: a field drawn on the result matches every
+    copy whose red edge is in ``mask``."""
+    fill = mask.copy()
+    if pattern is None:
+        return fill
+    W = len(mask)
+    ra, rb = pattern.red_site
+    for sa, sb in pattern.sites:  # fill[r + d] |= mask[r] for d = s - red
+        da, db = sa - ra, sb - rb
+        fill[max(da, 0) : W + min(da, 0), max(db, 0) : W + min(db, 0)] |= (
+            mask[max(-da, 0) : W + min(-da, 0), max(-db, 0) : W + min(-db, 0)])
+    return fill
 
 
 @lru_cache(maxsize=16)
 def _fill_sites(extent, n, event, pattern):
-    """Flat indices of the sites a sample loop draws: those the event reads and,
-    with a pattern, each site s + r - red of a copy whose red edge r is one of
-    them.  The enhanced field is then exact on every read site.  Cached,
-    read-only."""
+    """Flat indices of the sites a sample loop draws: those the event reads,
+    dilated by the pattern's copies.  The enhanced field is then exact on
+    every read site.  Cached, read-only."""
     W = 2 * extent + 1
-    a, b = np.divmod(_EVENTS[event].reads(extent, n), W)
-    fill = np.zeros((W, W), dtype=bool)
-    ra, rb = (0, 0) if pattern is None else pattern.red_site
-    for sa, sb in [(0, 0)] if pattern is None else pattern.sites:
-        ta, tb = a + (sa - ra), b + (sb - rb)
-        inside = (ta >= 0) & (ta < W) & (tb >= 0) & (tb < W)
-        fill[ta[inside], tb[inside]] = True
-    sites = np.flatnonzero(fill)
+    reads = np.zeros((W, W), dtype=bool)
+    reads.ravel()[_EVENTS[event].reads(extent, n)] = True
+    sites = np.flatnonzero(_dilated(reads, pattern))
     sites.flags.writeable = False
     return sites
 
@@ -214,37 +242,10 @@ def _chunks(N, workers):
     return [range(lo, min(lo + size, N)) for lo in range(0, N, size)]
 
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
-
-
-def _retain_freed_memory():
-    """Have glibc keep freed blocks of up to 32 MB for reuse (Linux only).
-
-    Every sample allocates and frees arrays the size of its field.  glibc
-    hands blocks above its mmap threshold (128 kB, raised only as ever larger
-    blocks are freed) back to the kernel, and the next sample faults them in
-    again page by page: at the verify extent (M = 267) that cost over a third
-    of the run time.  Fixed thresholds make the reuse independent of what was
-    freed before.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def _map_chunks(fn, jobs, workers):
     if workers <= 1 or len(jobs) <= 1:
-        _retain_freed_memory()
         return [fn(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(jobs)),
-                             initializer=_retain_freed_memory) as ex:
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(jobs))) as ex:
         return list(ex.map(fn, jobs))
 
 
@@ -261,6 +262,7 @@ def estimate_event(event: str, p: float, n: int, N: int, seed: int,
         pattern = None
     t0 = time.perf_counter()
     extent = event_extent(event, n, pattern)
+    _check_extent(extent)
     jobs = [(event, p, n, seed, extent, pattern, idx) for idx in _chunks(N, workers)]
     hits = sum(_map_chunks(_eval_samples, jobs, workers))
     lo, hi = wilson_interval(hits, N)
@@ -311,6 +313,7 @@ def compare_enhanced(p: float, n: int, N: int, seed: int, g: Pattern,
         raise ValueError("need at least one trial")
     t0 = time.perf_counter()
     extent = event_extent(event, n, g)
+    _check_extent(extent)
     jobs = [(event, p, n, seed, extent, g, idx) for idx in _chunks(N, workers)]
     tally = sum(_map_chunks(_paired_samples, jobs, workers))
     neither, only_plain, only_enh, both = (int(x) for x in tally)
@@ -346,33 +349,130 @@ def verify_extent(n: int, g: Pattern, detour_radius: int) -> int:
     return 2 * n + 2 * detour_radius + g.radius + 2
 
 
+def _verify_reference(p, n, seed, extent, g, D, i):
+    """The record of sample i, computed on whole fields: the oracle of
+    ``_verify_samples`` and its fallback."""
+    w = sample(p, extent, seed, stream_index=i)
+    w_t = enhance(w, g)
+    if not surrounding_circuit_exact(w_t, n).holds:
+        return VerificationRecord(sample=i, circuit=False, closed=None, contained=None,
+                                  hybrid_contained=None, passed=True)
+    status, _, _, containment = trace_summary(w)
+    closed = status == "closed"
+    contained = closed and containment <= 2 * n + 2 * D
+    w0 = hybrid(w, w_t, _CORE_RADIUS)
+    h_status, _, _, h_containment = trace_summary(w0)
+    hybrid_contained = h_status == "closed" and h_containment <= 2 * n
+    passed = closed and contained and hybrid_contained
+    diag = "" if passed else (
+        f"seed={seed} stream={i} n={n} p={p} extent={extent} "
+        f"status={status} containment={containment} "
+        f"hybrid_status={h_status} hybrid_containment={h_containment}"
+    )
+    return VerificationRecord(sample=i, circuit=True, closed=closed, contained=contained,
+                              hybrid_contained=hybrid_contained, passed=passed,
+                              diagnostics=diag)
+
+
+class _VerifyStatic(NamedTuple):
+    """What the verify samples of a run share; read-only."""
+
+    reach: int  # raw walks abort beyond Q_reach
+    drawn: np.ndarray  # (W, W) mask of the sites a record reads
+    circuit: tuple  # the circuit detector's raster, center and ring
+    red: int  # flat field index of the red site of the match at (0, 0) of _match_mask
+
+
+@lru_cache(maxsize=4)
+def _verify_static(extent, n, g, reach):
+    """The ``_VerifyStatic`` of verify samples at (extent, n, g) whose raw
+    walks abort beyond Q_reach.  A record reads the raw bits of Q_reach for
+    the raw walk, and those of the usable sites and Q_{2n+1}, dilated by the
+    pattern, for the enhanced circuit and the hybrid walk inside Q_2n."""
+    W = 2 * extent + 1
+    a = np.arange(-extent, extent + 1, dtype=np.int16)
+    u, v = a[:, np.newaxis] + a - 1, a[:, np.newaxis] - a  # the sites' tilted coordinates
+    raster, center, ring = _circuit_static(extent, n)
+    exact = in_region("Q", 2 * n + 1, u, v)
+    exact.ravel()[raster.sites] = True
+    drawn = _dilated(exact, g)
+    drawn |= in_region("Q", reach, u, v)
+    drawn.flags.writeable = False
+    t1_lo, t2_lo, _ = _offsets(extent, g, None)
+    red = (t1_lo + g.red_site[0] + extent) * W + t2_lo + g.red_site[1] + extent
+    return _VerifyStatic(reach, drawn, (raster, center, ring), red)
+
+
+def _outside_core(sites, extent):
+    """Which of the flat field ``sites`` carry an edge not inside Q_100: the
+    sites where the hybrid takes the enhanced field's bit."""
+    a, b = np.divmod(sites, 2 * extent + 1)
+    return ~edge_in_region("Q", _CORE_RADIUS, *edge_ends(a - extent, b - extent))
+
+
+def _matched_reds(field, g, red):
+    """Flat field indices, ascending, of the red sites of the copies of ``g``
+    matched in ``field``; ``red`` is that of the match at (0, 0)."""
+    _, _, ok = _match_mask(field, g)
+    row, col = np.divmod(np.flatnonzero(ok), ok.shape[1])
+    return row * len(field) + col + red
+
+
 def _verify_samples(args):
+    """Worker body: the records of a run of sample indices.
+
+    Every buffer is allocated once per call, and a sample draws only the
+    sites its record reads (the rest read open).  The enhanced field differs
+    from the raw one at the matched red sites alone, so the circuit image
+    takes the raw open bits and then clears the usable reds, and the hybrid,
+    the raw field plus the reds outside Q_100, is walked on the raw walk's
+    table with those reds added, only if the raw orbit meets one.  A sample
+    is decided here when its raw orbit closes inside Q_{2n+2D} and its hybrid
+    orbit inside Q_2n, where the drawn bits are exact; any other, as a
+    theorem failure would be, is recomputed by ``_verify_reference``.
+    """
+    from scipy import ndimage  # imported on first use, as events does
+
     p, n, seed, extent, g, D, indices = args
+    st = _verify_static(extent, n, g, 2 * n + 2 * D)
+    raster, center, ring = st.circuit
+    W = 2 * extent + 1
+    draw = region_sampler(extent, st.drawn)
+    field = np.zeros((W, W), dtype=bool)
+    flat = field.ravel()
+    bits = np.empty(len(raster.sites), dtype=bool)
+    image = raster.base.copy()  # a sample rewrites just the usable sites' pixels
+    labels = np.empty(image.shape, dtype=np.int32)
+    pixels, label_of = image.ravel(), labels.ravel()
+    walks = TableWalks(extent, st.reach)
     records = []
-    for i in indices:
-        w = sample(p, extent, seed, stream_index=i)
-        w_t = enhance(w, g)
-        circuit = surrounding_circuit_exact(w_t, n).holds
-        if not circuit:
-            records.append(VerificationRecord(
-                sample=i, circuit=False, closed=None, contained=None,
-                hybrid_contained=None, passed=True))
+    for i, base in zip(indices, stream_base(seed, indices)):
+        draw(base, p, field)
+        reds = _matched_reds(field, g, st.red)
+        # the enhanced circuit: usable sites show the raw open bits, except
+        # that a matched red is closed
+        np.logical_not(np.take(flat, raster.sites, out=bits), out=bits)
+        pixels[raster.pixels] = bits
+        at = np.minimum(np.searchsorted(raster.sites, reds), len(bits) - 1)
+        pixels[raster.pixels[at[raster.sites[at] == reds]]] = False
+        ndimage.label(image, output=labels)
+        if not (label_of[ring] != label_of[center]).all():
+            records.append(VerificationRecord(sample=i, circuit=False, closed=None,
+                                              contained=None, hybrid_contained=None,
+                                              passed=True))
             continue
-        status, _, _, containment = trace_summary(w)
-        closed = status == "closed"
-        contained = closed and containment <= 2 * n + 2 * D
-        w0 = hybrid(w, w_t, _CORE_RADIUS)
-        h_status, _, _, h_containment = trace_summary(w0)
-        hybrid_contained = h_status == "closed" and h_containment <= 2 * n
-        passed = closed and contained and hybrid_contained
-        diag = "" if passed else (
-            f"seed={seed} stream={i} n={n} p={p} extent={extent} "
-            f"status={status} containment={containment} "
-            f"hybrid_status={h_status} hybrid_containment={h_containment}"
-        )
-        records.append(VerificationRecord(
-            sample=i, circuit=True, closed=closed, contained=contained,
-            hybrid_contained=hybrid_contained, passed=passed, diagnostics=diag))
+        walks.fill(field)
+        status, path = walks.walk()
+        hybrid_reds = reds[_outside_core(reds, extent)]
+        if status == CLOSED and walks.visits(path, hybrid_reds):
+            walks.close(hybrid_reds)
+            status, path = walks.walk()
+        if status == CLOSED and walks.containment(path) <= 2 * n:
+            records.append(VerificationRecord(sample=i, circuit=True, closed=True,
+                                              contained=True, hybrid_contained=True,
+                                              passed=True))
+        else:
+            records.append(_verify_reference(p, n, seed, extent, g, D, i))
     return records
 
 
@@ -388,10 +488,12 @@ def verify_theorem(p: float, n: int, N: int, seed: int, g: Pattern,
         raise ValueError("verify_theorem requires n > 100")
     if N < 1:
         raise ValueError("need at least one trial")
+    check_probability(p)
     det = check_detour(g)
     if not det.ok:
         raise ValueError(f"pattern fails the detour check: {det.failure}")
     extent = verify_extent(n, g, det.radius)
+    _check_extent(extent)
     jobs = [(p, n, seed, extent, g, det.radius, idx) for idx in _chunks(N, workers)]
     records = [r for chunk in _map_chunks(_verify_samples, jobs, workers) for r in chunk]
     records.sort(key=lambda r: r.sample)

@@ -7,6 +7,7 @@ are the reference dynamics; ``trace`` and ``trace_summary`` share one
 table-driven kernel that walks a flat byte copy of the field.
 ``trace_lockstep`` walks the origin rays of many sampled fields at once
 without building the fields: each step hashes just the sites the rays enter.
+``TableWalks`` walks the origin ray of one field after another on one table.
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ def _code_table(M):
     return code
 
 
-@lru_cache(maxsize=4)
 def _radius_table(M):
     """Q-radius (int16) of every site of extent M; int16 holds the largest
     radius, 2M + 1, of any extent the field budget allows."""
@@ -104,16 +104,38 @@ def _radius_table(M):
     return radius
 
 
-def _cells(closed: np.ndarray, abort_at: int | None) -> bytes:
-    """The padded code table of the mirror field ``closed``; sites of radius above
+@lru_cache(maxsize=4)
+def _abort_codes(M, abort_at):
+    """(mirror codes, _FAR codes) of extent M (uint8): the mirror code of each
+    site of radius at most ``abort_at`` and 0 beyond, and _FAR beyond and 0
+    within, so that a field's codes are (closed * mirror) | far.  Read-only."""
+    far = _radius_table(M) > abort_at
+    codes = np.where(far, np.uint8(0), _code_table(M)), np.where(far, np.uint8(_FAR), np.uint8(0))
+    for x in codes:
+        x.flags.writeable = False
+    return codes
+
+
+def _fill_cells(table: bytearray, closed: np.ndarray, abort_at: int | None) -> None:
+    """Write the mirror field ``closed`` into the inside of the padded code
+    table ``table``, whose pad ring reads _OUT; sites of radius above
     ``abort_at`` read as _FAR."""
     M = closed.shape[0] // 2
-    table = np.full((2 * M + 3, 2 * M + 3), _OUT, dtype=np.uint8)
-    inner = table[1:-1, 1:-1]
-    np.multiply(closed, _code_table(M), out=inner)
-    if abort_at is not None:
-        np.copyto(inner, _FAR, where=_radius_table(M) > abort_at)
-    return table.tobytes()
+    P = 2 * M + 3
+    inner = np.frombuffer(table, dtype=np.uint8).reshape(P, P)[1:-1, 1:-1]
+    if abort_at is None:
+        np.multiply(closed, _code_table(M), out=inner)
+    else:
+        mirror, far = _abort_codes(M, abort_at)
+        np.bitwise_or(np.multiply(closed, mirror, out=inner), far, out=inner)
+
+
+def _cells(closed: np.ndarray, abort_at: int | None) -> bytearray:
+    """The padded code table of the mirror field ``closed``; sites of radius above
+    ``abort_at`` read as _FAR."""
+    table = bytearray([_OUT]) * (closed.shape[0] + 2) ** 2
+    _fill_cells(table, closed, abort_at)
+    return table
 
 
 _REPEATED = "non-start state repeated: dynamics not injective"
@@ -198,6 +220,48 @@ def _walk(c: Configuration, start: RayState, max_steps: int | None,
     diam = max(np.ptp(a), np.ptp(b))
     radius = tilted_radius(a + b - 1, a - b).max()
     return status, a, b, s & 3, int(diam), int(radius)
+
+
+class TableWalks:
+    """Walks of the origin ray on fields of extent M written one after another
+    into one padded code table, so a loop over fields allocates none; sites of
+    radius above ``abort_at`` read as _FAR.  A walk's path is the kernel's:
+    state 4j + direction for the table index j of each site it visits."""
+
+    def __init__(self, M: int, abort_at: int):
+        self.M, self.abort_at, self.P = M, abort_at, 2 * M + 3
+        self.table = bytearray([_OUT]) * self.P ** 2
+        self.cells = np.frombuffer(self.table, dtype=np.uint8)
+        self.s0 = 4 * ((M + 1) * self.P + M + 1) + int(Direction.E)
+
+    def fill(self, closed: np.ndarray) -> None:
+        """Write the mirror field ``closed`` into the table."""
+        _fill_cells(self.table, closed, self.abort_at)
+
+    def index(self, sites: np.ndarray) -> np.ndarray:
+        """Table indices of the flat field indices ``sites``."""
+        row, col = np.divmod(sites, 2 * self.M + 1)
+        return (row + 1) * self.P + col + 1
+
+    def close(self, sites: np.ndarray) -> None:
+        """Put a mirror on each of the flat field ``sites`` that reads open."""
+        j = self.index(sites)
+        open_ = self.cells[j] == 0
+        self.cells[j[open_]] = _code_table(self.M).ravel()[sites[open_]]
+
+    def visits(self, path, sites: np.ndarray) -> bool:
+        """Does ``path`` visit any of the flat field ``sites``?"""
+        on = np.frombuffer(path, dtype=np.int64)[:, np.newaxis] >> 2 == self.index(sites)
+        return bool(on.any())
+
+    def walk(self):
+        """(status, path) of the origin ray within default_max_steps(M) steps."""
+        return _trace_kernel(self.table, self.P, self.s0, default_max_steps(self.M))
+
+    def containment(self, path) -> int:
+        """The largest radius of a site on ``path``."""
+        a, b = np.divmod(np.frombuffer(path, dtype=np.int64) >> 2, self.P)
+        return int(tilted_radius(a + b - 2 * self.M - 3, a - b).max())
 
 
 # The lockstep walk keeps each ray's direction doubled, e = 2d, and reads its

@@ -185,3 +185,35 @@ def test_bad_witness_file_is_parse_error(tmp_path, capsys):
         assert run(["render", "--config", str(cfg), "--witness", str(wit),
                     "--layers", "circuit_witness", "--out", str(tmp_path / "r.svg")]) == 2
         assert f"line {line}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, name", [
+    (["sample", "--p", "0.5", "--extent", "3", "--seed", "99999999999999999999999"], "seed"),
+    (["sample", "--p", "0.5", "--extent", "3", "--seed", "1",
+      "--stream", "18446744073709551615"], "stream"),
+    (["estimate", "--event", "A", "--p", "0.5", "--n", "4", "--trials", "3",
+      "--seed", "-9999999999999999999999"], "seed"),
+    (["verify", "--p", "0.5", "--n", "101", "--trials", "1",
+      "--seed", "99999999999999999999999"], "seed"),
+])
+def test_seed_outside_int64_is_usage_error(tmp_path, capsys, args, name):
+    out = ["--out", str(tmp_path / "c.txt")] if args[0] == "sample" else []
+    assert run(args + out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} ") and "outside [-2**63, 2**63)" in err
+
+
+@pytest.mark.parametrize("event, enhanced", [
+    ("A", False), ("Aprime", False), ("Acirc", False), ("Acirc4", False), ("Aprime", True),
+    ("closure", False)])
+def test_estimate_beyond_the_field_budget_is_usage_error(capsys, event, enhanced):
+    assert run(["estimate", "--event", event, "--p", "0.5", "--n", "100000",
+                "--trials", "1", "--seed", "1"] + ["--enhanced"] * enhanced) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_closure_below_scale_one_is_usage_error(capsys, n):
+    assert run(["estimate", "--event", "closure", "--p", "0.5", "--n", n,
+                "--trials", "3", "--seed", "1"]) == 2
+    assert "closure needs n >= 1" in capsys.readouterr().err

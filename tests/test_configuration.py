@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from manhattan_pinball.configuration import (
     GENERATOR_ID,
+    _REGION_ROWS,
     Configuration,
     _site_hash_blocks,
     closed_bits,
@@ -22,6 +23,7 @@ from manhattan_pinball.configuration import (
     hybrid,
     load,
     loads,
+    region_sampler,
     sample,
     save,
     site_sampler,
@@ -129,6 +131,50 @@ def test_raw_hash_rule_matches_thresholded_uniforms():
         h = np.array([x for x in (0, edge - 2048, edge - 1, edge, edge + 2047, 2**64 - 1)
                       if 0 <= x < 2**64], dtype=np.uint64)
         assert np.array_equal(closed_bits(h.copy(), p), unit(h.copy()) < p), p
+
+
+def test_region_sampler_draws_the_masked_sites_as_sample_does():
+    rng = np.random.default_rng(8)
+    for M in (1, 20, 70):
+        W = 2 * M + 1
+        masks = [np.zeros((W, W), dtype=bool), np.ones((W, W), dtype=bool),
+                 rng.random((W, W)) < 0.02]
+        a = np.abs(np.arange(-M, M + 1))
+        masks.append(a[:, None] + a[None, :] <= M // 2)  # a diamond, as verify draws
+        for mask in masks:
+            draw = region_sampler(M, mask)
+            for seed, i, p in ((3, 0, 0.5), (-2**63, 2**40, 0.55), (7, 9, 1.0)):
+                want = sample(p, M, seed, i).closed
+                out = ~want  # every site the sampler leaves keeps the wrong bit
+                assert draw(stream_base(seed, i), p, out) is out
+                assert np.array_equal(out[mask], want[mask]), (M, seed, i, p)
+                # a block of rows is drawn over the columns its masked sites span
+                written = out == want
+                for lo in range(0, W, _REGION_ROWS):
+                    cols = np.flatnonzero(mask[lo : lo + _REGION_ROWS].any(axis=0))
+                    span = np.zeros(W, dtype=bool)
+                    if len(cols):
+                        span[cols[0] : cols[-1] + 1] = True
+                    assert np.array_equal(written[lo : lo + _REGION_ROWS].any(axis=0), span)
+
+
+@pytest.mark.parametrize("bad", [-2**63 - 1, 2**63, 99999999999999999999999])
+def test_seed_and_stream_outside_int64_are_value_errors(bad):
+    with pytest.raises(ValueError, match="seed"):
+        sample(0.5, 3, seed=bad)
+    with pytest.raises(ValueError, match="stream"):
+        sample(0.5, 3, seed=1, stream_index=bad)
+    with pytest.raises(ValueError, match="seed"):
+        uniforms(3, seed=bad, stream_index=0)
+    with pytest.raises(ValueError, match="stream"):
+        stream_base(1, [0, bad])
+
+
+def test_seed_and_stream_at_the_int64_bounds_sample():
+    for bound in (-2**63, 2**63 - 1):
+        assert sample(0.5, 3, seed=bound).closed.shape == (7, 7)
+        assert sample(0.5, 3, seed=1, stream_index=bound).closed.shape == (7, 7)
+        assert uniforms(3, seed=bound, stream_index=bound).u.shape == (7, 7)
 
 
 def test_coupling_across_extents():

@@ -31,6 +31,8 @@ from manhattan_pinball.enhancement import (
 from manhattan_pinball.events import (
     EVENTS,
     EventResult,
+    _circuit_static,
+    _label,
     circuit4_holds,
     circuit_holds,
     dual_crosscheck,
@@ -198,6 +200,34 @@ def test_circuit_detectors_agree_at_verify_scale():
     assert set(got) == {False, True}
 
 
+def whole_image_circuit(closed, n):
+    """``circuit_holds`` on the whole dual image with center face (-1, 1),
+    the interior of Q_{n-3} left on."""
+    raster, _, ring = _circuit_static(closed.shape[-1] // 2, n)
+    r = 2 * n + 1
+    U, V = np.ogrid[-r : r + 1, -r : r + 1]
+    whole = raster._replace(base=(U % 2 == 1) | (V % 2 == 1))
+    labels, _ = _label(~closed, whole)
+    return (labels[:, ring] != labels[:, [whole.pixel(-1, 1)]]).all(axis=1)
+
+
+def test_circuit_image_without_its_interior_decides_as_the_whole_image():
+    seen = set()
+    for n in (2, 3, 4, 5, 6, 7, 9, 12, 17, 24):
+        raster, center, _ = _circuit_static(2 * n + 2, n)
+        assert raster.base.ravel()[center]
+        if n > 4:  # the center (-1, 1) lies in the interior, which is off
+            assert not raster.base.ravel()[raster.pixel(-1, 1)]
+        for p in (0.4, 0.5, 0.55, 0.6, 0.7):
+            cfgs = [sample(p, 2 * n + 2, seed=61, stream_index=i) for i in range(6)]
+            closed = np.stack([c.closed for c in cfgs])
+            got = circuit_holds(closed, n).tolist()
+            assert got == whole_image_circuit(closed, n).tolist(), (n, p)
+            assert got == [dual_crosscheck(c, n) for c in cfgs], (n, p)
+            seen.update((n > 4, x) for x in got)
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 @pytest.mark.parametrize("event", sorted(EVENTS))
 def test_event_reads_cover_every_site_the_detector_sees(event):
     # refilling every site outside Event.reads leaves each answer as it was,
@@ -206,8 +236,10 @@ def test_event_reads_cover_every_site_the_detector_sees(event):
     rng = np.random.default_rng(5)
     for n in (2, 3):
         M = ev.min_extent(n) + 3
+        reads = ev.reads(M, n)
+        assert np.all(np.diff(reads) > 0)  # each site once, sorted
         outside = np.ones((2 * M + 1) ** 2, dtype=bool)
-        outside[ev.reads(M, n)] = False
+        outside[reads] = False
         assert outside.any()
         closed = np.stack([sample(p, M, seed=9, stream_index=i).closed
                            for i, p in enumerate((0.3, 0.5, 0.6, 0.75, 0.9))])

@@ -1,6 +1,7 @@
 """Estimators, intervals, the decay fit, and the verification harness."""
 
 import hashlib
+import itertools
 import math
 import re
 
@@ -8,9 +9,16 @@ import numpy as np
 import pytest
 
 from manhattan_pinball import montecarlo, tracer
-from manhattan_pinball.configuration import Configuration, sample
-from manhattan_pinball.enhancement import Pattern, default_pattern, enhance_stack
-from manhattan_pinball.events import rect_crossing
+from manhattan_pinball.configuration import Configuration, hybrid, sample
+from manhattan_pinball.enhancement import (
+    Pattern,
+    check_detour,
+    default_pattern,
+    enhance,
+    enhance_stack,
+)
+from manhattan_pinball.errors import ResourceLimitError
+from manhattan_pinball.events import rect_crossing, surrounding_circuit_exact
 from manhattan_pinball.montecarlo import (
     EstimationReport,
     compare_enhanced,
@@ -371,3 +379,157 @@ def test_paired_shortcut_keeps_every_change_of_outcome(monkeypatch):
     assert pr.only_plain == only_plain > 0
     assert pr.only_enhanced == only_enhanced > 0
     assert pr.only_plain < pr.plain.hits  # the cut spares some crossings
+
+
+VERIFY_CASES = ((0.55, 128, 40, 1, 1), (0.55, 128, 40, 2, 1), (0.55, 128, 40, 3, 1),
+                (0.6, 104, 12, 8, 2))
+
+
+def _verify_run_text():
+    g = default_pattern()
+    out = []
+    for p, n, N, seed, workers in VERIFY_CASES:
+        records, _ = verify_theorem(p, n, N, seed, g, workers=workers)
+        out.append(verification_csv(records) + "".join(r.diagnostics + "\n" for r in records))
+    return "".join(out)
+
+
+# sha256 of _verify_run_text(), the verification CSVs and every record's
+# diagnostics, computed before verify drew only the sites a record reads
+VERIFY_RUN_DIGEST = "ab991dd2951eb270a0bed331382e698344387e12372e4d0ba43f83a16d0b9f22"
+
+
+def test_verify_records_match_pinned_digest():
+    text = _verify_run_text()
+    assert text.count(",1,1,1,1,1\n") == 126  # samples with a circuit, all passed
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_RUN_DIGEST
+
+
+def _reference_records(p, n, N, seed, g):
+    D = check_detour(g).radius
+    extent = montecarlo.verify_extent(n, g, D)
+    return [montecarlo._verify_reference(p, n, seed, extent, g, D, i) for i in range(N)]
+
+
+@pytest.mark.parametrize("p, seed", [(0.0, 1), (0.5, 2), (0.52, 5), (0.55, 11), (0.6, 8), (1.0, 3)])
+def test_verify_fast_path_matches_reference(p, seed):
+    g = default_pattern()
+    records, _ = verify_theorem(p, 102, 16, seed, g)
+    assert records == _reference_records(p, 102, 16, seed, g)
+
+
+def _shrunk_reach(monkeypatch, reach):
+    """Raw walks abort beyond Q_reach, drawing Q_reach alone of the raw walk's
+    region; returns the list of samples recomputed by _verify_reference."""
+    real_static, real_reference = montecarlo._verify_static, montecarlo._verify_reference
+    recomputed = []
+
+    def reference(*args):
+        recomputed.append(args[-1])
+        return real_reference(*args)
+
+    monkeypatch.setattr(montecarlo, "_verify_static",
+                        lambda extent, n, g, _: real_static(extent, n, g, reach))
+    monkeypatch.setattr(montecarlo, "_verify_reference", reference)
+    return recomputed
+
+
+@pytest.mark.parametrize("reach", [0, 8, 150])
+def test_verify_falls_back_to_reference_beyond_the_drawn_region(monkeypatch, reach):
+    # a raw orbit that leaves Q_reach, or a hybrid orbit that leaves Q_2n,
+    # is recomputed on whole fields; every record stays as the reference's
+    g = default_pattern()
+    p, n, N, seed = 0.55, 102, 24, 4
+    expected = _reference_records(p, n, N, seed, g)
+    circuits = [r.sample for r in expected if r.circuit]
+    recomputed = _shrunk_reach(monkeypatch, reach)
+    records, _ = verify_theorem(p, n, N, seed, g)
+    assert records == expected
+    assert set(recomputed) <= set(circuits)
+    if reach == 0:  # every raw walk aborts on its first step
+        assert recomputed == circuits
+    elif reach == 8:
+        assert 0 < len(recomputed) < len(circuits)
+
+
+def test_verify_fallback_keeps_failures_and_their_diagnostics(monkeypatch):
+    # a hybrid field with no mirror lets its ray escape: every circuit sample
+    # then fails, and only the fallback can see it
+    g = default_pattern()
+    _shrunk_reach(monkeypatch, 0)
+    monkeypatch.setattr(montecarlo, "hybrid", lambda w, w_t, k: Configuration(
+        extent=w.extent, closed=np.zeros_like(w.closed)))
+    records, summary = verify_theorem(0.6, 102, 6, 8, g)
+    failed = [r for r in records if r.circuit]
+    assert failed and summary.failures == len(failed) and summary.conditional_pass_rate == 0.0
+    for r in failed:
+        assert (r.closed, r.contained, r.hybrid_contained, r.passed) == (True, True, False, False)
+        assert r.diagnostics.startswith(f"seed=8 stream={r.sample} n=102 p=0.6 extent=")
+        assert "hybrid_status=escaped" in r.diagnostics
+
+
+@pytest.mark.parametrize("event", ["A", "Aprime", "Acirc", "Acirc4", "closure"])
+def test_estimates_check_the_extent_before_building_tables(event):
+    # numpy would refuse the (2M + 1)^2 tables at once, with a traceback
+    g = default_pattern()
+    with pytest.raises(ResourceLimitError):
+        estimate_event(event, 0.5, 100000, 1, 1)
+    with pytest.raises(ResourceLimitError):
+        estimate_event(event, 0.5, 100000, 1, 1, enhanced=True)
+    with pytest.raises(ResourceLimitError):
+        compare_enhanced(0.5, 100000, 1, 1, g, event=event)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_estimates_reject_scales_below_one(n):
+    for event in montecarlo.EVENT_NAMES:
+        with pytest.raises(ValueError, match="n >= 1"):
+            estimate_event(event, 0.5, n, 5, 1)
+
+
+def _planted(c, g, core):
+    """``c`` with a copy of ``g`` planted near the origin so that the origin's
+    orbit crosses its red site, which is a red of the hybrid at ``core``."""
+    M = c.extent
+    offsets = itertools.product(range(-9, 10), repeat=2)
+    for t1, t2 in sorted(offsets, key=lambda t: abs(t[0]) + abs(t[1])):
+        if (t1 + t2) % 2:
+            continue
+        red = (g.red_site[0] + t1, g.red_site[1] + t2)
+        closed = c.closed.copy()
+        for sites, bit in ((g.closed_sites, True), (g.open_sites, False)):
+            for a, b in sites:
+                closed[a + t1 + M, b + t2 + M] = bit
+        planted = Configuration(extent=M, closed=closed)
+        if (red in tracer.trace(planted).visited
+                and hybrid(planted, enhance(planted, g), core).closed_at(red)):
+            return planted, red
+    raise AssertionError("no copy of the pattern lies on the orbit")
+
+
+@pytest.mark.parametrize("seed", [1, 3, 4])
+def test_verify_walks_the_hybrid_again_when_the_raw_orbit_meets_its_red(monkeypatch, seed):
+    # reds of the hybrid lie outside Q_100, where sampled orbits rarely go: a
+    # copy planted on the orbit, with the core shrunk to Q_2, makes the
+    # hybrid orbit differ from the raw one
+    g, core, n = default_pattern(), 2, 16
+    D = check_detour(g).radius
+    extent = montecarlo.verify_extent(n, g, D)
+    field, red = _planted(sample(0.7, extent, seed), g, core)
+    assert surrounding_circuit_exact(enhance(field, g), n).holds
+    assert (tracer.trace_summary(field)
+            != tracer.trace_summary(hybrid(field, enhance(field, g), core)))
+    closes = []
+    real_close = tracer.TableWalks.close
+    monkeypatch.setattr(tracer.TableWalks, "close",
+                        lambda walks, sites: closes.append(sites) or real_close(walks, sites))
+    monkeypatch.setattr(montecarlo, "_CORE_RADIUS", core)
+    monkeypatch.setattr(montecarlo, "_verify_static", montecarlo._verify_static.__wrapped__)
+    monkeypatch.setattr(montecarlo, "region_sampler",
+                        lambda M, mask: lambda base, p, out: np.copyto(out, field.closed))
+    monkeypatch.setattr(montecarlo, "sample", lambda p, M, seed, stream_index: field)
+    fast = montecarlo._verify_samples((0.7, n, seed, extent, g, D, range(1)))
+    assert fast == [montecarlo._verify_reference(0.7, n, seed, extent, g, D, 0)]
+    assert fast[0].circuit and len(closes) == 1
+    W = 2 * extent + 1
+    assert (red[0] + extent) * W + red[1] + extent in closes[0]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import manhattan_pinball
 from manhattan_pinball import tracer
 from manhattan_pinball.cli import main
-from manhattan_pinball.configuration import constant, from_closed_sites, sample
+from manhattan_pinball.configuration import Configuration, constant, from_closed_sites, sample
 from manhattan_pinball.errors import ConfigParseError, DynamicsError, ResourceLimitError
 from manhattan_pinball.geometry import Direction, q_radius
 from manhattan_pinball.tracer import (
@@ -411,3 +411,34 @@ def test_loader_fuzz_returns_trajectory_or_parse_error(text):
     except ConfigParseError:
         return
     assert isinstance(t, Trajectory) and len(t.states) >= 1
+
+
+def test_table_walks_match_trace_summary():
+    # one table refilled field after field, and mirrors added to it in place
+    rng = np.random.default_rng(4)
+    for M, abort_at in ((6, 3), (20, 12), (20, 60)):
+        walks = tracer.TableWalks(M, abort_at)
+        for i in range(40):
+            c = sample((0.3, 0.5, 0.7)[i % 3], M, seed=5, stream_index=i)
+            walks.fill(c.closed)
+            for field in (c.closed, None):
+                if field is None:  # close some open sites on and off the orbit
+                    opens = np.flatnonzero(~c.closed)
+                    extra = np.unique(np.concatenate([
+                        rng.choice(opens, 5),
+                        np.intersect1d(opens, sites_on(path, M))[: 2 * (i % 2)]]))
+                    on_path = bool(np.intersect1d(extra, sites_on(path, M)).size)
+                    assert walks.visits(path, extra) == on_path
+                    walks.close(extra)
+                    field = c.closed.copy()
+                    field.ravel()[extra] = True
+                status, path = walks.walk()
+                want = trace_summary(Configuration(extent=M, closed=field), abort_radius=abort_at)
+                got = (STATUS_NAMES[status], len(path), walks.containment(path))
+                assert got == (want[0], want[1], want[3]), (M, abort_at, i)
+
+
+def sites_on(path, M):
+    """Flat field indices of the sites of a TableWalks path (extent M)."""
+    a, b = np.divmod(np.frombuffer(path, dtype=np.int64) >> 2, 2 * M + 3)
+    return (a - 1) * (2 * M + 1) + b - 1
