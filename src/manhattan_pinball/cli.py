@@ -177,11 +177,14 @@ def _cmd_render(args):
     return 0
 
 
-def _worker_count(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _count(least):
+    """argparse type of an integer count of at least ``least``."""
+    def count(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return count
 
 
 def _build_parser():
@@ -229,7 +232,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--enhanced", action="store_true")
     p.add_argument("--csv")
-    p.add_argument("--workers", type=_worker_count, default=1)
+    p.add_argument("--workers", type=_count(1), default=1)
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("verify", help="replay the localization theorem per sample")
@@ -239,14 +242,14 @@ def _build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pattern", default="default")
     p.add_argument("--csv")
-    p.add_argument("--workers", type=_worker_count, default=1)
+    p.add_argument("--workers", type=_count(1), default=1)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("pattern", help="check or search enhancement patterns")
     p.add_argument("action", choices=("check", "search"))
     p.add_argument("--pattern", default="default")
     p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=_count(0), default=200)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_pattern)
 

@@ -108,36 +108,48 @@ def site_sampler(M, sites):
     return closed
 
 
-# Rows a region sampler hashes at a time, over the columns the block's sites
-# span: at M = 267 a block holds at most 17,120 sites, and its two uint64
-# buffers stay in cache as _site_hash_blocks' do.
-_REGION_ROWS = 32
+# Sites hashed at a time: a block is _HASH_BLOCK // (2M + 1) rows, over the
+# columns its drawn sites span.  Two uint64 buffers of this many sites stay in
+# cache: at M = 267, sample() runs 2.9x faster than when it hashes all at once.
+_HASH_BLOCK = 1 << 15
+
+
+def _hash_blocks(M, mask):
+    """The raw hashes of the sites of extent M where the (2M+1, 2M+1) bool
+    ``mask`` holds, a block at a time: returns blocks(base), which yields
+    (row slice, column slice, hashes) in the stream keyed base =
+    stream_base(seed, i) for each block of _HASH_BLOCK // (2M+1) rows over
+    the columns its masked sites span, in buffers the next block overwrites."""
+    W = 2 * M + 1
+    coords = _as_uint64(np.arange(-M, M + 1))
+    K = max(1, min(W, _HASH_BLOCK // W))
+    spans = []
+    for lo in range(0, W, K):
+        cols = np.flatnonzero(mask[lo : lo + K].any(axis=0))
+        if len(cols):
+            spans.append((slice(lo, min(lo + K, W)), slice(cols[0], cols[-1] + 1)))
+    rows, (h, tmp) = np.empty_like(coords), np.empty((2, K * W), dtype=np.uint64)
+
+    def blocks(base):
+        hash_key(base, coords, out=rows)
+        for r, c in spans:
+            shape = (r.stop - r.start, c.stop - c.start)
+            k = shape[0] * shape[1]
+            yield r, c, hash_key(rows[r, np.newaxis], coords[c], out=h[:k].reshape(shape),
+                                 tmp=tmp[:k].reshape(shape))
+    return blocks
 
 
 def region_sampler(M, mask):
     """Draw the sites of extent M where the (2M+1, 2M+1) bool ``mask`` holds:
     returns closed(base, p, out), which writes into the field ``out`` the bits
     of sample(p, M, seed, i), keyed base = stream_base(seed, i), on each block
-    of _REGION_ROWS rows over the columns its masked sites span, and leaves
-    the rest of ``out`` as it is."""
-    W = 2 * M + 1
-    coords = _as_uint64(np.arange(-M, M + 1))
-    blocks = []
-    for lo in range(0, W, _REGION_ROWS):
-        cols = np.flatnonzero(mask[lo : lo + _REGION_ROWS].any(axis=0))
-        if len(cols):
-            blocks.append((slice(lo, min(lo + _REGION_ROWS, W)), slice(cols[0], cols[-1] + 1)))
-    size = max([(r.stop - r.start) * (c.stop - c.start) for r, c in blocks], default=0)
-    rows, (h, tmp) = np.empty_like(coords), np.empty((2, size), dtype=np.uint64)
+    of ``_hash_blocks`` and leaves the rest of ``out`` as it is."""
+    blocks = _hash_blocks(M, mask)
 
     def closed(base, p, out):
-        hash_key(base, coords, out=rows)
-        for r, c in blocks:
-            shape = (r.stop - r.start, c.stop - c.start)
-            k = shape[0] * shape[1]
-            block = hash_key(rows[r, np.newaxis], coords[c], out=h[:k].reshape(shape),
-                             tmp=tmp[:k].reshape(shape))
-            closed_bits(block, p, out=out[r, c])
+        for r, c, h in blocks(base):
+            closed_bits(h, p, out=out[r, c])
         return out
     return closed
 
@@ -198,31 +210,14 @@ class Configuration:
         return self.extent == other.extent and np.array_equal(self.closed, other.closed)
 
 
-# Sites a field hashes at a time.  Two uint64 buffers of this many sites stay in
-# cache: at M = 267, sample() runs 2.9x faster than when it hashes all at once.
-_HASH_BLOCK = 1 << 15
-
-
-def _site_hash_blocks(M, seed, stream_index):
-    """Raw hashes (uint64) of every site of a sample stream, a block of rows at
-    a time: yields (row slice, hashes), in buffers the next block overwrites."""
-    W = 2 * M + 1
-    coords = _as_uint64(np.arange(-M, M + 1))
-    rows = hash_key(stream_base(seed, stream_index), coords)
-    K = max(1, min(W, _HASH_BLOCK // W))
-    h, tmp = np.empty((2, K, W), dtype=np.uint64)
-    for lo in range(0, W, K):
-        block = slice(lo, min(lo + K, W))
-        k = block.stop - lo
-        yield block, hash_key(rows[block, np.newaxis], coords, out=h[:k], tmp=tmp[:k])
-
-
 def uniforms(M: int, seed: int, stream_index: int) -> UniformField:
     """Counter-based uniform field over sites |a|, |b| <= M."""
     _check_extent(M)
-    u = np.empty((2 * M + 1, 2 * M + 1))
-    for block, h in _site_hash_blocks(M, seed, stream_index):
-        unit(h, out=u[block])
+    W = 2 * M + 1
+    u = np.empty((W, W))
+    blocks = _hash_blocks(M, np.ones((W, W), dtype=bool))
+    for r, c, h in blocks(stream_base(seed, stream_index)):
+        unit(h, out=u[r, c])
     u.flags.writeable = False
     return UniformField(extent=M, u=u, seed=seed, stream_index=stream_index)
 
@@ -251,9 +246,9 @@ def sample(p: float, M: int, seed: int, stream_index: int = 0) -> Configuration:
     raw site hashes, equal to threshold(uniforms(M, seed, stream_index), p)."""
     _check_extent(M)
     check_probability(p)
-    closed = np.empty((2 * M + 1, 2 * M + 1), dtype=bool)
-    for block, h in _site_hash_blocks(M, seed, stream_index):
-        closed_bits(h, p, out=closed[block])
+    W = 2 * M + 1
+    closed = region_sampler(M, np.ones((W, W), dtype=bool))(
+        stream_base(seed, stream_index), p, np.empty((W, W), dtype=bool))
     return Configuration(extent=M, closed=closed, p=p, seed=seed, stream_index=stream_index,
                          provenance="sampled")
 

@@ -49,6 +49,9 @@ PATTERN_FORMAT_VERSION = 1
 # template (the search stops at radius 4), and its checks build fields and
 # scan offsets of a few times its radius.
 PATTERN_MAX_RADIUS = 16
+_DETOUR_MAX_RADIUS = 5  # see check_detour
+# The detour route search stops after this many search nodes or routes.
+_ROUTE_NODE_BUDGET, _MAX_ROUTES = 200000, 64
 
 
 @dataclass(frozen=True)
@@ -217,12 +220,12 @@ def _pattern_config(g: Pattern, extent=None) -> Configuration:
     return from_closed_sites(extent, g.closed_sites)
 
 
-def check_detour(g: Pattern, max_radius: int = 5) -> DetourReport:
+def check_detour(g: Pattern) -> DetourReport:
     """Trace the pattern's detour loop for both transit entry directions.
 
     For each entry direction d the loop must return the ray to the red site
     leaving with reflect(d, orientation(red)), stay within l-inf distance
-    ``max_radius`` of the red site, and visit only pattern-constrained
+    _DETOUR_MAX_RADIUS of the red site, and visit only pattern-constrained
     sites.  The other two directions cannot transit the red site and are
     recorded as diagnostics.
     """
@@ -257,8 +260,8 @@ def check_detour(g: Pattern, max_radius: int = 5) -> DetourReport:
             np.max(np.maximum(np.abs(loop[:, 0] - red[0]), np.abs(loop[:, 1] - red[1])))
         )
         radius = max(radius, dist)
-        if dist > max_radius:
-            failure = f"entry {d.name}: detour radius {dist} exceeds {max_radius}"
+        if dist > _DETOUR_MAX_RADIUS:
+            failure = f"entry {d.name}: detour radius {dist} exceeds {_DETOUR_MAX_RADIUS}"
             break
         visited = {(int(a), int(b)) for a, b in loop[:, :2]}
         stray = visited - g.sites
@@ -325,7 +328,7 @@ def _chain_to_boundary(g, extent, start_vertex, westward, blocked_vertices):
     return [site_between(v, w) for v, w in zip(path, path[1:])], path
 
 
-def check_essential(g: Pattern, window: int | None = None, budget: int = 2000):
+def check_essential(g: Pattern, budget: int = 2000):
     """Search for a pivotality witness; (witness config or None, trials used).
 
     The first candidate is constructive: two closed chains tied to the red
@@ -333,9 +336,7 @@ def check_essential(g: Pattern, window: int | None = None, budget: int = 2000):
     only bridge.  Remaining budget goes to randomized fill of unconstrained
     sites.  Absence of a witness within budget is inconclusive.
     """
-    W = window if window is not None else 2 * g.radius + 6
-    if W < 2 * g.radius + 4:
-        raise ValueError("window must be at least 2 * radius + 4")
+    W = 2 * g.radius + 6  # the window's extent
     trials = 0
     v_w, v_e = edge_for_site(g.red_site)
     built = _chain_to_boundary(g, W, v_w, True, set())
@@ -387,7 +388,7 @@ def validate_pattern(g: Pattern, essential_budget: int = 2000) -> PatternReport:
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_detour_routes(r_max, entry, exit_dir, node_budget=200000, max_routes=64):
+def _enumerate_detour_routes(r_max, entry, exit_dir):
     """DFS over mirror placements for a loop from the anchor back to itself.
 
     Yields (mirrors, opens) for routes that start at (0, 0) moving ``entry``
@@ -400,7 +401,7 @@ def _enumerate_detour_routes(r_max, entry, exit_dir, node_budget=200000, max_rou
     def dfs(a, b, d, mirrors, opens):
         nonlocal nodes
         nodes += 1
-        if nodes > node_budget or len(results) >= max_routes:
+        if nodes > _ROUTE_NODE_BUDGET or len(results) >= _MAX_ROUTES:
             return
         da, db = ((1, 0), (0, 1), (-1, 0), (0, -1))[d]
         na, nb = a + da, b + db

@@ -166,7 +166,8 @@ def _label(bits, raster):
     K = len(bits)
     image = np.empty((K,) + raster.base.shape, dtype=bool)
     image[:] = raster.base
-    image.reshape(K, -1)[:, raster.pixels] = bits.reshape(K, -1)[:, raster.sites]
+    for pixels, field in zip(image.reshape(K, -1), bits):
+        pixels[raster.pixels] = np.take(field, raster.sites)
     labels, count = ndimage.label(image, _PLANE)
     return labels.reshape(K, -1), count
 

@@ -11,13 +11,13 @@ byte budget, and no tally depends on them.  The harness replays the
 localization argument per sample: if the enhanced field carries an exact
 surrounding circuit at scale n, the origin trajectory of the raw field must
 close inside Q_{2n+2D} and the hybrid field (raw core, enhanced exterior)
-must localize inside Q_{2n}.  A verify worker allocates its field, dual
-image, labels and trace table once, and each sample draws only the sites its
-record reads: Q_{2n+2D}, and the usable sites and Q_{2n+1} dilated by the
-pattern.  The enhanced circuit image and the hybrid's walk are patches of the
-raw ones at the matched reds.  A sample is decided so only when its raw orbit
-closes inside Q_{2n+2D} and its hybrid orbit inside Q_{2n}; any other is
-recomputed on whole fields by ``_verify_reference``.
+must localize inside Q_{2n}.  A verify worker reuses one field and one walk
+table, and a sample draws only the sites its record reads.  Its enhanced
+circuit is ``circuit_holds`` on that field with the matched reds closed, and
+its hybrid walk the raw walk's table with the reds outside the core added.
+Only a sample whose raw orbit closes inside Q_{2n+2D} and whose hybrid orbit
+closes inside Q_{2n} is decided so; any other is recomputed on whole fields
+by ``_verify_reference``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from .configuration import (
     stream_base,
 )
 from .enhancement import Pattern, _match_mask, _offsets, check_detour, enhance, enhance_stack
-from .events import EVENTS, Event, EventResult, _circuit_static, surrounding_circuit_exact
+from .events import (EVENTS, Event, EventResult, _circuit_static, circuit_holds,
+                     surrounding_circuit_exact)
 from .geometry import edge_ends, edge_in_region, in_region
 from .tracer import (
     CLOSED,
@@ -59,10 +60,11 @@ from .tracer import (
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(k: int, n: int, z: float = _Z95):
+def wilson_interval(k: int, n: int):
     """95% Wilson score interval for a binomial proportion."""
     if not 0 <= k <= n or n < 1:
         raise ValueError("need 0 <= k <= n, n >= 1")
+    z = _Z95
     denom = n + z * z
     center = (k + z * z / 2.0) / denom
     half = z * np.sqrt(k * (n - k) / n + z * z / 4.0) / denom
@@ -379,7 +381,6 @@ class _VerifyStatic(NamedTuple):
 
     reach: int  # raw walks abort beyond Q_reach
     drawn: np.ndarray  # (W, W) mask of the sites a record reads
-    circuit: tuple  # the circuit detector's raster, center and ring
     red: int  # flat field index of the red site of the match at (0, 0) of _match_mask
 
 
@@ -392,15 +393,14 @@ def _verify_static(extent, n, g, reach):
     W = 2 * extent + 1
     a = np.arange(-extent, extent + 1, dtype=np.int16)
     u, v = a[:, np.newaxis] + a - 1, a[:, np.newaxis] - a  # the sites' tilted coordinates
-    raster, center, ring = _circuit_static(extent, n)
     exact = in_region("Q", 2 * n + 1, u, v)
-    exact.ravel()[raster.sites] = True
+    exact.ravel()[_circuit_static(extent, n)[0].sites] = True
     drawn = _dilated(exact, g)
     drawn |= in_region("Q", reach, u, v)
     drawn.flags.writeable = False
     t1_lo, t2_lo, _ = _offsets(extent, g, None)
     red = (t1_lo + g.red_site[0] + extent) * W + t2_lo + g.red_site[1] + extent
-    return _VerifyStatic(reach, drawn, (raster, center, ring), red)
+    return _VerifyStatic(reach, drawn, red)
 
 
 def _outside_core(sites, extent):
@@ -421,42 +421,32 @@ def _matched_reds(field, g, red):
 def _verify_samples(args):
     """Worker body: the records of a run of sample indices.
 
-    Every buffer is allocated once per call, and a sample draws only the
-    sites its record reads (the rest read open).  The enhanced field differs
-    from the raw one at the matched red sites alone, so the circuit image
-    takes the raw open bits and then clears the usable reds, and the hybrid,
-    the raw field plus the reds outside Q_100, is walked on the raw walk's
-    table with those reds added, only if the raw orbit meets one.  A sample
-    is decided here when its raw orbit closes inside Q_{2n+2D} and its hybrid
-    orbit inside Q_2n, where the drawn bits are exact; any other, as a
-    theorem failure would be, is recomputed by ``_verify_reference``.
+    The field and the walk table are allocated once per call, and a sample
+    draws only the sites its record reads (the rest read open).  The
+    enhanced field is the raw one with the matched reds closed, and a matched
+    red is open in the raw field, so the reds are closed for the circuit and
+    opened again for the raw walk.  The hybrid, the raw field plus the reds
+    outside Q_100, is walked on the raw walk's table with those reds added,
+    only if the raw orbit meets one.  A sample is decided here when its raw
+    orbit closes inside Q_{2n+2D} and its hybrid orbit inside Q_2n, where the
+    drawn bits are exact; any other, as a theorem failure would be, is
+    recomputed by ``_verify_reference``.
     """
-    from scipy import ndimage  # imported on first use, as events does
-
     p, n, seed, extent, g, D, indices = args
     st = _verify_static(extent, n, g, 2 * n + 2 * D)
-    raster, center, ring = st.circuit
     W = 2 * extent + 1
     draw = region_sampler(extent, st.drawn)
     field = np.zeros((W, W), dtype=bool)
     flat = field.ravel()
-    bits = np.empty(len(raster.sites), dtype=bool)
-    image = raster.base.copy()  # a sample rewrites just the usable sites' pixels
-    labels = np.empty(image.shape, dtype=np.int32)
-    pixels, label_of = image.ravel(), labels.ravel()
     walks = TableWalks(extent, st.reach)
     records = []
     for i, base in zip(indices, stream_base(seed, indices)):
         draw(base, p, field)
         reds = _matched_reds(field, g, st.red)
-        # the enhanced circuit: usable sites show the raw open bits, except
-        # that a matched red is closed
-        np.logical_not(np.take(flat, raster.sites, out=bits), out=bits)
-        pixels[raster.pixels] = bits
-        at = np.minimum(np.searchsorted(raster.sites, reds), len(bits) - 1)
-        pixels[raster.pixels[at[raster.sites[at] == reds]]] = False
-        ndimage.label(image, output=labels)
-        if not (label_of[ring] != label_of[center]).all():
+        flat[reds] = True
+        circuit = circuit_holds(field[np.newaxis], n)[0]
+        flat[reds] = False
+        if not circuit:
             records.append(VerificationRecord(sample=i, circuit=False, closed=None,
                                               contained=None, hybrid_contained=None,
                                               passed=True))
@@ -554,15 +544,15 @@ def _write_csv(header, rows):
     return buf.getvalue()
 
 
-def estimates_csv(reports, deterministic: bool = True) -> str:
+def estimates_csv(reports) -> str:
     """CSV per the estimates schema.
 
-    ``deterministic`` zeroes walltime_ms so output is byte-identical across
-    runs and worker counts; real timing stays on the report objects.
+    walltime_ms is written as 0 so output is byte-identical across runs and
+    worker counts; real timing stays on the report objects.
     """
     rows = [
         (r.event, r.p, r.n, r.trials, r.hits, r.estimate, r.ci_lo, r.ci_hi,
-         r.seed, r.generator, 0 if deterministic else r.walltime_ms)
+         r.seed, r.generator, 0)
         for r in reports
     ]
     return _write_csv(

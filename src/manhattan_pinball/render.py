@@ -7,7 +7,7 @@ sorted element order, no timestamps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .configuration import Configuration
 from .geometry import mirror_orientation, region_bounds
@@ -15,7 +15,7 @@ from .geometry import mirror_orientation, region_bounds
 ALL_LAYERS = ("lattice", "mirrors", "trajectory", "circuit_witness",
               "pattern_matches", "regions")
 
-_DEFAULT_PALETTE = {
+_PALETTE = {
     "lattice": "#d0d0d0",
     "mirrors": "#1a1a1a",
     "trajectory": "#d62728",
@@ -29,9 +29,10 @@ _DEFAULT_PALETTE = {
 class RenderSpec:
     layers: tuple = ("lattice", "mirrors")
     scale: int = 24
-    palette: dict = field(default_factory=lambda: dict(_DEFAULT_PALETTE))
 
     def __post_init__(self):
+        if self.scale < 1:
+            raise ValueError(f"scale must be >= 1, got {self.scale}")
         for layer in self.layers:
             if layer not in ALL_LAYERS:
                 raise ValueError(f"unknown layer {layer!r}")
@@ -86,10 +87,9 @@ def render_svg(config: Configuration, spec: RenderSpec | None = None,
         f'<rect x="{-M * s - pad}" y="{-M * s - pad}" width="{size}" '
         f'height="{size}" fill="white"/>',
     ]
-    pal = spec.palette
     if "lattice" in spec.layers:
         # tilted-lattice edges: one per site, drawn faintly
-        color = pal["lattice"]
+        color = _PALETTE["lattice"]
         for a in range(-M, M + 1):
             for b in range(-M, M + 1):
                 if mirror_orientation((a, b)) == 0:
@@ -99,7 +99,7 @@ def render_svg(config: Configuration, spec: RenderSpec | None = None,
                     parts.append(_segment((a - 0.5, b + 0.5), (a + 0.5, b - 0.5),
                                           s, color, 1))
     if "mirrors" in spec.layers:
-        color = pal["mirrors"]
+        color = _PALETTE["mirrors"]
         for a in range(-M, M + 1):
             for b in range(-M, M + 1):
                 if not config.closed_at((a, b)):
@@ -115,27 +115,27 @@ def render_svg(config: Configuration, spec: RenderSpec | None = None,
             u0, u1, v0, v1 = region_bounds(region.kind, region.n)
             box = [(u0, v0), (u0, v1), (u1, v1), (u1, v0)]
             pts = [((u + 1 + v) / 2, (u + 1 - v) / 2) for u, v in box]
-            parts.append(_polyline(pts + pts[:1], s, pal["regions"], 1.5, dash="6,4"))
+            parts.append(_polyline(pts + pts[:1], s, _PALETTE["regions"], 1.5, dash="6,4"))
     if "pattern_matches" in spec.layers and matches is not None:
         ra, rb = red_site if red_site is not None else (0, 0)
         for t1, t2 in matches.offsets:
             a, b = ra + t1, rb + t2
             x, y = _xy(a, b, s)
             parts.append(f'<circle cx="{x}" cy="{y}" r="{_fnum(0.3 * s)}" '
-                         f'fill="none" stroke="{pal["pattern_matches"]}" '
+                         f'fill="none" stroke="{_PALETTE["pattern_matches"]}" '
                          f'stroke-width="2"/>')
     if "circuit_witness" in spec.layers and witness:
         pts = list(witness)
         if pts[0] != pts[-1]:
             pts.append(pts[0])
-        parts.append(_polyline(pts, s, pal["circuit_witness"], 2.5))
+        parts.append(_polyline(pts, s, _PALETTE["circuit_witness"], 2.5))
     if "trajectory" in spec.layers and trajectory is not None:
         pts = [(int(a), int(b)) for a, b in trajectory.states[:, :2]]
         if trajectory.status == "closed":
             pts.append(pts[0])
-        parts.append(_polyline(pts, s, pal["trajectory"], 2))
+        parts.append(_polyline(pts, s, _PALETTE["trajectory"], 2))
         x, y = _xy(*pts[0], s)
         parts.append(f'<circle cx="{x}" cy="{y}" r="{_fnum(0.15 * s)}" '
-                     f'fill="{pal["trajectory"]}"/>')
+                     f'fill="{_PALETTE["trajectory"]}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -3,11 +3,11 @@
 The ray state is (site just departed, outgoing direction); the origin ray is
 ((0, 0), E).  The forward map is a bijection on states, so every trajectory
 is either a closed orbit or leaves the extent.  ``step`` and ``step_back``
-are the reference dynamics; ``trace`` and ``trace_summary`` share one
-table-driven kernel that walks a flat byte copy of the field.
+are the reference dynamics.  Every other walk runs one table-driven kernel
+on a flat byte copy of the field that a ``TableWalks`` owns, with the
+kernel's state encoding; a loop over fields refills one table.
 ``trace_lockstep`` walks the origin rays of many sampled fields at once
 without building the fields: each step hashes just the sites the rays enter.
-``TableWalks`` walks the origin ray of one field after another on one table.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ from .geometry import UNIT, Direction, mirror_orientation, q_radius, reflect, ti
 class RayState(NamedTuple):
     site: tuple
     dir: Direction
+
+
+_ORIGIN = RayState((0, 0), Direction.E)
 
 
 class Escape(Exception):
@@ -116,28 +119,6 @@ def _abort_codes(M, abort_at):
     return codes
 
 
-def _fill_cells(table: bytearray, closed: np.ndarray, abort_at: int | None) -> None:
-    """Write the mirror field ``closed`` into the inside of the padded code
-    table ``table``, whose pad ring reads _OUT; sites of radius above
-    ``abort_at`` read as _FAR."""
-    M = closed.shape[0] // 2
-    P = 2 * M + 3
-    inner = np.frombuffer(table, dtype=np.uint8).reshape(P, P)[1:-1, 1:-1]
-    if abort_at is None:
-        np.multiply(closed, _code_table(M), out=inner)
-    else:
-        mirror, far = _abort_codes(M, abort_at)
-        np.bitwise_or(np.multiply(closed, mirror, out=inner), far, out=inner)
-
-
-def _cells(closed: np.ndarray, abort_at: int | None) -> bytearray:
-    """The padded code table of the mirror field ``closed``; sites of radius above
-    ``abort_at`` read as _FAR."""
-    table = bytearray([_OUT]) * (closed.shape[0] + 2) ** 2
-    _fill_cells(table, closed, abort_at)
-    return table
-
-
 _REPEATED = "non-start state repeated: dynamics not injective"
 
 
@@ -192,6 +173,13 @@ def _trace_kernel(cells: bytes, P: int, s0: int, max_steps: int, at: int | None 
         np.frombuffer(seen, dtype=np.uint8)[np.frombuffer(path, dtype=np.int64)] = 0
 
 
+def _abort_at(abort_radius: int, start: RayState) -> int | None:
+    """The radius beyond which a walk from ``start`` aborts: none for
+    ``abort_radius < 0``, else the larger of ``abort_radius`` and the start's
+    own, so a start already outside Q_abort_radius does not abort at once."""
+    return max(abort_radius, q_radius(start.site)) if abort_radius >= 0 else None
+
+
 def _walk(c: Configuration, start: RayState, max_steps: int | None,
           abort_radius: int):
     """Run the kernel; returns (status, a, b, dir, linf_diameter, containment).
@@ -200,48 +188,51 @@ def _walk(c: Configuration, start: RayState, max_steps: int | None,
     """
     if not c.in_extent(start.site):
         raise ValueError("start site outside extent")
-    if max_steps is None:
-        max_steps = default_max_steps(c.extent)
-    if max_steps < 1:
+    if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    M = c.extent
-    P = 2 * M + 3
-    # The walk aborts on first reaching a site farther out than both
-    # abort_radius and the start, so a start already outside Q_abort_radius
-    # does not abort at once.
-    abort_at = max(abort_radius, q_radius(start.site)) if abort_radius >= 0 else None
-    a0, b0 = start.site
-    s0 = 4 * ((a0 + M + 1) * P + b0 + M + 1) + int(start.dir)
-    status, path = _trace_kernel(_cells(c.closed, abort_at), P, s0, max_steps)
-    s = np.frombuffer(path, dtype=np.int64)
-    a, b = np.divmod(s >> 2, P)
-    a -= M + 1
-    b -= M + 1
+    walks = TableWalks(c.extent, _abort_at(abort_radius, start))
+    walks.fill(c.closed)
+    status, path = walks.walk(start, max_steps)
+    a, b = walks.sites(path)
     diam = max(np.ptp(a), np.ptp(b))
-    radius = tilted_radius(a + b - 1, a - b).max()
-    return status, a, b, s & 3, int(diam), int(radius)
+    return (status, a, b, np.frombuffer(path, dtype=np.int64) & 3, int(diam),
+            walks.containment(path))
 
 
 class TableWalks:
-    """Walks of the origin ray on fields of extent M written one after another
-    into one padded code table, so a loop over fields allocates none; sites of
-    radius above ``abort_at`` read as _FAR.  A walk's path is the kernel's:
+    """Walks on fields of extent M written one after another into one padded
+    code table, so a loop over fields allocates none; sites of radius above
+    ``abort_at`` (None: no site) read as _FAR.  A walk's path is the kernel's:
     state 4j + direction for the table index j of each site it visits."""
 
-    def __init__(self, M: int, abort_at: int):
+    def __init__(self, M: int, abort_at: int | None):
         self.M, self.abort_at, self.P = M, abort_at, 2 * M + 3
         self.table = bytearray([_OUT]) * self.P ** 2
         self.cells = np.frombuffer(self.table, dtype=np.uint8)
-        self.s0 = 4 * ((M + 1) * self.P + M + 1) + int(Direction.E)
 
     def fill(self, closed: np.ndarray) -> None:
-        """Write the mirror field ``closed`` into the table."""
-        _fill_cells(self.table, closed, self.abort_at)
+        """Write the mirror field ``closed`` into the inside of the table."""
+        inner = self.cells.reshape(self.P, self.P)[1:-1, 1:-1]
+        if self.abort_at is None:
+            np.multiply(closed, _code_table(self.M), out=inner)
+        else:
+            mirror, far = _abort_codes(self.M, self.abort_at)
+            np.bitwise_or(np.multiply(closed, mirror, out=inner), far, out=inner)
+
+    def state(self, ray: RayState = _ORIGIN) -> int:
+        """The kernel state of ``ray``."""
+        (a, b), M = ray.site, self.M
+        return 4 * ((a + M + 1) * self.P + b + M + 1) + int(ray.dir)
 
     def index(self, sites: np.ndarray) -> np.ndarray:
         """Table indices of the flat field indices ``sites``."""
         row, col = np.divmod(sites, 2 * self.M + 1)
         return (row + 1) * self.P + col + 1
+
+    def sites(self, path):
+        """(a, b): the int64 coordinates of each site on ``path``."""
+        a, b = np.divmod(np.frombuffer(path, dtype=np.int64) >> 2, self.P)
+        return a - (self.M + 1), b - (self.M + 1)
 
     def close(self, sites: np.ndarray) -> None:
         """Put a mirror on each of the flat field ``sites`` that reads open."""
@@ -254,14 +245,19 @@ class TableWalks:
         on = np.frombuffer(path, dtype=np.int64)[:, np.newaxis] >> 2 == self.index(sites)
         return bool(on.any())
 
-    def walk(self):
-        """(status, path) of the origin ray within default_max_steps(M) steps."""
-        return _trace_kernel(self.table, self.P, self.s0, default_max_steps(self.M))
+    def walk(self, start: RayState = _ORIGIN, max_steps: int | None = None,
+             at: int | None = None):
+        """(status, path) of ``_trace_kernel`` from ``start`` within
+        ``max_steps`` steps (default_max_steps(M) when None), resumed from
+        state ``at`` when given."""
+        if max_steps is None:
+            max_steps = default_max_steps(self.M)
+        return _trace_kernel(self.table, self.P, self.state(start), max_steps, at)
 
     def containment(self, path) -> int:
         """The largest radius of a site on ``path``."""
-        a, b = np.divmod(np.frombuffer(path, dtype=np.int64) >> 2, self.P)
-        return int(tilted_radius(a + b - 2 * self.M - 3, a - b).max())
+        a, b = self.sites(path)
+        return int(tilted_radius(a + b - 1, a - b).max())
 
 
 # The lockstep walk keeps each ray's direction doubled, e = 2d, and reads its
@@ -306,22 +302,20 @@ def trace_lockstep(p: float, M: int, seed: int, stream_indices,
     check_probability(p)
     _check_extent(M)
     max_steps = default_max_steps(M)
-    P = 2 * M + 3
-    abort_at = max(abort_radius, q_radius((0, 0))) if abort_radius >= 0 else None
-    s0 = 4 * ((M + 1) * P + M + 1) + int(Direction.E)
+    walks = TableWalks(M, _abort_at(abort_radius, _ORIGIN))
     K = len(stream_indices)
     status = np.full(K, BUDGET_EXCEEDED, dtype=np.int8)
-    steps, pos, at = 0, np.arange(K), np.full(K, s0)
+    steps, pos, at = 0, np.arange(K), np.full(K, walks.state())
     if K > _LOCKSTEP_MIN_RAYS:
-        steps, pos, at = _lockstep(p, M, seed, stream_indices, abort_at, max_steps, s0, status)
+        steps, pos, at = _lockstep(p, M, seed, stream_indices, walks, max_steps, status)
     if steps < max_steps:
         for k, s in zip(pos.tolist(), at.tolist()):
-            field = sample(p, M, seed, stream_indices[k]).closed
-            status[k] = _trace_kernel(_cells(field, abort_at), P, s0, max_steps - steps, s)[0]
+            walks.fill(sample(p, M, seed, stream_indices[k]).closed)
+            status[k] = walks.walk(max_steps=max_steps - steps, at=s)[0]
     return status
 
 
-def _lockstep(p, M, seed, stream_indices, abort_at, max_steps, s0, status):
+def _lockstep(p, M, seed, stream_indices, walks, max_steps, status):
     """Walk the origin rays in lockstep until at most _LOCKSTEP_MIN_RAYS are
     live or ``max_steps`` steps are done, writing the status of each ray that
     ends into ``status``.  Returns (steps, positions, states) of the rest.
@@ -334,10 +328,9 @@ def _lockstep(p, M, seed, stream_indices, abort_at, max_steps, s0, status):
     _trace_kernel has marked.
     """
     P = 2 * M + 3
-    W = 2 * M + 1
     # 8 * code of every cell of the padded table, and its uint64 coordinates
-    cells = 2 * np.frombuffer(_cells(np.ones((W, W), dtype=bool), abort_at),
-                              dtype=np.uint8).astype(np.intp)
+    walks.fill(np.ones((2 * M + 1, 2 * M + 1), dtype=bool))
+    cells = 2 * walks.cells.astype(np.intp)
     axis = _as_uint64(np.arange(-M - 1, M + 2))
     cell_a, cell_b = np.repeat(axis, P), np.tile(axis, P)
     step = np.repeat((P, 1, -P, -1), 2)  # by doubled direction
@@ -346,6 +339,7 @@ def _lockstep(p, M, seed, stream_indices, abort_at, max_steps, s0, status):
     ending[_ESC], ending[_ABORT] = ESCAPED, ABORTED
 
     K = len(stream_indices)
+    s0 = walks.state()
     key0 = np.array(2 * s0)  # the start's state key 8j + e
     j = np.full(K, s0 >> 2)
     e = np.full(K, 2 * (s0 & 3))
@@ -418,7 +412,7 @@ def default_max_steps(M: int) -> int:
     return 16 * (2 * M + 1) ** 2
 
 
-def trace(c: Configuration, start: RayState = RayState((0, 0), Direction.E),
+def trace(c: Configuration, start: RayState = _ORIGIN,
           max_steps: int | None = None) -> Trajectory:
     """Iterate the step map until closure, escape, or step budget."""
     status, a, b, d, diam, radius = _walk(c, start, max_steps, -1)
@@ -433,7 +427,7 @@ def trace(c: Configuration, start: RayState = RayState((0, 0), Direction.E),
     )
 
 
-def trace_summary(c: Configuration, start: RayState = RayState((0, 0), Direction.E),
+def trace_summary(c: Configuration, start: RayState = _ORIGIN,
                   max_steps: int | None = None, abort_radius: int = -1):
     """(status, number of states, linf_diameter, containment) of ``trace``.
 

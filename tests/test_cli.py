@@ -151,6 +151,18 @@ def test_bad_layer_is_usage_error(tmp_path, capsys):
                 "--out", str(tmp_path / "x.svg")]) == 2
 
 
+@pytest.mark.parametrize("scale", ["0", "-2"])
+def test_render_scale_below_one_is_usage_error(tmp_path, capsys, scale):
+    # a scale below 1 would draw a 0x0 or negative-size picture
+    cfg = tmp_path / "c.txt"
+    run(["sample", "--p", "0.5", "--extent", "5", "--seed", "1",
+         "--out", str(cfg)])
+    assert run(["render", "--config", str(cfg), "--scale", scale,
+                "--out", str(tmp_path / "x.svg")]) == 2
+    assert "scale must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_is_usage_error(workers, capsys):
     for cmd in (["estimate", "--event", "closure", "--n", "4"],
@@ -160,6 +172,14 @@ def test_workers_below_one_is_usage_error(workers, capsys):
                        "--workers", workers])
         assert ei.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["check", "search"])
+def test_negative_pattern_budget_is_usage_error(action, capsys):
+    with pytest.raises(SystemExit) as ei:
+        run(["pattern", action, "--radius", "2", "--budget", "-1"])
+    assert ei.value.code == 2
+    assert "--budget: must be >= 0" in capsys.readouterr().err
 
 
 def test_bad_trajectory_file_is_parse_error(tmp_path, capsys):

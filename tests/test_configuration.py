@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manhattan_pinball.configuration import (
+    _HASH_BLOCK,
     GENERATOR_ID,
-    _REGION_ROWS,
     Configuration,
-    _site_hash_blocks,
+    _hash_blocks,
     closed_bits,
     constant,
     dumps,
@@ -114,14 +114,15 @@ def test_raw_hash_rule_matches_thresholded_uniforms():
         W = 2 * M + 1
         part = np.flatnonzero(rng.random(W * W) < 0.3)  # a site subset, drawn alone
         draw_all, draw_part = site_sampler(M, np.arange(W * W)), site_sampler(M, part)
+        blocks = _hash_blocks(M, np.ones((W, W), dtype=bool))
         for seed in (0, -1, 2**62, -2**63):
             for i in (0, 7, 2**40):
                 f = uniforms(M, seed, i)
                 base = stream_base(seed, i)
                 for p in ORACLE_PROBABILITIES:
                     want = threshold(f, p).closed
-                    for block, h in _site_hash_blocks(M, seed, i):
-                        assert np.array_equal(closed_bits(h, p), want[block]), (M, seed, i, p)
+                    for r, c, h in blocks(base):
+                        assert np.array_equal(closed_bits(h, p), want[r, c]), (M, seed, i, p)
                     assert np.array_equal(sample(p, M, seed, i).closed, want)
                     assert np.array_equal(draw_all(base, p), want.ravel())
                     assert np.array_equal(draw_part(base, p), want.ravel()[part])
@@ -135,8 +136,9 @@ def test_raw_hash_rule_matches_thresholded_uniforms():
 
 def test_region_sampler_draws_the_masked_sites_as_sample_does():
     rng = np.random.default_rng(8)
-    for M in (1, 20, 70):
+    for M in (1, 20, 70, 100):  # 100: two blocks of rows
         W = 2 * M + 1
+        K = max(1, min(W, _HASH_BLOCK // W))  # rows per block
         masks = [np.zeros((W, W), dtype=bool), np.ones((W, W), dtype=bool),
                  rng.random((W, W)) < 0.02]
         a = np.abs(np.arange(-M, M + 1))
@@ -150,12 +152,12 @@ def test_region_sampler_draws_the_masked_sites_as_sample_does():
                 assert np.array_equal(out[mask], want[mask]), (M, seed, i, p)
                 # a block of rows is drawn over the columns its masked sites span
                 written = out == want
-                for lo in range(0, W, _REGION_ROWS):
-                    cols = np.flatnonzero(mask[lo : lo + _REGION_ROWS].any(axis=0))
+                for lo in range(0, W, K):
+                    cols = np.flatnonzero(mask[lo : lo + K].any(axis=0))
                     span = np.zeros(W, dtype=bool)
                     if len(cols):
                         span[cols[0] : cols[-1] + 1] = True
-                    assert np.array_equal(written[lo : lo + _REGION_ROWS].any(axis=0), span)
+                    assert np.array_equal(written[lo : lo + K].any(axis=0), span)
 
 
 @pytest.mark.parametrize("bad", [-2**63 - 1, 2**63, 99999999999999999999999])

@@ -18,7 +18,7 @@ from manhattan_pinball.enhancement import (
     enhance_stack,
 )
 from manhattan_pinball.errors import ResourceLimitError
-from manhattan_pinball.events import rect_crossing, surrounding_circuit_exact
+from manhattan_pinball.events import _circuit_static, rect_crossing, surrounding_circuit_exact
 from manhattan_pinball.montecarlo import (
     EstimationReport,
     compare_enhanced,
@@ -416,6 +416,33 @@ def test_verify_fast_path_matches_reference(p, seed):
     g = default_pattern()
     records, _ = verify_theorem(p, 102, 16, seed, g)
     assert records == _reference_records(p, 102, 16, seed, g)
+
+
+def test_verify_decides_the_circuit_on_the_enhanced_field_and_walks_the_raw_one(monkeypatch):
+    # the matched reds are closed for the circuit and open again for the walk
+    g = default_pattern()
+    p, n, N, seed = 0.55, 102, 8, 2
+    D = check_detour(g).radius
+    extent = montecarlo.verify_extent(n, g, D)
+    circuits, walked = [], []
+    real_holds, real_fill = montecarlo.circuit_holds, tracer.TableWalks.fill
+    monkeypatch.setattr(montecarlo, "circuit_holds", lambda closed, n: (
+        circuits.append(closed[0].copy()) or real_holds(closed, n)))
+    monkeypatch.setattr(tracer.TableWalks, "fill", lambda walks, closed: (
+        walked.append(closed.copy()) or real_fill(walks, closed)))
+    records = montecarlo._verify_samples((p, n, seed, extent, g, D, range(N)))
+    reads = _circuit_static(extent, n)[0].sites
+    drawn = montecarlo._verify_static(extent, n, g, 2 * n + 2 * D).drawn
+    raw = [sample(p, extent, seed, i).closed for i in range(N)]
+    patched = [0, 0]  # samples whose reds change what the circuit, the walk reads
+    for field, w in zip(circuits, raw):
+        enhanced = enhance_stack(w, g).ravel()[reads]
+        assert np.array_equal(field.ravel()[reads], enhanced)
+        patched[0] += not np.array_equal(w.ravel()[reads], enhanced)
+    for field, w in zip(walked, [w for r, w in zip(records, raw) if r.circuit]):
+        assert np.array_equal(field[drawn], w[drawn])
+        patched[1] += not np.array_equal(field[drawn], enhance_stack(w, g)[drawn])
+    assert len(circuits) == N and min(patched) > 0
 
 
 def _shrunk_reach(monkeypatch, reach):

@@ -413,8 +413,15 @@ def test_loader_fuzz_returns_trajectory_or_parse_error(text):
     assert isinstance(t, Trajectory) and len(t.states) >= 1
 
 
+# (start, step budget) of the walks below; each start lies in Q_3, inside
+# every abort radius the test uses, so trace_summary aborts where they do
+_TABLE_WALKS = ((RayState((0, 0), Direction.E), None), (RayState((1, 2), Direction.S), None),
+                (RayState((-2, 1), Direction.W), 9), (RayState((0, -1), Direction.N), 300))
+
+
 def test_table_walks_match_trace_summary():
-    # one table refilled field after field, and mirrors added to it in place
+    # one table refilled field after field, and mirrors added to it in place;
+    # a walk stopped half way and resumed from its last state ends as it would
     rng = np.random.default_rng(4)
     for M, abort_at in ((6, 3), (20, 12), (20, 60)):
         walks = tracer.TableWalks(M, abort_at)
@@ -432,10 +439,20 @@ def test_table_walks_match_trace_summary():
                     walks.close(extra)
                     field = c.closed.copy()
                     field.ravel()[extra] = True
-                status, path = walks.walk()
-                want = trace_summary(Configuration(extent=M, closed=field), abort_radius=abort_at)
-                got = (STATUS_NAMES[status], len(path), walks.containment(path))
-                assert got == (want[0], want[1], want[3]), (M, abort_at, i)
+                for start, budget in reversed(_TABLE_WALKS):  # the origin's path last
+                    status, path = walks.walk(start, budget)
+                    want = trace_summary(Configuration(extent=M, closed=field), start, budget,
+                                         abort_radius=abort_at)
+                    got = (STATUS_NAMES[status], len(path), walks.containment(path))
+                    assert got == (want[0], want[1], want[3]), (M, abort_at, i, start)
+                    a, b = walks.sites(path[:1])
+                    assert ((int(a[0]), int(b[0])), path[0] & 3) == start
+                    k = (len(path) - 1) // 2  # steps before the resumed walk's start
+                    if k:
+                        head = walks.walk(start, k)[1]
+                        rest = (default_max_steps(M) if budget is None else budget) - k
+                        resumed, tail = walks.walk(start, rest, at=head[-1])
+                        assert (resumed, head[:-1] + tail) == (status, path), (M, i, start)
 
 
 def sites_on(path, M):
