@@ -34,15 +34,18 @@ from .enhancement import (
 from .errors import ConfigParseError, DynamicsError, ResourceLimitError
 from .events import EVENTS, dump_witness, loads_witness
 from .montecarlo import (
-    EVENT_NAMES,
     estimate_event,
     estimates_csv,
     verification_csv,
     verify_theorem,
     write_csv,
 )
-from .render import ALL_LAYERS, RenderSpec, render_svg
+from .render import RenderSpec, render_svg
 from .tracer import dump_trajectory, loads_trajectory, trace
+
+# The layers whose input a flag supplies; render_svg also draws pattern
+# matches and regions, which no flag supplies.
+_CLI_LAYERS = ("lattice", "mirrors", "trajectory", "circuit_witness")
 
 _VERSION_BLURB = (
     f"manhattan-pinball {__version__} "
@@ -161,6 +164,11 @@ def _cmd_pattern(args):
 
 
 def _cmd_render(args):
+    layers = tuple(s.strip() for s in args.layers.split(",") if s.strip())
+    for layer in layers:
+        if layer not in _CLI_LAYERS:
+            raise ValueError(f"render cannot draw layer {layer!r}; "
+                             f"choose from {','.join(_CLI_LAYERS)}")
     c = load(args.config)
     t = None
     if args.trajectory:
@@ -170,7 +178,6 @@ def _cmd_render(args):
     if args.witness:
         with open(args.witness) as fh:
             w = loads_witness(fh.read()).witness
-    layers = tuple(s.strip() for s in args.layers.split(",") if s.strip())
     spec = RenderSpec(layers=layers, scale=args.scale)
     atomic_write_text(args.out, render_svg(c, spec, trajectory=t, witness=w))
     print(f"wrote {args.out}")
@@ -217,7 +224,7 @@ def _build_parser():
     p.add_argument("--diff", help="write the list of changed sites here")
     p.set_defaults(fn=_cmd_enhance)
 
-    p = sub.add_parser("event", help="evaluate a percolation event")
+    p = sub.add_parser("event", help="evaluate an event")
     p.add_argument("--config", required=True)
     p.add_argument("--event", required=True, choices=tuple(EVENTS))
     p.add_argument("--n", type=int, required=True)
@@ -225,7 +232,7 @@ def _build_parser():
     p.set_defaults(fn=_cmd_event)
 
     p = sub.add_parser("estimate", help="Monte Carlo event probability")
-    p.add_argument("--event", required=True, choices=EVENT_NAMES)
+    p.add_argument("--event", required=True, choices=tuple(EVENTS))
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
@@ -258,7 +265,7 @@ def _build_parser():
     p.add_argument("--trajectory")
     p.add_argument("--witness")
     p.add_argument("--layers", default="lattice,mirrors",
-                   help=f"comma list from {{{','.join(ALL_LAYERS)}}}")
+                   help=f"comma list from {{{','.join(_CLI_LAYERS)}}}")
     p.add_argument("--scale", type=int, default=24)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_render)

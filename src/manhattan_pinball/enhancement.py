@@ -34,6 +34,7 @@ from .configuration import Configuration, from_closed_sites
 from .errors import ConfigParseError
 from .geometry import (
     DIAGONAL,
+    UNIT,
     Direction,
     edge_ends,
     edge_for_site,
@@ -175,6 +176,31 @@ def enhance_stack(closed, g: Pattern, excluded_core=None):
     return out
 
 
+def matched_reds(closed, g: Pattern, excluded_core):
+    """Flat indices, ascending, of the red sites that ``enhance`` with
+    ``excluded_core`` closes in the (2M+1, 2M+1) field ``closed``."""
+    M = len(closed) // 2
+    t1_lo, t2_lo, ok = _match_mask(closed, g, excluded_core)
+    row, col = np.divmod(np.flatnonzero(ok), ok.shape[1])
+    return (row + g.red_site[0] + t1_lo + M) * len(closed) + col + g.red_site[1] + t2_lo + M
+
+
+def _dilated(mask, pattern):
+    """The (W, W) bool ``mask`` and, with a pattern, each site s + r - red of a
+    copy whose red edge r is in it: a field drawn on the result matches every
+    copy whose red edge is in ``mask``."""
+    fill = mask.copy()
+    if pattern is None:
+        return fill
+    W = len(mask)
+    ra, rb = pattern.red_site
+    for sa, sb in pattern.sites:  # fill[r + d] |= mask[r] for d = s - red
+        da, db = sa - ra, sb - rb
+        fill[max(da, 0) : W + min(da, 0), max(db, 0) : W + min(db, 0)] |= (
+            mask[max(-da, 0) : W + min(-da, 0), max(-db, 0) : W + min(-db, 0)])
+    return fill
+
+
 def enhance(c: Configuration, g: Pattern, excluded_core=None) -> Configuration:
     """Close the red edge of every matched copy (single pass over ``c``)."""
     return Configuration(
@@ -214,12 +240,6 @@ _TRANSIT = {  # entry directions that can pass through a site, by coordinate par
 }
 
 
-def _pattern_config(g: Pattern, extent=None) -> Configuration:
-    if extent is None:
-        extent = max(4 * g.radius, g.radius + 2)
-    return from_closed_sites(extent, g.closed_sites)
-
-
 def check_detour(g: Pattern) -> DetourReport:
     """Trace the pattern's detour loop for both transit entry directions.
 
@@ -231,7 +251,7 @@ def check_detour(g: Pattern) -> DetourReport:
     """
     red = g.red_site
     orient = mirror_orientation(red)
-    cfg = _pattern_config(g)
+    cfg = from_closed_sites(max(4 * g.radius, g.radius + 2), g.closed_sites)
     entries = _TRANSIT[(red[0] % 2, red[1] % 2)]
     others = tuple(d for d in Direction if d not in entries)
     returns = {}
@@ -403,7 +423,7 @@ def _enumerate_detour_routes(r_max, entry, exit_dir):
         nodes += 1
         if nodes > _ROUTE_NODE_BUDGET or len(results) >= _MAX_ROUTES:
             return
-        da, db = ((1, 0), (0, 1), (-1, 0), (0, -1))[d]
+        da, db = UNIT[d]
         na, nb = a + da, b + db
         if (na, nb) == (0, 0):
             if d == exit_dir:
@@ -417,10 +437,9 @@ def _enumerate_detour_routes(r_max, entry, exit_dir):
         dfs(na, nb, d, mirrors, opens | {(na, nb)})
         # place a mirror
         if len(mirrors) < 6:
-            nd = (d ^ 1) if (na - nb) % 2 == 0 else (3 - d)
-            dfs(na, nb, nd, mirrors | {(na, nb)}, opens)
+            dfs(na, nb, reflect(d, mirror_orientation((na, nb))), mirrors | {(na, nb)}, opens)
 
-    dfs(0, 0, int(entry), frozenset(), frozenset())
+    dfs(0, 0, entry, frozenset(), frozenset())
     return sorted(results, key=lambda mo: (len(mo[0]), len(mo[1]), sorted(mo[0])))
 
 

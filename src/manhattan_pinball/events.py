@@ -1,6 +1,10 @@
-"""Detectors for the percolation events on the tilted lattice.
+"""Detectors for the events on the tilted lattice, and ``EVENTS``, the one
+table of them by name.
 
-Events, from local to global:
+The closure event is the light ray's: the origin ray closes before it reaches
+a site outside Q_n.  It is walked on one ``tracer.TableWalks`` per stack, whose
+sites beyond Q_n read as the abort, so it reads the sites of Q_n alone.  The
+percolation events, from local to global:
   * radial closed path: (1/2, 1/2) joined by closed edges to a vertex
     outside Q_n.
   * rectangle crossing: a closed path inside a tilted rectangle joining its
@@ -54,7 +58,9 @@ from .geometry import (
     long_sides,
     site_between,
     site_endpoints,
+    site_radius,
 )
+from .tracer import CLOSED, TableWalks
 
 __all__ = [
     "EVENTS",
@@ -63,6 +69,8 @@ __all__ = [
     "breadth_first",
     "circuit4_holds",
     "circuit_holds",
+    "closed_orbit",
+    "closure_holds",
     "first_path",
     "radial_closed_path",
     "radial_holds",
@@ -326,6 +334,26 @@ def _extent(closed):
     return closed.shape[-1] // 2
 
 
+def closure_holds(closed, n: int):
+    """``closed_orbit`` on each field of a (K, W, W) stack: bool array.  One
+    walk table serves the stack, refilled for each field."""
+    M = _extent(closed)
+    _require_extent(M, "closure", n)
+    walks = TableWalks(M, n)
+    holds = np.empty(len(closed), dtype=bool)
+    for k, field in enumerate(closed):
+        walks.fill(field)
+        holds[k] = walks.walk()[0] == CLOSED
+    return holds
+
+
+def closed_orbit(c: Configuration, n: int, witness: bool = False) -> EventResult:
+    """Event closure_n: the origin ray closes before it reaches a site
+    outside Q_n."""
+    return EventResult(holds=bool(closure_holds(c.closed[np.newaxis], n)[0]),
+                       event=f"closure_{n}")
+
+
 def radial_holds(closed, n: int):
     """``radial_closed_path`` on each field of a (K, W, W) stack: bool array."""
     M = _extent(closed)
@@ -540,8 +568,11 @@ def _rect_reads(M, n, kinds):
     return sites
 
 
-# The percolation events by name; the Monte Carlo harness adds "closure".
+# The events by name, for the CLI and the Monte Carlo harness alike.  Closure's
+# walk reads every site beyond Q_n as the abort, whatever its bit.
 EVENTS = {
+    "closure": Event(lambda n: n + 2, closed_orbit, closure_holds,
+                     lambda M, n: np.flatnonzero(site_radius(M) <= n)),
     "A": Event(lambda n: n + 2, radial_closed_path, radial_holds,
                lambda M, n: _radial_static(M, n)[0].sites),
     "Aprime": Event(lambda n: rect_min_extent(n, "T"),

@@ -124,6 +124,14 @@ def tilted_radius(u, v):
     return np.maximum(np.abs(u), np.abs(v))
 
 
+def site_radius(M: int):
+    """(2M+1, 2M+1) int16 tilted radius of every site of extent M, in field
+    order; int16 holds the largest radius, 2M + 1, of any extent the field
+    budget allows."""
+    a = np.arange(-M, M + 1, dtype=np.int16)
+    return tilted_radius(a[:, np.newaxis] + a - 1, a[:, np.newaxis] - a)
+
+
 @dataclass(frozen=True)
 class TiltedRegion:
     """One of the tilted regions at scale ``n`` used by the event detectors:

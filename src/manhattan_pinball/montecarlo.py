@@ -1,4 +1,6 @@
-"""Monte Carlo estimation and the sample-by-sample theorem harness.
+"""Monte Carlo estimation and the sample-by-sample theorem harness: three
+sample loops (estimates and paired comparisons of the events in
+``events.EVENTS``, and verify) and one run driver.
 
 Every trial draws its own configuration with stream_index equal to the
 sample index, so tallies are identical for any worker count and any
@@ -12,12 +14,12 @@ localization argument per sample: if the enhanced field carries an exact
 surrounding circuit at scale n, the origin trajectory of the raw field must
 close inside Q_{2n+2D} and the hybrid field (raw core, enhanced exterior)
 must localize inside Q_{2n}.  A verify worker reuses one field and one walk
-table, and a sample draws only the sites its record reads.  Its enhanced
-circuit is ``circuit_holds`` on that field with the matched reds closed, and
-its hybrid walk the raw walk's table with the reds outside the core added.
-Only a sample whose raw orbit closes inside Q_{2n+2D} and whose hybrid orbit
-closes inside Q_{2n} is decided so; any other is recomputed on whole fields
-by ``_verify_reference``.
+table, and a sample draws only the sites its record reads.  The reds it
+closes are ``enhancement.matched_reds`` outside the core Q_100: its enhanced
+circuit is ``circuit_holds`` on that field with them closed, and its hybrid
+walk the raw walk's table with them added.  Only a sample whose raw orbit
+closes inside Q_{2n+2D} and whose hybrid orbit closes inside Q_{2n} is
+decided so; any other is recomputed on whole fields by ``_verify_reference``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import numpy as np
 
 from .configuration import (
     GENERATOR_ID,
-    Configuration,
     _check_extent,
     atomic_write_text,
     check_probability,
@@ -45,17 +46,11 @@ from .configuration import (
     site_sampler,
     stream_base,
 )
-from .enhancement import Pattern, _match_mask, _offsets, check_detour, enhance, enhance_stack
-from .events import (EVENTS, Event, EventResult, _circuit_static, circuit_holds,
-                     surrounding_circuit_exact)
-from .geometry import edge_ends, edge_in_region, in_region
-from .tracer import (
-    CLOSED,
-    LOCKSTEP_RAY_BYTES,
-    TableWalks,
-    trace_lockstep,
-    trace_summary,
-)
+from .enhancement import (Pattern, _dilated, check_detour, enhance, enhance_stack,
+                          matched_reds)
+from .events import EVENTS, circuit_holds, surrounding_circuit_exact
+from .geometry import site_radius
+from .tracer import CLOSED, LOCKSTEP_RAY_BYTES, TableWalks, trace_lockstep, trace_summary
 
 _Z95 = 1.959963984540054
 
@@ -127,37 +122,42 @@ class PairedReport:
 
 
 # ---------------------------------------------------------------------------
-# event descriptors
+# the run driver
 # ---------------------------------------------------------------------------
 
 
-def _closure(c, n, witness=False):
-    """The origin ray closes before it leaves Q_n (or its start's own Q_m)."""
-    status, _, _, _ = trace_summary(c, abort_radius=n)
-    return EventResult(holds=status == "closed", event=f"closure_{n}")
+def _run(worker, args, N, workers):
+    """``worker((*args, indices))`` for one chunk of range(N) per worker, in
+    this process, or in a pool when there is more than one chunk; the results
+    in chunk order."""
+    if N < 1:
+        raise ValueError("need at least one trial")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    size = (N + workers - 1) // workers
+    jobs = [(*args, range(lo, min(lo + size, N))) for lo in range(0, N, size)]
+    if len(jobs) == 1:
+        return [worker(jobs[0])]
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(jobs))) as ex:
+        return list(ex.map(worker, jobs))
 
 
-def _closure_holds(closed, n):
-    """``_closure`` on each field of a (K, W, W) stack: bool array."""
-    M = closed.shape[-1] // 2
-    return np.array([_closure(Configuration(extent=M, closed=f), n).holds for f in closed],
-                    dtype=bool)
-
-
-_EVENTS = {"closure": Event(lambda n: n + 2, _closure, _closure_holds,
-                            lambda M, n: np.arange((2 * M + 1) ** 2)),
-           **EVENTS}
-EVENT_NAMES = tuple(_EVENTS)
+def _report(event, p, n, N, hits, seed, walltime_ms):
+    lo, hi = wilson_interval(hits, N)
+    return EstimationReport(event=event, p=p, n=n, trials=N, hits=hits, estimate=hits / N,
+                            ci_lo=lo, ci_hi=hi, seed=seed, walltime_ms=walltime_ms)
 
 
 def event_extent(event: str, n: int, pattern: Pattern | None = None) -> int:
-    """Extent covering the event region, plus matching padding when enhancing."""
-    if event not in _EVENTS:
-        raise ValueError(f"unknown event {event!r}; choose from {EVENT_NAMES}")
+    """Extent covering the event region, plus matching padding when enhancing;
+    checked against the field budget."""
+    if event not in EVENTS:
+        raise ValueError(f"unknown event {event!r}; choose from {tuple(EVENTS)}")
     if n < 1:
         raise ValueError(f"{event} needs n >= 1, got {n}")
-    base = _EVENTS[event].min_extent(n)
-    return base + (pattern.radius if pattern is not None else 0)
+    extent = EVENTS[event].min_extent(n) + (pattern.radius if pattern is not None else 0)
+    _check_extent(extent)
+    return extent
 
 
 # Bytes of closed fields a sample loop holds at once: it fills and detects
@@ -173,22 +173,6 @@ def event_extent(event: str, n: int, pattern: Pattern | None = None) -> int:
 _STACK_BYTES = 3 << 17
 
 
-def _dilated(mask, pattern):
-    """The (W, W) bool ``mask`` and, with a pattern, each site s + r - red of a
-    copy whose red edge r is in it: a field drawn on the result matches every
-    copy whose red edge is in ``mask``."""
-    fill = mask.copy()
-    if pattern is None:
-        return fill
-    W = len(mask)
-    ra, rb = pattern.red_site
-    for sa, sb in pattern.sites:  # fill[r + d] |= mask[r] for d = s - red
-        da, db = sa - ra, sb - rb
-        fill[max(da, 0) : W + min(da, 0), max(db, 0) : W + min(db, 0)] |= (
-            mask[max(-da, 0) : W + min(-da, 0), max(-db, 0) : W + min(-db, 0)])
-    return fill
-
-
 @lru_cache(maxsize=16)
 def _fill_sites(extent, n, event, pattern):
     """Flat indices of the sites a sample loop draws: those the event reads,
@@ -196,7 +180,7 @@ def _fill_sites(extent, n, event, pattern):
     every read site.  Cached, read-only."""
     W = 2 * extent + 1
     reads = np.zeros((W, W), dtype=bool)
-    reads.ravel()[_EVENTS[event].reads(extent, n)] = True
+    reads.ravel()[EVENTS[event].reads(extent, n)] = True
     sites = np.flatnonzero(_dilated(reads, pattern))
     sites.flags.writeable = False
     return sites
@@ -227,7 +211,7 @@ def _eval_samples(args):
         return sum(int(np.count_nonzero(
             trace_lockstep(p, extent, seed, indices[lo : lo + K], abort_radius=n) == CLOSED))
             for lo in range(0, len(indices), K))
-    holds = _EVENTS[event].holds
+    holds = EVENTS[event].holds
     hits = 0
     sites = _fill_sites(extent, n, event, pattern)
     for closed in _field_stacks(p, extent, seed, indices, sites):
@@ -237,26 +221,10 @@ def _eval_samples(args):
     return hits
 
 
-def _chunks(N, workers):
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    size = (N + workers - 1) // workers
-    return [range(lo, min(lo + size, N)) for lo in range(0, N, size)]
-
-
-def _map_chunks(fn, jobs, workers):
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(jobs))) as ex:
-        return list(ex.map(fn, jobs))
-
-
 def estimate_event(event: str, p: float, n: int, N: int, seed: int,
                    enhanced: bool = False, pattern: Pattern | None = None,
                    workers: int = 1) -> EstimationReport:
     """Monte Carlo estimate of P_p[event at scale n] over N independent samples."""
-    if N < 1:
-        raise ValueError("need at least one trial")
     if enhanced and pattern is None:
         from .enhancement import default_pattern
         pattern = default_pattern()
@@ -264,16 +232,9 @@ def estimate_event(event: str, p: float, n: int, N: int, seed: int,
         pattern = None
     t0 = time.perf_counter()
     extent = event_extent(event, n, pattern)
-    _check_extent(extent)
-    jobs = [(event, p, n, seed, extent, pattern, idx) for idx in _chunks(N, workers)]
-    hits = sum(_map_chunks(_eval_samples, jobs, workers))
-    lo, hi = wilson_interval(hits, N)
-    name = event + ("~" if enhanced else "")
-    return EstimationReport(
-        event=name, p=p, n=n, trials=N, hits=hits, estimate=hits / N,
-        ci_lo=lo, ci_hi=hi, seed=seed,
-        walltime_ms=int(round((time.perf_counter() - t0) * 1000)),
-    )
+    hits = sum(_run(_eval_samples, (event, p, n, seed, extent, pattern), N, workers))
+    return _report(event + ("~" if enhanced else ""), p, n, N, hits, seed,
+                   int(round((time.perf_counter() - t0) * 1000)))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +244,7 @@ def estimate_event(event: str, p: float, n: int, N: int, seed: int,
 
 def _paired_samples(args):
     event, p, n, seed, extent, pattern, indices = args
-    ev = _EVENTS[event]
+    ev = EVENTS[event]
     reads = ev.reads(extent, n)
     tally = np.zeros(4, dtype=np.int64)  # [neither, only plain, only enhanced, both]
     sites = _fill_sites(extent, n, event, pattern)
@@ -311,30 +272,19 @@ def compare_enhanced(p: float, n: int, N: int, seed: int, g: Pattern,
     The paired gap interval is a normal-approximation interval on the mean
     of the per-sample differences (enhanced minus plain, each in {-1,0,1}).
     """
-    if N < 1:
-        raise ValueError("need at least one trial")
     t0 = time.perf_counter()
     extent = event_extent(event, n, g)
-    _check_extent(extent)
-    jobs = [(event, p, n, seed, extent, g, idx) for idx in _chunks(N, workers)]
-    tally = sum(_map_chunks(_paired_samples, jobs, workers))
+    tally = sum(_run(_paired_samples, (event, p, n, seed, extent, g), N, workers))
     neither, only_plain, only_enh, both = (int(x) for x in tally)
     k_plain = only_plain + both
     k_enh = only_enh + both
     walltime = int(round((time.perf_counter() - t0) * 1000))
-
-    def report(name, k):
-        lo, hi = wilson_interval(k, N)
-        return EstimationReport(event=name, p=p, n=n, trials=N, hits=k,
-                                estimate=k / N, ci_lo=lo, ci_hi=hi, seed=seed,
-                                walltime_ms=walltime)
-
     d_mean = (k_enh - k_plain) / N
     d_var = (only_enh + only_plain) / N - d_mean ** 2
     half = float(_Z95 * np.sqrt(max(d_var, 0.0) / N))
     return PairedReport(
-        plain=report(event, k_plain),
-        enhanced=report(event + "~", k_enh),
+        plain=_report(event, p, n, N, k_plain, seed, walltime),
+        enhanced=_report(event + "~", p, n, N, k_enh, seed, walltime),
         both=both, only_enhanced=only_enh, only_plain=only_plain,
         gap=d_mean, gap_ci_lo=d_mean - half, gap_ci_hi=d_mean + half,
     )
@@ -381,56 +331,38 @@ class _VerifyStatic(NamedTuple):
 
     reach: int  # raw walks abort beyond Q_reach
     drawn: np.ndarray  # (W, W) mask of the sites a record reads
-    red: int  # flat field index of the red site of the match at (0, 0) of _match_mask
 
 
 @lru_cache(maxsize=4)
 def _verify_static(extent, n, g, reach):
     """The ``_VerifyStatic`` of verify samples at (extent, n, g) whose raw
     walks abort beyond Q_reach.  A record reads the raw bits of Q_reach for
-    the raw walk, and those of the usable sites and Q_{2n+1}, dilated by the
-    pattern, for the enhanced circuit and the hybrid walk inside Q_2n."""
-    W = 2 * extent + 1
-    a = np.arange(-extent, extent + 1, dtype=np.int16)
-    u, v = a[:, np.newaxis] + a - 1, a[:, np.newaxis] - a  # the sites' tilted coordinates
-    exact = in_region("Q", 2 * n + 1, u, v)
-    exact.ravel()[_circuit_static(extent, n)[0].sites] = True
-    drawn = _dilated(exact, g)
-    drawn |= in_region("Q", reach, u, v)
+    the raw walk, and those of Q_{2n+1}, dilated by the pattern, for the
+    enhanced circuit and the hybrid walk inside Q_2n: a site is the tilted
+    midpoint of its edge, so the usable sites lie in Q_2n."""
+    radius = site_radius(extent)
+    drawn = _dilated(radius <= 2 * n + 1, g)
+    drawn |= radius <= reach
     drawn.flags.writeable = False
-    t1_lo, t2_lo, _ = _offsets(extent, g, None)
-    red = (t1_lo + g.red_site[0] + extent) * W + t2_lo + g.red_site[1] + extent
-    return _VerifyStatic(reach, drawn, red)
-
-
-def _outside_core(sites, extent):
-    """Which of the flat field ``sites`` carry an edge not inside Q_100: the
-    sites where the hybrid takes the enhanced field's bit."""
-    a, b = np.divmod(sites, 2 * extent + 1)
-    return ~edge_in_region("Q", _CORE_RADIUS, *edge_ends(a - extent, b - extent))
-
-
-def _matched_reds(field, g, red):
-    """Flat field indices, ascending, of the red sites of the copies of ``g``
-    matched in ``field``; ``red`` is that of the match at (0, 0)."""
-    _, _, ok = _match_mask(field, g)
-    row, col = np.divmod(np.flatnonzero(ok), ok.shape[1])
-    return row * len(field) + col + red
+    return _VerifyStatic(reach, drawn)
 
 
 def _verify_samples(args):
     """Worker body: the records of a run of sample indices.
 
     The field and the walk table are allocated once per call, and a sample
-    draws only the sites its record reads (the rest read open).  The
-    enhanced field is the raw one with the matched reds closed, and a matched
-    red is open in the raw field, so the reds are closed for the circuit and
-    opened again for the raw walk.  The hybrid, the raw field plus the reds
-    outside Q_100, is walked on the raw walk's table with those reds added,
-    only if the raw orbit meets one.  A sample is decided here when its raw
-    orbit closes inside Q_{2n+2D} and its hybrid orbit inside Q_2n, where the
-    drawn bits are exact; any other, as a theorem failure would be, is
-    recomputed by ``_verify_reference``.
+    draws only the sites its record reads (the rest read open).  The reds are
+    those ``enhance`` closes outside the core Q_100, and a matched red is open
+    in the raw field, so they are closed for the circuit and opened again for
+    the raw walk.  This needs the core to be smaller than Q_n (n > 100): then
+    both ends of a red inside the core lie in Q_n, no circuit may use it and
+    ``circuit_holds`` never reads it, so the field with the reds closed is the
+    enhanced one on every site the circuit reads.  The hybrid, the raw field
+    plus the reds, is walked on the raw walk's table with them added, only if
+    the raw orbit meets one.  A sample is decided here when its raw orbit
+    closes inside Q_{2n+2D} and its hybrid orbit inside Q_2n, where the drawn
+    bits are exact; any other, as a theorem failure would be, is recomputed
+    by ``_verify_reference``.
     """
     p, n, seed, extent, g, D, indices = args
     st = _verify_static(extent, n, g, 2 * n + 2 * D)
@@ -442,7 +374,7 @@ def _verify_samples(args):
     records = []
     for i, base in zip(indices, stream_base(seed, indices)):
         draw(base, p, field)
-        reds = _matched_reds(field, g, st.red)
+        reds = matched_reds(field, g, _CORE_RADIUS)
         flat[reds] = True
         circuit = circuit_holds(field[np.newaxis], n)[0]
         flat[reds] = False
@@ -453,9 +385,8 @@ def _verify_samples(args):
             continue
         walks.fill(field)
         status, path = walks.walk()
-        hybrid_reds = reds[_outside_core(reds, extent)]
-        if status == CLOSED and walks.visits(path, hybrid_reds):
-            walks.close(hybrid_reds)
+        if status == CLOSED and walks.visits(path, reds):
+            walks.close(reds)
             status, path = walks.walk()
         if status == CLOSED and walks.containment(path) <= 2 * n:
             records.append(VerificationRecord(sample=i, circuit=True, closed=True,
@@ -476,16 +407,14 @@ def verify_theorem(p: float, n: int, N: int, seed: int, g: Pattern,
     """
     if n <= _CORE_RADIUS:
         raise ValueError("verify_theorem requires n > 100")
-    if N < 1:
-        raise ValueError("need at least one trial")
     check_probability(p)
     det = check_detour(g)
     if not det.ok:
         raise ValueError(f"pattern fails the detour check: {det.failure}")
     extent = verify_extent(n, g, det.radius)
     _check_extent(extent)
-    jobs = [(p, n, seed, extent, g, det.radius, idx) for idx in _chunks(N, workers)]
-    records = [r for chunk in _map_chunks(_verify_samples, jobs, workers) for r in chunk]
+    chunks = _run(_verify_samples, (p, n, seed, extent, g, det.radius), N, workers)
+    records = [r for chunk in chunks for r in chunk]
     records.sort(key=lambda r: r.sample)
     circuits = sum(r.circuit for r in records)
     failures = sum(not r.passed for r in records)

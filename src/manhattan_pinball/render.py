@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .configuration import Configuration
-from .geometry import mirror_orientation, region_bounds
+from .geometry import edge_for_site, region_bounds
 
 ALL_LAYERS = ("lattice", "mirrors", "trajectory", "circuit_witness",
               "pattern_matches", "regions")
@@ -74,9 +74,8 @@ def render_svg(config: Configuration, spec: RenderSpec | None = None,
         spec = RenderSpec()
     M = config.extent
     s = spec.scale
-    for t in (trajectory,):
-        if t is not None and max(abs(int(x)) for x in t.states[:, :2].ravel()) > M:
-            raise ValueError("trajectory extends beyond the configuration extent")
+    if trajectory is not None and max(abs(int(x)) for x in trajectory.states[:, :2].ravel()) > M:
+        raise ValueError("trajectory extends beyond the configuration extent")
     pad = s
     size = 2 * M * s + 2 * pad
     parts = [
@@ -89,27 +88,17 @@ def render_svg(config: Configuration, spec: RenderSpec | None = None,
     ]
     if "lattice" in spec.layers:
         # tilted-lattice edges: one per site, drawn faintly
-        color = _PALETTE["lattice"]
         for a in range(-M, M + 1):
             for b in range(-M, M + 1):
-                if mirror_orientation((a, b)) == 0:
-                    parts.append(_segment((a - 0.5, b - 0.5), (a + 0.5, b + 0.5),
-                                          s, color, 1))
-                else:
-                    parts.append(_segment((a - 0.5, b + 0.5), (a + 0.5, b - 0.5),
-                                          s, color, 1))
+                parts.append(_segment(*edge_for_site((a, b)), s, _PALETTE["lattice"], 1))
     if "mirrors" in spec.layers:
-        color = _PALETTE["mirrors"]
+        # each closed edge, shrunk about its site to 0.7 of its length
         for a in range(-M, M + 1):
             for b in range(-M, M + 1):
-                if not config.closed_at((a, b)):
-                    continue
-                if mirror_orientation((a, b)) == 0:
-                    parts.append(_segment((a - 0.35, b - 0.35), (a + 0.35, b + 0.35),
-                                          s, color, 2))
-                else:
-                    parts.append(_segment((a - 0.35, b + 0.35), (a + 0.35, b - 0.35),
-                                          s, color, 2))
+                if config.closed_at((a, b)):
+                    ends = [(a + 0.7 * (x - a), b + 0.7 * (y - b))
+                            for x, y in edge_for_site((a, b))]
+                    parts.append(_segment(*ends, s, _PALETTE["mirrors"], 2))
     if "regions" in spec.layers:
         for region in regions:
             u0, u1, v0, v1 = region_bounds(region.kind, region.n)

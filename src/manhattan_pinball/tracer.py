@@ -31,7 +31,8 @@ from .configuration import (
     stream_base,
 )
 from .errors import ConfigParseError, DynamicsError
-from .geometry import UNIT, Direction, mirror_orientation, q_radius, reflect, tilted_radius
+from .geometry import (UNIT, Direction, Orientation, mirror_orientation, q_radius, reflect,
+                       site_radius, tilted_radius)
 
 
 class RayState(NamedTuple):
@@ -85,8 +86,9 @@ STATUS_NAMES = ("closed", "escaped", "budget_exceeded", "aborted")  # by status 
 # 4 * code: 0 open, 1 NE mirror, 2 NW mirror, 3 outside the extent (the pad
 # ring), 4 beyond the abort radius.  A ray state is 4 * j + direction.
 _OUT, _FAR = 4 * 3, 4 * 4
-# _TURN[4 * code + d]: direction leaving a site of that code entered along d
-_TURN = (0, 1, 2, 3, 1, 0, 3, 2, 3, 2, 1, 0)
+# _TURN[4 * code + d]: direction leaving a site of that code entered along d,
+# as plain ints for the kernel's indexing; code 1 + o is a mirror of orientation o
+_TURN = tuple(range(4)) + tuple(int(reflect(d, o)) for o in Orientation for d in Direction)
 
 
 @lru_cache(maxsize=4)
@@ -98,21 +100,12 @@ def _code_table(M):
     return code
 
 
-def _radius_table(M):
-    """Q-radius (int16) of every site of extent M; int16 holds the largest
-    radius, 2M + 1, of any extent the field budget allows."""
-    a = np.arange(-M, M + 1, dtype=np.int16)
-    radius = tilted_radius(a[:, None] + a[None, :] - 1, a[:, None] - a[None, :])
-    radius.flags.writeable = False
-    return radius
-
-
 @lru_cache(maxsize=4)
 def _abort_codes(M, abort_at):
     """(mirror codes, _FAR codes) of extent M (uint8): the mirror code of each
     site of radius at most ``abort_at`` and 0 beyond, and _FAR beyond and 0
     within, so that a field's codes are (closed * mirror) | far.  Read-only."""
-    far = _radius_table(M) > abort_at
+    far = site_radius(M) > abort_at
     codes = np.where(far, np.uint8(0), _code_table(M)), np.where(far, np.uint8(_FAR), np.uint8(0))
     for x in codes:
         x.flags.writeable = False

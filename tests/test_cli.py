@@ -91,6 +91,17 @@ def test_event_and_witness_and_render(tmp_path, capsys):
     assert "<polyline" in svg.read_text() or "holds 0" in wit.read_text()
 
 
+@pytest.mark.parametrize("p, holds", [("1", 1), ("0", 0)])
+def test_event_closure(tmp_path, capsys, p, holds):
+    # every mirror closed turns the origin ray round a small loop; none lets
+    # it run straight out of Q_4
+    cfg = tmp_path / "c.txt"
+    run(["sample", "--p", p, "--extent", "6", "--seed", "1", "--out", str(cfg)])
+    capsys.readouterr()
+    assert run(["event", "--config", str(cfg), "--event", "closure", "--n", "4"]) == 0
+    assert capsys.readouterr().out == f"event=closure_4 holds={holds}\n"
+
+
 def test_enhance_diff(tmp_path):
     cfg = tmp_path / "c.txt"
     run(["sample", "--p", "0.5", "--extent", "12", "--seed", "11",
@@ -144,11 +155,17 @@ def test_pattern_check_and_search(tmp_path, capsys):
 
 
 def test_bad_layer_is_usage_error(tmp_path, capsys):
+    # no flag feeds the regions or pattern_matches layers of render_svg: they
+    # would draw nothing
     cfg = tmp_path / "c.txt"
     run(["sample", "--p", "0.5", "--extent", "5", "--seed", "1",
          "--out", str(cfg)])
-    assert run(["render", "--config", str(cfg), "--layers", "sparkles",
-                "--out", str(tmp_path / "x.svg")]) == 2
+    for layer in ("sparkles", "regions", "pattern_matches"):
+        capsys.readouterr()
+        assert run(["render", "--config", str(cfg), "--layers", f"lattice,{layer}",
+                    "--out", str(tmp_path / "x.svg")]) == 2
+        assert f"layer {layer!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
 
 
 @pytest.mark.parametrize("scale", ["0", "-2"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manhattan_pinball.cli import main as cli_main
-from manhattan_pinball.configuration import constant, from_closed_sites, sample
+from manhattan_pinball.configuration import Configuration, constant, from_closed_sites, sample
 from manhattan_pinball.enhancement import (
     Pattern,
     check_detour,
@@ -21,6 +21,7 @@ from manhattan_pinball.enhancement import (
     load_pattern,
     loads_pattern,
     match_pattern,
+    matched_reds,
     save_pattern,
     search_patterns,
     validate_pattern,
@@ -102,6 +103,24 @@ def test_excluded_core_drops_central_matches():
     t = (6, 6)
     c2 = from_closed_sites(12, {(a + t[0], b + t[1]) for a, b in g.closed_sites})
     assert match_pattern(c2, g, excluded_core=4).offsets == (t,)
+
+
+@pytest.mark.parametrize("core", [None, 2, 100])
+def test_matched_reds_are_the_sites_enhance_closes(core):
+    g, M = default_pattern(), 110
+    fields = [sample(p, M, seed=31, stream_index=i) for i, p in enumerate((0.0, 0.4, 0.5))]
+    planted = sample(0.4, M, seed=32).closed.copy()
+    # red edges inside Q_2, inside Q_100 only, and outside Q_100 twice
+    for t1, t2 in ((0, 0), (6, 6), (60, 60), (-90, 20)):
+        for sites, bit in ((g.closed_sites, True), (g.open_sites, False)):
+            for a, b in sites:
+                planted[a + t1 + M, b + t2 + M] = bit
+    fields.append(Configuration(extent=M, closed=planted))
+    for c in fields:
+        reds = matched_reds(c.closed, g, core)
+        assert np.array_equal(
+            reds, np.flatnonzero(enhance(c, g, excluded_core=core).closed & ~c.closed))
+    assert len(reds) >= {None: 4, 2: 3, 100: 2}[core]
 
 
 def test_shipped_pattern_passes_all_checks():

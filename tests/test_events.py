@@ -20,12 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import manhattan_pinball
-from manhattan_pinball.configuration import constant, dumps, from_closed_sites, sample
+from manhattan_pinball.configuration import (Configuration, constant, dumps, from_closed_sites,
+                                             sample)
 from manhattan_pinball.enhancement import (
     _window_crossing,
     check_essential,
     default_pattern,
     dumps_pattern,
+    enhance_stack,
     search_patterns,
 )
 from manhattan_pinball.events import (
@@ -35,6 +37,7 @@ from manhattan_pinball.events import (
     _label,
     circuit4_holds,
     circuit_holds,
+    closure_holds,
     dual_crosscheck,
     dump_witness,
     loads_witness,
@@ -48,6 +51,7 @@ from manhattan_pinball.events import (
 )
 from manhattan_pinball.errors import ConfigParseError
 from manhattan_pinball.geometry import edge_for_site
+from manhattan_pinball.tracer import trace_summary
 
 
 def closed_graph(c):
@@ -189,6 +193,22 @@ def test_stacked_detectors_match_per_sample_oracles(K):
             assert holds(closed[perm]).tolist() == got[perm].tolist(), (name, p, n)
             seen.update((name, x) for x in oracle)
     assert len(seen) == 2 * len(answers)  # both answers of every detector are exercised
+
+
+def test_closure_holds_on_stacks_matches_per_field_trace_summary():
+    # one walk table serves a stack: each field must be walked on its own bits
+    g = default_pattern()
+    seen = set()
+    for n in (1, 2, 8, 64):
+        M = n + 2
+        for p in (0.0, 0.5, 1.0):
+            plain = np.stack([sample(p, M, seed=17, stream_index=i).closed for i in range(8)])
+            for closed in (plain, enhance_stack(plain, g)):
+                oracle = [trace_summary(Configuration(extent=M, closed=f), abort_radius=n)[0]
+                          == "closed" for f in closed]
+                assert closure_holds(closed, n).tolist() == oracle, (n, p)
+                seen.add(tuple(oracle))
+    assert any(len(set(oracle)) == 2 for oracle in seen)  # a stack with both answers
 
 
 def test_circuit_detectors_agree_at_verify_scale():

@@ -18,7 +18,8 @@ from manhattan_pinball.enhancement import (
     enhance_stack,
 )
 from manhattan_pinball.errors import ResourceLimitError
-from manhattan_pinball.events import _circuit_static, rect_crossing, surrounding_circuit_exact
+from manhattan_pinball.events import (EVENTS, _circuit_static, rect_crossing,
+                                      surrounding_circuit_exact)
 from manhattan_pinball.montecarlo import (
     EstimationReport,
     compare_enhanced,
@@ -274,7 +275,7 @@ def _fill_run_text():
 
 def _enhanced_reads(event, p, n, g, sites):
     extent = event_extent(event, n, g)
-    reads = montecarlo._EVENTS[event].reads(extent, n)
+    reads = EVENTS[event].reads(extent, n)
     stacks = montecarlo._field_stacks(p, extent, 13, range(30), sites(extent, n, event, g))
     return [enhance_stack(s, g).reshape(len(s), -1)[:, reads] for s in stacks]
 
@@ -313,7 +314,8 @@ def test_closure_estimate_matches_per_sample_closure(p):
     for n in (1, 2, 3, 8, 16, 64):
         for seed in (2, 1001):
             N = 70  # more rays than a walk finishes one by one
-            hits = sum(montecarlo._closure(sample(p, n + 2, seed, i), n).holds for i in range(N))
+            hits = sum(tracer.trace_summary(sample(p, n + 2, seed, i), abort_radius=n)[0]
+                       == "closed" for i in range(N))
             assert estimate_event("closure", p, n, N, seed).hits == hits, (p, n, seed)
 
 
@@ -509,7 +511,7 @@ def test_estimates_check_the_extent_before_building_tables(event):
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_estimates_reject_scales_below_one(n):
-    for event in montecarlo.EVENT_NAMES:
+    for event in EVENTS:
         with pytest.raises(ValueError, match="n >= 1"):
             estimate_event(event, 0.5, n, 5, 1)
 
