@@ -27,7 +27,7 @@ from .events import (
     surrounding_circuit_4rect,
     surrounding_circuit_exact,
 )
-from .geometry import Direction, Orientation, TiltedRegion, edge_for_site, reflect
+from .geometry import Direction, Orientation, edge_for_site, reflect
 from .montecarlo import (
     DecayFit,
     EstimationReport,

@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import __version__
 from .configuration import (
     FORMAT_VERSION,
@@ -26,7 +28,6 @@ from .enhancement import (
     dumps_pattern,
     enhance,
     load_pattern,
-    match_pattern,
     save_pattern,
     search_patterns,
     validate_pattern,
@@ -40,12 +41,8 @@ from .montecarlo import (
     verify_theorem,
     write_csv,
 )
-from .render import RenderSpec, render_svg
+from .render import ALL_LAYERS, RenderSpec, render_svg
 from .tracer import dump_trajectory, loads_trajectory, trace
-
-# The layers whose input a flag supplies; render_svg also draws pattern
-# matches and regions, which no flag supplies.
-_CLI_LAYERS = ("lattice", "mirrors", "trajectory", "circuit_witness")
 
 _VERSION_BLURB = (
     f"manhattan-pinball {__version__} "
@@ -85,11 +82,12 @@ def _cmd_enhance(args):
     g = _resolve_pattern(args.pattern)
     e = enhance(c, g, excluded_core=args.exclude_core)
     save(e, args.out)
-    ms = match_pattern(c, g, excluded_core=args.exclude_core)
-    print(f"matches={len(ms.offsets)} wrote {args.out}")
+    # a matched copy requires its red open, so the sites enhance closed are
+    # exactly the matched reds, one per match, in ascending order
+    reds = np.argwhere(e.closed & ~c.closed) - c.extent
+    print(f"matches={len(reds)} wrote {args.out}")
     if args.diff:
-        ra, rb = g.red_site
-        lines = [f"{ra + t1} {rb + t2}" for t1, t2 in sorted(ms.offsets)]
+        lines = [f"{a} {b}" for a, b in reds]
         atomic_write_text(args.diff, "\n".join(lines) + ("\n" if lines else ""))
     return 0
 
@@ -164,11 +162,8 @@ def _cmd_pattern(args):
 
 
 def _cmd_render(args):
-    layers = tuple(s.strip() for s in args.layers.split(",") if s.strip())
-    for layer in layers:
-        if layer not in _CLI_LAYERS:
-            raise ValueError(f"render cannot draw layer {layer!r}; "
-                             f"choose from {','.join(_CLI_LAYERS)}")
+    spec = RenderSpec(layers=tuple(s.strip() for s in args.layers.split(",") if s.strip()),
+                      scale=args.scale)
     c = load(args.config)
     t = None
     if args.trajectory:
@@ -178,7 +173,6 @@ def _cmd_render(args):
     if args.witness:
         with open(args.witness) as fh:
             w = loads_witness(fh.read()).witness
-    spec = RenderSpec(layers=layers, scale=args.scale)
     atomic_write_text(args.out, render_svg(c, spec, trajectory=t, witness=w))
     print(f"wrote {args.out}")
     return 0
@@ -265,7 +259,7 @@ def _build_parser():
     p.add_argument("--trajectory")
     p.add_argument("--witness")
     p.add_argument("--layers", default="lattice,mirrors",
-                   help=f"comma list from {{{','.join(_CLI_LAYERS)}}}")
+                   help=f"comma list from {{{','.join(ALL_LAYERS)}}}")
     p.add_argument("--scale", type=int, default=24)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_render)

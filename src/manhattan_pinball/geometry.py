@@ -12,7 +12,6 @@ vertical transit of its site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 
@@ -40,18 +39,6 @@ _REFLECT = (
     (Direction.N, Direction.E, Direction.S, Direction.W),
     (Direction.S, Direction.W, Direction.N, Direction.E),
 )
-
-OPPOSITE = (Direction.W, Direction.S, Direction.E, Direction.N)
-
-
-def is_tilted_vertex(point) -> bool:
-    """True iff ``point`` (a pair of half-integer reals) is a tilted-lattice vertex."""
-    u, v = point
-    x = u - 0.5
-    y = v - 0.5
-    if x != int(x) or y != int(y):
-        return False
-    return (int(x) - int(y)) % 2 == 0
 
 
 def mirror_orientation(site) -> Orientation:
@@ -94,11 +81,6 @@ _BOUNDS = {
 }
 
 
-def region_bounds(kind: str, n: int):
-    """(u_lo, u_hi, v_lo, v_hi) of the region ``kind`` at scale ``n``."""
-    return _BOUNDS[kind](n)
-
-
 def in_region(kind: str, n: int, u, v):
     """Membership of tilted coordinates (u, v) in a region; scalars or arrays."""
     u_lo, u_hi, v_lo, v_hi = _BOUNDS[kind](n)
@@ -132,35 +114,10 @@ def site_radius(M: int):
     return tilted_radius(a[:, np.newaxis] + a - 1, a[:, np.newaxis] - a)
 
 
-@dataclass(frozen=True)
-class TiltedRegion:
-    """One of the tilted regions at scale ``n`` used by the event detectors:
-    kind "Q", "T" or "T1".."T4", with the bounds of ``region_bounds``."""
-
-    kind: str
-    n: int
-
-    def __post_init__(self):
-        if self.kind not in _BOUNDS:
-            raise ValueError(f"unknown region kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("region scale n must be >= 1")
-
-    def contains(self, point) -> bool:
-        x, y = point
-        return bool(in_region(self.kind, self.n, x + y - 1, x - y))
-
-
 def q_radius(point) -> int:
     """Smallest m such that Q_m contains ``point`` (an integer site)."""
     a, b = point
     return int(tilted_radius(a + b - 1, a - b))
-
-
-def vertex_in_q(vertex, n) -> bool:
-    """Q_n membership for a tilted vertex given as a real pair."""
-    x, y = vertex
-    return bool(in_region("Q", n, x + y - 1, x - y))
 
 
 # Steps from a vertex (or face) index to its four tilted neighbours, in

@@ -10,18 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .configuration import Configuration
-from .geometry import edge_for_site, region_bounds
+from .geometry import edge_for_site
 
-ALL_LAYERS = ("lattice", "mirrors", "trajectory", "circuit_witness",
-              "pattern_matches", "regions")
+ALL_LAYERS = ("lattice", "mirrors", "trajectory", "circuit_witness")
 
 _PALETTE = {
     "lattice": "#d0d0d0",
     "mirrors": "#1a1a1a",
     "trajectory": "#d62728",
     "circuit_witness": "#1f77b4",
-    "pattern_matches": "#2ca02c",
-    "regions": "#9467bd",
 }
 
 
@@ -35,7 +32,8 @@ class RenderSpec:
             raise ValueError(f"scale must be >= 1, got {self.scale}")
         for layer in self.layers:
             if layer not in ALL_LAYERS:
-                raise ValueError(f"unknown layer {layer!r}")
+                raise ValueError(f"unknown layer {layer!r}; "
+                                 f"choose from {','.join(ALL_LAYERS)}")
 
 
 def _fnum(x):
@@ -47,11 +45,10 @@ def _xy(a, b, scale):
     return _fnum(scale * a), _fnum(-scale * b)
 
 
-def _polyline(points, scale, color, width, dash=None):
+def _polyline(points, scale, color, width):
     pts = " ".join(",".join(_xy(a, b, scale)) for a, b in points)
-    extra = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}"{extra}/>')
+            f'stroke-width="{width}"/>')
 
 
 def _segment(p, q, scale, color, width):
@@ -62,13 +59,11 @@ def _segment(p, q, scale, color, width):
 
 
 def render_svg(config: Configuration, spec: RenderSpec | None = None,
-               trajectory=None, witness=None, matches=None, red_site=None,
-               regions=()) -> str:
+               trajectory=None, witness=None) -> str:
     """Compose the requested layers into an SVG 1.1 document.
 
-    ``trajectory`` is a Trajectory, ``witness`` a list of real vertex pairs,
-    ``matches`` a MatchSet with ``red_site`` the pattern's red site, and
-    ``regions`` a list of TiltedRegion to outline.
+    ``trajectory`` is a Trajectory and ``witness`` a list of real vertex
+    pairs; a layer whose input is missing draws nothing.
     """
     if spec is None:
         spec = RenderSpec()
@@ -99,20 +94,6 @@ def render_svg(config: Configuration, spec: RenderSpec | None = None,
                     ends = [(a + 0.7 * (x - a), b + 0.7 * (y - b))
                             for x, y in edge_for_site((a, b))]
                     parts.append(_segment(*ends, s, _PALETTE["mirrors"], 2))
-    if "regions" in spec.layers:
-        for region in regions:
-            u0, u1, v0, v1 = region_bounds(region.kind, region.n)
-            box = [(u0, v0), (u0, v1), (u1, v1), (u1, v0)]
-            pts = [((u + 1 + v) / 2, (u + 1 - v) / 2) for u, v in box]
-            parts.append(_polyline(pts + pts[:1], s, _PALETTE["regions"], 1.5, dash="6,4"))
-    if "pattern_matches" in spec.layers and matches is not None:
-        ra, rb = red_site if red_site is not None else (0, 0)
-        for t1, t2 in matches.offsets:
-            a, b = ra + t1, rb + t2
-            x, y = _xy(a, b, s)
-            parts.append(f'<circle cx="{x}" cy="{y}" r="{_fnum(0.3 * s)}" '
-                         f'fill="none" stroke="{_PALETTE["pattern_matches"]}" '
-                         f'stroke-width="2"/>')
     if "circuit_witness" in spec.layers and witness:
         pts = list(witness)
         if pts[0] != pts[-1]:

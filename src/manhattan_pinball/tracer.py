@@ -388,10 +388,6 @@ class Trajectory:
     def __len__(self):
         return len(self.states)
 
-    def state(self, i) -> RayState:
-        a, b, d = self.states[i]
-        return RayState((int(a), int(b)), Direction(int(d)))
-
     @property
     def visited(self):
         """Set of visited sites, start included."""

@@ -119,6 +119,33 @@ def test_enhance_diff(tmp_path):
         assert not before.closed_at(site) and after.closed_at(site)
 
 
+@pytest.mark.parametrize("core", [None, 2, 100])
+def test_enhance_diff_lists_the_matched_reds(tmp_path, capsys, core):
+    from manhattan_pinball.configuration import from_closed_sites, sample, save
+    from manhattan_pinball.enhancement import default_pattern, match_pattern
+    g = default_pattern()
+    M = 12
+    field = sample(0.5, M, 11)
+    closed = {(a, b) for a in range(-M, M + 1) for b in range(-M, M + 1)
+              if field.closed_at((a, b))}
+    # plant disjoint copies; with core 2 the copy at (0, 0) has its red in Q_2
+    for t1, t2 in ((0, 0), (8, -2), (-6, 6)):
+        closed -= {(a + t1, b + t2) for a, b in g.open_sites}
+        closed |= {(a + t1, b + t2) for a, b in g.closed_sites}
+    c = from_closed_sites(M, closed)
+    cfg, diff = tmp_path / "c.txt", tmp_path / "d.txt"
+    save(c, cfg)
+    core_args = [] if core is None else ["--exclude-core", str(core)]
+    assert run(["enhance", "--config", str(cfg), "--out", str(tmp_path / "e.txt"),
+                "--diff", str(diff)] + core_args) == 0
+    ra, rb = g.red_site
+    want = [f"{ra + t1} {rb + t2}"
+            for t1, t2 in sorted(match_pattern(c, g, excluded_core=core).offsets)]
+    assert len(want) == {None: 3, 2: 2, 100: 0}[core]
+    assert capsys.readouterr().out.startswith(f"matches={len(want)} ")
+    assert diff.read_text() == "".join(line + "\n" for line in want)
+
+
 def test_verify_exit_codes(tmp_path, capsys):
     csv = tmp_path / "v.csv"
     assert run(["verify", "--p", "1", "--n", "101", "--trials", "2",

@@ -1,18 +1,14 @@
 """Geometry oracles: independent edge enumeration and reflection algebra."""
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from manhattan_pinball.geometry import (
-    OPPOSITE,
     UNIT,
     Direction,
     Orientation,
-    TiltedRegion,
     edge_for_site,
-    is_tilted_vertex,
     edge_ends,
     in_region,
     long_sides,
@@ -20,7 +16,6 @@ from manhattan_pinball.geometry import (
     q_radius,
     reflect,
     site_endpoints,
-    vertex_in_q,
 )
 
 W = 6  # window half-width for brute enumeration
@@ -74,8 +69,9 @@ def test_edge_for_site_matches_brute_enumeration():
             assert frozenset(got) == by_mid[(a, b)]
             # west endpoint first
             assert got[0][0] < got[1][0]
-            for v in got:
-                assert is_tilted_vertex(v)
+            for x, y in got:  # a tilted vertex: half-integer, x - y even
+                assert (x - 0.5).is_integer() and (y - 0.5).is_integer()
+                assert (x - y) % 2 == 0
 
 
 def test_orientation_matches_edge_slope():
@@ -103,68 +99,52 @@ def test_reflect_table_against_vector_oracle():
             assert reflect(reflect(d, m), m) == d  # involution
 
 
-def test_opposite_table():
-    for d in Direction:
-        dx, dy = UNIT[d]
-        assert UNIT[OPPOSITE[d]] == (-dx, -dy)
+def contains(kind, n, point):
+    """``in_region`` at the real point (x, y), through (u, v) = (x + y - 1, x - y)."""
+    x, y = point
+    return bool(in_region(kind, n, x + y - 1, x - y))
 
 
 def test_region_membership_examples():
     # Q_n is the tilted box centered at (1/2, 1/2)
-    q3 = TiltedRegion("Q", 3)
-    assert q3.contains((0.5, 0.5))
-    assert q3.contains((2, 2))  # u = 3, v = 0
-    assert not q3.contains((3, 3))  # u = 5
-    assert not q3.contains((2.5, -1.5))  # v = 4
+    assert contains("Q", 3, (0.5, 0.5))
+    assert contains("Q", 3, (2, 2))  # u = 3, v = 0
+    assert not contains("Q", 3, (3, 3))  # u = 5
+    assert not contains("Q", 3, (2.5, -1.5))  # v = 4
     # T_n: 1 <= u <= n, |v| <= 2n
-    t4 = TiltedRegion("T", 4)
-    assert t4.contains((1, 1)) and t4.contains((2.5, 2.5))
-    assert not t4.contains((0.5, 0.5))  # u = 0
-    assert not t4.contains((5, -4.5))  # v = 9.5
+    assert contains("T", 4, (1, 1)) and contains("T", 4, (2.5, 2.5))
+    assert not contains("T", 4, (0.5, 0.5))  # u = 0
+    assert not contains("T", 4, (5, -4.5))  # v = 9.5
     # the four ring rectangles at n = 4
-    assert TiltedRegion("T1", 4).contains((4, 2))  # u = 5, v = 2
-    assert not TiltedRegion("T1", 4).contains((2, 2))
-    assert TiltedRegion("T2", 4).contains((-3, -1))  # u = -5
-    assert TiltedRegion("T3", 4).contains((5, -2))  # v = 7, u = 2
-    assert TiltedRegion("T4", 4).contains((-2, 5))  # v = -7, u = 2
+    assert contains("T1", 4, (4, 2))  # u = 5, v = 2
+    assert not contains("T1", 4, (2, 2))
+    assert contains("T2", 4, (-3, -1))  # u = -5
+    assert contains("T3", 4, (5, -2))  # v = 7, u = 2
+    assert contains("T4", 4, (-2, 5))  # v = -7, u = 2
 
 
 def test_t2_inequalities():
     # u = x + y - 1 must lie in [-8, -5] for T2 at n = 4
-    r = TiltedRegion("T2", 4)
-    assert not r.contains((-3, 0))  # u = -4, too shallow
-    assert r.contains((-3, -1))  # u = -5, boundary
-    assert not r.contains((-4, -4))  # u = -9, too deep
-    assert not r.contains((-5, -4))  # u = -10
-
-
-def test_region_kind_validation():
-    with pytest.raises(ValueError):
-        TiltedRegion("X", 3)
-    with pytest.raises(ValueError):
-        TiltedRegion("Q", 0)
+    assert not contains("T2", 4, (-3, 0))  # u = -4, too shallow
+    assert contains("T2", 4, (-3, -1))  # u = -5, boundary
+    assert not contains("T2", 4, (-4, -4))  # u = -9, too deep
+    assert not contains("T2", 4, (-5, -4))  # u = -10
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20), st.integers(1, 15))
 def test_q_radius_consistent_with_membership(a, b, n):
     r = q_radius((a, b))
-    assert TiltedRegion("Q", n).contains((a, b)) == (r <= n)
+    assert contains("Q", n, (a, b)) == (r <= n)
     if r >= 1:
-        assert TiltedRegion("Q", r).contains((a, b))
+        assert contains("Q", r, (a, b))
         if r >= 2:
-            assert not TiltedRegion("Q", r - 1).contains((a, b))
+            assert not contains("Q", r - 1, (a, b))
 
 
 @given(st.integers(1, 12), st.floats(-30, 30), st.floats(-30, 30))
 def test_region_nesting(n, x, y):
-    if TiltedRegion("Q", n).contains((x, y)):
-        assert TiltedRegion("Q", n + 1).contains((x, y))
-
-
-@given(st.integers(-15, 15), st.integers(-15, 15), st.integers(1, 10))
-def test_vertex_in_q_agrees_with_region(i, j, n):
-    v = (i + 0.5, j + 0.5)
-    assert vertex_in_q(v, n) == TiltedRegion("Q", n).contains(v)
+    if contains("Q", n, (x, y)):
+        assert contains("Q", n + 1, (x, y))
 
 
 def paper_region(kind, n, x, y):
@@ -196,8 +176,7 @@ def test_shared_predicate_matches_paper_regions():
             got = in_region(kind, n, xs + ys - 1, xs - ys)  # arrays
             assert got.tolist() == want, (kind, n)
             for (x, y), w in zip(pts[::7], want[::7]):  # scalars
-                assert in_region(kind, n, x + y - 1, x - y) == w
-                assert TiltedRegion(kind, n).contains((x, y)) == w
+                assert contains(kind, n, (x, y)) == w
 
 
 def test_long_sides_are_the_rectangle_ends():

@@ -3,8 +3,6 @@
 import pytest
 
 from manhattan_pinball.configuration import constant, from_closed_sites
-from manhattan_pinball.enhancement import default_pattern, match_pattern
-from manhattan_pinball.geometry import TiltedRegion
 from manhattan_pinball.render import RenderSpec, render_svg
 from manhattan_pinball.tracer import RayState, trace
 
@@ -39,19 +37,14 @@ def test_mirror_glyph_orientation():
 
 
 def test_witness_and_match_layers():
-    c = from_closed_sites(8, default_pattern().closed_sites)
-    g = default_pattern()
-    ms = match_pattern(c, g)
     svg = render_svg(
-        c,
-        RenderSpec(layers=("circuit_witness", "pattern_matches", "regions")),
+        constant(3, False),
+        RenderSpec(layers=("circuit_witness",), scale=10),
         witness=[(0.5, 0.5), (1.5, 1.5), (2.5, 0.5), (1.5, -0.5)],
-        matches=ms, red_site=g.red_site,
-        regions=[TiltedRegion("Q", 4)],
     )
-    assert "<circle" in svg  # one marker per matched red
-    assert "stroke-dasharray" in svg  # region outline
-    assert svg.count("<polyline") == 2  # witness plus region box
+    # one polyline, closed back to its first vertex, with y negated
+    assert svg.count("<polyline") == 1
+    assert 'points="5,-5 15,-15 25,-5 15,5 5,-5"' in svg
 
 
 def test_trajectory_extent_mismatch_rejected():
