@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 verification or pattern check failure, 2 usage error,
-3 internal error (a defect of the program, such as non-injective dynamics).
+Exit codes: 0 success, 1 verification or pattern check failure, 2 usage error
+or a run too large for the memory at hand, 3 internal error (a defect of the
+program, such as non-injective dynamics).
 All file writes are atomic (temp file + rename).  Randomness flows only
 through explicit --seed flags.
 """
@@ -274,6 +275,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ConfigParseError, ResourceLimitError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller n or extent, or fewer workers", file=sys.stderr)
         return 2
     except DynamicsError as e:
         print(f"internal error: {e}", file=sys.stderr)

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigParseError, ResourceLimitError
-from .geometry import edge_in_region, site_endpoints
+from .geometry import edge_in_region, site_edges
 
 GENERATOR_ID = "splitmix64-v1"
 FORMAT_VERSION = 1
@@ -277,8 +277,7 @@ def edge_inside_q_mask(M: int, k: int) -> np.ndarray:
 
     Cached per (M, k) and read-only.
     """
-    _, _, i1, j1, i2, j2 = site_endpoints(M)
-    mask = edge_in_region("Q", k, i1, j1, i2, j2).reshape(2 * M + 1, 2 * M + 1)
+    mask = edge_in_region("Q", k, *site_edges(M))
     mask.flags.writeable = False
     return mask
 

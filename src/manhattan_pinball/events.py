@@ -57,7 +57,7 @@ from .geometry import (
     in_region,
     long_sides,
     site_between,
-    site_endpoints,
+    site_edges,
     site_radius,
 )
 from .tracer import CLOSED, TableWalks
@@ -138,11 +138,17 @@ class Raster(NamedTuple):
         return np.flatnonzero(self.base & mask(*np.ogrid[u0 : u0 + H, v0 : v0 + W]))
 
 
-def _raster(M, sites, base, origin):
-    """The ``Raster`` on ``base`` that gathers the sites of extent M with
-    flat field indices ``sites``."""
-    A, B = (x[sites] for x in site_endpoints(M)[:2])
-    box = Raster(base, None, sites, origin)
+def _coords(M, keep):
+    """(a, b), int32, of the sites of extent M in the flat mask ``keep``, in field order."""
+    a = np.arange(-M, M + 1, dtype=np.int32)
+    return tuple(g[keep.reshape(len(a), -1)] for g in np.broadcast_arrays(a[:, np.newaxis], a))
+
+
+def _raster(M, keep, base, origin):
+    """The ``Raster`` on ``base`` that gathers the sites of extent M in the
+    flat mask ``keep``."""
+    A, B = _coords(M, keep)
+    box = Raster(base, None, np.flatnonzero(keep), origin)
     return box._replace(pixels=box.pixel(A + B - 1, A - B).astype(np.intp))
 
 
@@ -153,11 +159,11 @@ def edge_raster(M, keep):
     if not keep.any():  # as in T_1, which holds no vertex
         none = np.empty(0, dtype=np.intp)
         return Raster(np.zeros((1, 1), dtype=bool), none, none, (0, 0))
-    _, _, i1, j1, i2, j2 = (x[keep] for x in site_endpoints(M))
+    i1, j1, i2, j2 = edge_ends(*_coords(M, keep))
     u, v = np.concatenate([i1 + j1, i2 + j2]), np.concatenate([i1 - j1, i2 - j2])
     base = np.zeros((u.max() - u.min() + 1, v.max() - v.min() + 1), dtype=bool)
     base[u - u.min(), v - v.min()] = True
-    return _raster(M, np.flatnonzero(keep), base, (int(u.min()), int(v.min())))
+    return _raster(M, keep, base, (int(u.min()), int(v.min())))
 
 
 # Links the four neighbours of a pixel within its field, none across the stack.
@@ -202,16 +208,14 @@ def _radial_static(M, n):
     """The raster of the edges inside Q_{n+2}, its center vertex and its
     vertices outside Q_n.  A closed path from the center first leaves Q_n
     at a vertex of Q_{n+2}, so no other edge matters."""
-    _, _, i1, j1, i2, j2 = site_endpoints(M)
-    raster = edge_raster(M, edge_in_region("Q", n + 2, i1, j1, i2, j2))
+    raster = edge_raster(M, edge_in_region("Q", n + 2, *site_edges(M)).ravel())
     return raster, [raster.pixel(0, 0)], raster.where(lambda u, v: ~in_region("Q", n, u, v))
 
 
 @lru_cache(maxsize=64)
 def _rect_static(M, n, kind):
     """The rectangle's raster and the vertices of its two short sides."""
-    _, _, i1, j1, i2, j2 = site_endpoints(M)
-    raster = edge_raster(M, edge_in_region(kind, n, i1, j1, i2, j2))
+    raster = edge_raster(M, edge_in_region(kind, n, *site_edges(M)).ravel())
     return (raster, *(raster.where(lambda u, v, end=end: long_sides(kind, n, u, v)[end])
                       for end in (0, 1)))
 
@@ -230,11 +234,10 @@ def _circuit_static(M, n):
     frame of always-on pixels around them: c is the least odd number that is
     at least n - 3 and at least 1.
     """
-    _, _, i1, j1, i2, j2 = site_endpoints(M)
     r = 2 * n + 1
     U, V = np.ogrid[-r : r + 1, -r : r + 1]
     interior = (abs(U) < n - 3) & (abs(V) < n - 3)
-    raster = _raster(M, np.flatnonzero(_usable(n, i1, j1, i2, j2)),
+    raster = _raster(M, _usable(n, *site_edges(M)).ravel(),
                      ((U % 2 == 1) | (V % 2 == 1)) & ~interior, (-r, -r))
     ring = (U % 2 == 1) & (V % 2 == 1) & ((abs(U) == r) | (abs(V) == r))
     return raster, raster.pixel(-1, max(1, (n - 3) | 1)), np.flatnonzero(ring)
@@ -244,12 +247,13 @@ def _circuit_static(M, n):
 def _cycle_static(M, n):
     """The primal image of the crosscheck, the usable edges that do not cross
     the cut ray; the sites of the usable edges that do and their ends' pixels."""
-    A, B, i1, j1, i2, j2 = site_endpoints(M)
-    raster = edge_raster(M, _usable(n, i1, j1, i2, j2))
-    cut = _crosses_cut(A, B)[raster.sites]
+    keep = _usable(n, *site_edges(M)).ravel()
+    raster = edge_raster(M, keep)
+    A, B = _coords(M, keep)
+    cut = _crosses_cut(A, B)
     bridges = raster.sites[cut]
-    ends = [raster.pixel(i[bridges] + j[bridges], i[bridges] - j[bridges])
-            for i, j in ((i1, j1), (i2, j2))]
+    i1, j1, i2, j2 = edge_ends(A[cut], B[cut])
+    ends = [raster.pixel(i1 + j1, i1 - j1), raster.pixel(i2 + j2, i2 - j2)]
     return raster._replace(pixels=raster.pixels[~cut], sites=raster.sites[~cut]), bridges, ends
 
 

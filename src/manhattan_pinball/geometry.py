@@ -13,7 +13,6 @@ vertical transit of its site.
 from __future__ import annotations
 
 from enum import IntEnum
-from functools import lru_cache
 
 import numpy as np
 
@@ -138,13 +137,8 @@ def edge_ends(a, b):
     return a - 1, b - ne, a, b - 1 + ne
 
 
-@lru_cache(maxsize=8)
-def site_endpoints(M: int):
-    """(A, B, i1, j1, i2, j2): every site of extent M, flattened in field
-    order (A major), with the vertex indices of its edge's two ends."""
-    rng = np.arange(-M, M + 1, dtype=np.int32)
-    A, B = (g.ravel() for g in np.meshgrid(rng, rng, indexing="ij"))
-    arrays = (A, B) + edge_ends(A, B)
-    for x in arrays:
-        x.flags.writeable = False  # shared by every caller of the cache
-    return arrays
+def site_edges(M: int):
+    """``edge_ends`` of every site of extent M, as int32 arrays that broadcast
+    to the (2M+1, 2M+1) field: i1 and i2 are columns, j1 and j2 full grids."""
+    a = np.arange(-M, M + 1, dtype=np.int32)
+    return edge_ends(a[:, np.newaxis], a)

@@ -30,6 +30,8 @@ class RenderSpec:
     def __post_init__(self):
         if self.scale < 1:
             raise ValueError(f"scale must be >= 1, got {self.scale}")
+        if not self.layers:
+            raise ValueError(f"no layer to render; choose from {','.join(ALL_LAYERS)}")
         for layer in self.layers:
             if layer not in ALL_LAYERS:
                 raise ValueError(f"unknown layer {layer!r}; "
@@ -63,10 +65,14 @@ def render_svg(config: Configuration, spec: RenderSpec | None = None,
     """Compose the requested layers into an SVG 1.1 document.
 
     ``trajectory`` is a Trajectory and ``witness`` a list of real vertex
-    pairs; a layer whose input is missing draws nothing.
+    pairs.  Raises ValueError when a requested layer's input is None, since
+    the layer would draw nothing.
     """
     if spec is None:
         spec = RenderSpec()
+    for layer, given in (("trajectory", trajectory), ("circuit_witness", witness)):
+        if layer in spec.layers and given is None:
+            raise ValueError(f"layer {layer!r} has no input to draw")
     M = config.extent
     s = spec.scale
     if trajectory is not None and max(abs(int(x)) for x in trajectory.states[:, :2].ravel()) > M:
@@ -99,7 +105,7 @@ def render_svg(config: Configuration, spec: RenderSpec | None = None,
         if pts[0] != pts[-1]:
             pts.append(pts[0])
         parts.append(_polyline(pts, s, _PALETTE["circuit_witness"], 2.5))
-    if "trajectory" in spec.layers and trajectory is not None:
+    if "trajectory" in spec.layers:
         pts = [(int(a), int(b)) for a, b in trajectory.states[:, :2]]
         if trajectory.status == "closed":
             pts.append(pts[0])

@@ -92,21 +92,14 @@ _TURN = tuple(range(4)) + tuple(int(reflect(d, o)) for o in Orientation for d in
 
 
 @lru_cache(maxsize=4)
-def _code_table(M):
-    """4 * mirror code (uint8) of a mirror at every site of extent M."""
-    a = np.arange(-M, M + 1, dtype=np.int16)
-    code = ((((a[:, None] - a[None, :]) & 1) + 1) << 2).astype(np.uint8)
-    code.flags.writeable = False
-    return code
-
-
-@lru_cache(maxsize=4)
 def _abort_codes(M, abort_at):
-    """(mirror codes, _FAR codes) of extent M (uint8): the mirror code of each
-    site of radius at most ``abort_at`` and 0 beyond, and _FAR beyond and 0
-    within, so that a field's codes are (closed * mirror) | far.  Read-only."""
-    far = site_radius(M) > abort_at
-    codes = np.where(far, np.uint8(0), _code_table(M)), np.where(far, np.uint8(_FAR), np.uint8(0))
+    """(mirror, far) codes of extent M (uint8): 4 * the mirror code of each site
+    of radius at most ``abort_at`` (None: of any radius) and 0 beyond, and _FAR
+    beyond and 0 within, so a field's codes are (closed * mirror) | far.  Read-only."""
+    a = np.arange(-M, M + 1, dtype=np.int16)
+    mirror = ((((a[:, None] - a) & 1) + 1) << 2).astype(np.uint8)
+    far = np.zeros(mirror.shape, dtype=bool) if abort_at is None else site_radius(M) > abort_at
+    codes = np.where(far, np.uint8(0), mirror), np.where(far, np.uint8(_FAR), np.uint8(0))
     for x in codes:
         x.flags.writeable = False
     return codes
@@ -206,11 +199,8 @@ class TableWalks:
     def fill(self, closed: np.ndarray) -> None:
         """Write the mirror field ``closed`` into the inside of the table."""
         inner = self.cells.reshape(self.P, self.P)[1:-1, 1:-1]
-        if self.abort_at is None:
-            np.multiply(closed, _code_table(self.M), out=inner)
-        else:
-            mirror, far = _abort_codes(self.M, self.abort_at)
-            np.bitwise_or(np.multiply(closed, mirror, out=inner), far, out=inner)
+        mirror, far = _abort_codes(self.M, self.abort_at)
+        np.bitwise_or(np.multiply(closed, mirror, out=inner), far, out=inner)
 
     def state(self, ray: RayState = _ORIGIN) -> int:
         """The kernel state of ``ray``."""
@@ -231,7 +221,7 @@ class TableWalks:
         """Put a mirror on each of the flat field ``sites`` that reads open."""
         j = self.index(sites)
         open_ = self.cells[j] == 0
-        self.cells[j[open_]] = _code_table(self.M).ravel()[sites[open_]]
+        self.cells[j[open_]] = _abort_codes(self.M, self.abort_at)[0].ravel()[sites[open_]]
 
     def visits(self, path, sites: np.ndarray) -> bool:
         """Does ``path`` visit any of the flat field ``sites``?"""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from manhattan_pinball import cli
 from manhattan_pinball.cli import main
 
 
@@ -193,6 +194,36 @@ def test_bad_layer_is_usage_error(tmp_path, capsys):
                     "--out", str(tmp_path / "x.svg")]) == 2
         assert f"layer {layer!r}" in capsys.readouterr().err
         assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("layers, missing", [
+    ("trajectory", "layer 'trajectory'"),
+    ("lattice,trajectory", "layer 'trajectory'"),
+    ("circuit_witness", "layer 'circuit_witness'"),
+    (",", "no layer to render"),
+])
+def test_render_layer_without_input_is_usage_error(tmp_path, capsys, layers, missing):
+    # a layer no flag feeds would draw a blank picture, or none of itself
+    cfg = tmp_path / "c.txt"
+    run(["sample", "--p", "0.5", "--extent", "3", "--seed", "1",
+         "--out", str(cfg)])
+    capsys.readouterr()
+    assert run(["render", "--config", str(cfg), "--layers", layers,
+                "--out", str(tmp_path / "x.svg")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {missing}")
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "estimate_event", exhausted)
+    csv = tmp_path / "e.csv"
+    assert run(["estimate", "--event", "A", "--p", "0.5", "--n", "4",
+                "--trials", "1", "--seed", "1", "--csv", str(csv)]) == 2
+    assert capsys.readouterr().err.startswith("error: out of memory")
+    assert not csv.exists()
 
 
 @pytest.mark.parametrize("scale", ["0", "-2"])

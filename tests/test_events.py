@@ -285,6 +285,25 @@ def test_package_import_leaves_scipy_sparse_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_closure_runs_leave_scipy_out():
+    # closure walks the ray and labels no image; importing scipy would
+    # more than double its set-up time in every fresh interpreter and worker
+    src = str(Path(manhattan_pinball.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from manhattan_pinball.configuration import sample\n"
+         "from manhattan_pinball.montecarlo import estimate_event\n"
+         "from manhattan_pinball.tracer import trace\n"
+         "estimate_event('closure', 0.5, 8, 50, 1)\n"
+         "estimate_event('closure', 0.5, 8, 5, 1, enhanced=True)\n"
+         "trace(sample(0.5, 10, 1))\n"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_planted_diamond_ring():
     # every site at tilted distance 4 or 5 from the center is a mirror: the
     # ring surrounds Q_2 and supports a circuit

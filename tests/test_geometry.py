@@ -15,7 +15,7 @@ from manhattan_pinball.geometry import (
     mirror_orientation,
     q_radius,
     reflect,
-    site_endpoints,
+    site_edges,
 )
 
 W = 6  # window half-width for brute enumeration
@@ -192,13 +192,13 @@ def test_long_sides_are_the_rectangle_ends():
                 assert side_b == (long_coord == 2 * n)
 
 
-def test_site_endpoints_match_edge_for_site():
+def test_site_edges_match_edge_for_site():
     M = 4
-    A, B, i1, j1, i2, j2 = site_endpoints(M)
-    assert len(A) == (2 * M + 1) ** 2
-    for k in range(len(A)):
-        a, b = int(A[k]), int(B[k])
-        assert k == (a + M) * (2 * M + 1) + (b + M)  # field order
+    side = 2 * M + 1
+    i1, j1, i2, j2 = (np.broadcast_to(x, (side, side)).ravel() for x in site_edges(M))
+    assert all(x.dtype == np.int32 for x in (i1, j1, i2, j2))
+    for k in range(side * side):
+        a, b = k // side - M, k % side - M  # field order
         (x1, y1), (x2, y2) = edge_for_site((a, b))
         assert (i1[k], j1[k], i2[k], j2[k]) == (x1 - 0.5, y1 - 0.5, x2 - 0.5, y2 - 0.5)
         assert edge_ends(a, b) == (i1[k], j1[k], i2[k], j2[k])

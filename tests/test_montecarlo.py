@@ -4,11 +4,12 @@ import hashlib
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from manhattan_pinball import montecarlo, tracer
+from manhattan_pinball import configuration, enhancement, events, geometry, montecarlo, tracer
 from manhattan_pinball.configuration import Configuration, hybrid, sample
 from manhattan_pinball.enhancement import (
     Pattern,
@@ -32,6 +33,26 @@ from manhattan_pinball.montecarlo import (
     verify_theorem,
     wilson_interval,
 )
+
+
+@pytest.mark.parametrize("event", ["A", "Aprime", "Acirc", "Acirc4"])
+def test_graph_event_retains_few_bytes_per_site(event):
+    # what an estimate keeps between calls is its event's rasters and drawn
+    # sites; a per-site catalogue beside them would double that
+    estimate_event(event, 0.5, 2, 1, 1)  # first-use imports are not retained state
+    for n in (16, 24):
+        for module in (configuration, enhancement, events, geometry, montecarlo, tracer):
+            for f in vars(module).values():
+                if hasattr(f, "cache_clear"):
+                    f.cache_clear()
+        tracemalloc.start()
+        try:
+            estimate_event(event, 0.5, n, 1, 1)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        per_site = retained / (2 * event_extent(event, n) + 1) ** 2
+        assert per_site <= 20, (n, per_site)
 
 
 def test_wilson_basics():
