@@ -214,7 +214,7 @@ def _build_parser():
     p = sub.add_parser("enhance", help="apply an enhancement pattern")
     p.add_argument("--config", required=True)
     p.add_argument("--pattern", default="default")
-    p.add_argument("--exclude-core", type=int, dest="exclude_core")
+    p.add_argument("--exclude-core", type=_count(0), dest="exclude_core")
     p.add_argument("--out", required=True)
     p.add_argument("--diff", help="write the list of changed sites here")
     p.set_defaults(fn=_cmd_enhance)

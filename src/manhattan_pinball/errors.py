@@ -2,7 +2,7 @@
 
 
 class ResourceLimitError(RuntimeError):
-    """A requested extent or trial count exceeds the configured memory budget."""
+    """A requested extent needs more field bytes than configuration.MAX_FIELD_BYTES."""
 
 
 class ConfigParseError(ValueError):

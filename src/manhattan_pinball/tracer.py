@@ -2,7 +2,11 @@
 
 The ray state is (site just departed, outgoing direction); the origin ray is
 ((0, 0), E).  The forward map is a bijection on states, so every trajectory
-is either a closed orbit or leaves the extent.  ``step`` and ``step_back``
+is either a closed orbit or leaves the extent, within 4W^2 steps: the
+extent has 4W^2 ray states, W = 2M + 1, and a walk visits each at most
+once.  So walks count their steps instead of marking states: one still live
+after 4W^2 steps has repeated a state other than its start and raises
+``DynamicsError``.  ``step`` and ``step_back``
 are the reference dynamics.  Every other walk runs one table-driven kernel
 on a flat byte copy of the field that a ``TableWalks`` owns, with the
 kernel's state encoding; a loop over fields refills one table.
@@ -12,7 +16,6 @@ without building the fields: each step hashes just the sites the rays enter.
 
 from __future__ import annotations
 
-import threading
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -108,13 +111,6 @@ def _abort_codes(M, abort_at):
 _REPEATED = "non-start state repeated: dynamics not injective"
 
 
-@lru_cache(maxsize=4)
-def _visited_mask(n_states, thread):
-    """The zeroed visited mask the walks of one extent in one thread share;
-    each walk clears the states it marked."""
-    return bytearray(n_states)
-
-
 def _trace_kernel(cells: bytes, P: int, s0: int, max_steps: int, at: int | None = None):
     """Walk from state ``s0`` until closure, escape, abort or ``max_steps`` steps.
 
@@ -122,41 +118,35 @@ def _trace_kernel(cells: bytes, P: int, s0: int, max_steps: int, at: int | None 
     aborted walk ends with the first site beyond the abort radius, recorded
     with the direction the ray entered it.  With ``at``, the walk resumes
     from state ``at`` of a walk that started at ``s0``; the path starts at
-    ``at``.
+    ``at``.  The walk takes at most 4W^2 steps, W = P - 2, and raises
+    ``DynamicsError`` if it is live after them with budget left: an injective
+    walk from any state of its orbit meets ``s0`` or ends within 4W^2 steps.
     """
     step = (P, 1, -P, -1)
     turn = _TURN
-    seen = _visited_mask(len(cells) << 2, threading.get_ident())
+    bound = 4 * (P - 2) ** 2
     if at is None:
         at = s0
     path = array("q", (at,))
-    try:
-        seen[s0] = 2  # entering the start state again closes the orbit
-        if at != s0:
-            seen[at] = 1
-        append = path.append
-        i, d = at >> 2, at & 3
-        for _ in range(max_steps):
-            j = i + step[d]
-            c = cells[j]
-            if c >= _OUT:
-                if c == _OUT:
-                    return ESCAPED, path
-                append(4 * j + d)
-                return ABORTED, path
-            d = turn[c + d]
-            s = 4 * j + d
-            if seen[s]:
-                if seen[s] == 1:
-                    raise DynamicsError(_REPEATED)
-                return CLOSED, path
-            seen[s] = 1
-            append(s)
-            i = j
-        return BUDGET_EXCEEDED, path
-    finally:  # every marked state is s0 or on the path, even after a raise
-        seen[s0] = 0
-        np.frombuffer(seen, dtype=np.uint8)[np.frombuffer(path, dtype=np.int64)] = 0
+    append = path.append
+    i, d = at >> 2, at & 3
+    for _ in range(min(max_steps, bound)):
+        j = i + step[d]
+        c = cells[j]
+        if c >= _OUT:
+            if c == _OUT:
+                return ESCAPED, path
+            append(4 * j + d)
+            return ABORTED, path
+        d = turn[c + d]
+        s = 4 * j + d
+        if s == s0:
+            return CLOSED, path
+        append(s)
+        i = j
+    if max_steps > bound:
+        raise DynamicsError(_REPEATED)
+    return BUDGET_EXCEEDED, path
 
 
 def _abort_at(abort_radius: int, start: RayState) -> int | None:
@@ -250,9 +240,10 @@ class TableWalks:
 # sentinel _ESC or _ABORT whatever their uniform.
 _ESC, _ABORT = 8, 10
 # Peak bytes a lockstep walk holds per ray: the ray state (site, direction,
-# stream base, checkpoint, sample position), one step's temporaries and the
-# copies a compaction makes.  tracemalloc measured 115 at M = 66 for 1000 to
-# 8000 rays, on top of about 0.44 MB of tables that depend on M alone.
+# stream base, sample position), one step's temporaries and the copies a
+# compaction makes.  tracemalloc measured 113 at M = 66 for 1000 to 8000
+# rays, on top of about 0.46 MB of tables that depend on M alone; the margin
+# to 128 keeps an estimate's walks at 3072 rays (montecarlo._STACK_BYTES).
 LOCKSTEP_RAY_BYTES = 128
 # A lockstep step costs about 30 us however few rays are live; _trace_kernel
 # costs about 0.5 us a step plus 0.3 ms to build the ray's field (M = 66).
@@ -291,10 +282,9 @@ def trace_lockstep(p: float, M: int, seed: int, stream_indices,
     steps, pos, at = 0, np.arange(K), np.full(K, walks.state())
     if K > _LOCKSTEP_MIN_RAYS:
         steps, pos, at = _lockstep(p, M, seed, stream_indices, walks, max_steps, status)
-    if steps < max_steps:
-        for k, s in zip(pos.tolist(), at.tolist()):
-            walks.fill(sample(p, M, seed, stream_indices[k]).closed)
-            status[k] = walks.walk(max_steps=max_steps - steps, at=s)[0]
+    for k, s in zip(pos.tolist(), at.tolist()):
+        walks.fill(sample(p, M, seed, stream_indices[k]).closed)
+        status[k] = walks.walk(max_steps=max_steps - steps, at=s)[0]
     return status
 
 
@@ -303,14 +293,14 @@ def _lockstep(p, M, seed, stream_indices, walks, max_steps, status):
     live or ``max_steps`` steps are done, writing the status of each ray that
     ends into ``status``.  Returns (steps, positions, states) of the rest.
 
-    A ray holds its site, direction, stream base and a checkpoint state.  The
-    checkpoint is reset at steps 1, 2, 4, 8, ... (Brent), so a ray that
-    repeats a state other than its start raises ``DynamicsError`` within
-    3 * 4W^2 steps, inside the budget default_max_steps(M) = 16W^2; a ray
-    handed on before that repeats, within 4W^2 more steps, a state that
-    _trace_kernel has marked.
+    A ray holds its site, direction, stream base and sample position.  A
+    walk with budget left after 4W^2 steps and more than _LOCKSTEP_MIN_RAYS
+    rays live raises ``DynamicsError``, as _trace_kernel does; a ray handed
+    on before that resumes there with 4W^2 steps of its own, inside the
+    budget default_max_steps(M) = 16W^2.
     """
     P = 2 * M + 3
+    bound = 4 * (2 * M + 1) ** 2
     # 8 * code of every cell of the padded table, and its uint64 coordinates
     walks.fill(np.ones((2 * M + 1, 2 * M + 1), dtype=bool))
     cells = 2 * walks.cells.astype(np.intp)
@@ -327,12 +317,13 @@ def _lockstep(p, M, seed, stream_indices, walks, max_steps, status):
     j = np.full(K, s0 >> 2)
     e = np.full(K, 2 * (s0 & 3))
     base = stream_base(seed, stream_indices)
-    checkpoint = np.full(K, key0)
     pos = np.arange(K)
     scratch = np.empty(K, dtype=np.uint64)
     esc, three = np.array(_ESC), np.array(3)  # 0-d: faster ufunc calls
     steps = 0
     while len(j) > _LOCKSTEP_MIN_RAYS and steps < max_steps:
+        if steps == bound:
+            raise DynamicsError(_REPEATED)
         steps += 1
         L = len(j)
         tmp = scratch[:L]
@@ -344,24 +335,16 @@ def _lockstep(p, M, seed, stream_indices, walks, max_steps, status):
         idx += e
         idx += closed_bits(h, p)
         e = turn[idx]
-        # a ray ends on its start state, on a sentinel, or on a checkpoint
-        # that is not its start (then the dynamics is broken)
+        # a ray ends on its start state or on a sentinel
         key = np.left_shift(j, three)
         key += e
         hit = key == key0
-        hit |= key == checkpoint
         hit |= e >= esc
-        if steps & (steps - 1) == 0:
-            checkpoint = key
         if not np.count_nonzero(hit):
             continue
-        done = np.flatnonzero(hit)
-        ed, kd = e[done], key[done]
-        if np.any((ed < _ESC) & (kd != key0)):
-            raise DynamicsError(_REPEATED)
-        status[pos[done]] = ending[ed]
+        status[pos[hit]] = ending[e[hit]]
         live = ~hit
-        j, e, base, checkpoint, pos = (x[live] for x in (j, e, base, checkpoint, pos))
+        j, e, base, pos = (x[live] for x in (j, e, base, pos))
     return steps, pos, (j << 2) + (e >> 1)
 
 

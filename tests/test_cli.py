@@ -257,6 +257,17 @@ def test_negative_pattern_budget_is_usage_error(action, capsys):
     assert "--budget: must be >= 0" in capsys.readouterr().err
 
 
+def test_negative_excluded_core_is_usage_error(tmp_path, capsys):
+    # Q_k is empty for k < 0, so a negative core would silently exclude nothing
+    cfg, out = tmp_path / "c.txt", tmp_path / "e.txt"
+    run(["sample", "--p", "0.5", "--extent", "6", "--seed", "1", "--out", str(cfg)])
+    with pytest.raises(SystemExit) as ei:
+        run(["enhance", "--config", str(cfg), "--exclude-core", "-1", "--out", str(out)])
+    assert ei.value.code == 2
+    assert "--exclude-core: must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_trajectory_file_is_parse_error(tmp_path, capsys):
     cfg, traj = tmp_path / "c.txt", tmp_path / "t.txt"
     run(["sample", "--p", "1", "--extent", "4", "--seed", "1", "--out", str(cfg)])

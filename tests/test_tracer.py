@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import manhattan_pinball
-from manhattan_pinball import tracer
+from manhattan_pinball import configuration, enhancement, events, geometry, montecarlo, tracer
 from manhattan_pinball.cli import main
 from manhattan_pinball.configuration import Configuration, constant, from_closed_sites, sample
 from manhattan_pinball.errors import ConfigParseError, DynamicsError, ResourceLimitError
@@ -285,16 +285,14 @@ print(hashlib.sha256(text.encode()).hexdigest())
 """
 
 
-def test_walk_that_raises_leaves_the_shared_visited_mask_clean(monkeypatch):
-    # the walks of one extent share one visited mask and clear their marks
-    # as they return, also when they raise
+def test_walks_after_a_raise_equal_a_fresh_interpreters(monkeypatch):
+    # a walk that raises leaves nothing behind that later walks read
     fields = [sample(0.5, 10, 5, i) for i in range(40)]
     with monkeypatch.context() as patched:
         patched.setattr(tracer, "_TURN", _NON_INJECTIVE_TURN)
         with pytest.raises(DynamicsError):
             for c in fields:
                 trace(c)
-    assert not any(tracer._visited_mask(4 * (2 * 10 + 3) ** 2, threading.get_ident()))
     text = "".join(dump_trajectory(trace(c)) for c in fields)
     src = str(Path(manhattan_pinball.__file__).resolve().parents[1])
     fresh = subprocess.run([sys.executable, "-c", _WALKS], env={**os.environ, "PYTHONPATH": src},
@@ -302,7 +300,7 @@ def test_walk_that_raises_leaves_the_shared_visited_mask_clean(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == fresh.stdout.strip()
 
 
-def test_walks_in_threads_keep_their_own_visited_masks():
+def test_walks_in_threads_equal_the_serial_walks():
     fields = [sample(0.5, 10, 5, i) for i in range(40)]
     want = [trace_summary(c) for c in fields]
     results = {}
@@ -322,6 +320,51 @@ def test_walks_in_threads_keep_their_own_visited_masks():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(results[k] == want for k in range(len(threads)))
+
+
+def test_walks_raise_once_live_past_the_extents_ray_states(monkeypatch):
+    # an injective walk ends within the extent's 4W^2 ray states, so one still
+    # live after 4W^2 steps raises, and a budget of 4W^2 stops it before
+    monkeypatch.setattr(tracer, "_TURN", _NON_INJECTIVE_TURN)
+    monkeypatch.setattr(tracer, "_LOCKSTEP_MIN_RAYS", 0)
+    M, seed = 10, 5
+    bound = 4 * (2 * M + 1) ** 2
+    for i in range(60):
+        c = sample(0.5, M, seed, i)
+        try:
+            trace_summary(c)
+        except DynamicsError:
+            break
+    else:
+        pytest.fail("no walk raised")
+    assert trace_summary(c, max_steps=bound)[0] == "budget_exceeded"
+    with pytest.raises(DynamicsError):
+        trace_summary(c, max_steps=bound + 1)
+    monkeypatch.setattr(tracer, "default_max_steps", lambda M: bound)
+    assert _lockstep_statuses(0.5, M, seed, [i], -1) == ["budget_exceeded"]
+    monkeypatch.setattr(tracer, "default_max_steps", lambda M: bound + 1)
+    with pytest.raises(DynamicsError):
+        trace_lockstep(0.5, M, seed, [i], -1)
+
+
+def test_walk_retains_no_buffer_per_state():
+    # after a walk only its extent's cached codes (2 B/site) remain; a mask
+    # or any buffer over the 4W^2 ray states would hold 4 B/site more
+    trace_summary(sample(0.5, 4, 1))  # first-use imports are not retained state
+    for M in (40, 100):
+        c = sample(0.5, M, 1)
+        for module in (configuration, enhancement, events, geometry, montecarlo, tracer):
+            for f in vars(module).values():
+                if hasattr(f, "cache_clear"):
+                    f.cache_clear()
+        tracemalloc.start()
+        try:
+            trace_summary(c)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        per_site = retained / (2 * M + 1) ** 2
+        assert per_site <= 3, (M, per_site)
 
 
 def test_trace_summary_agrees_with_trace():
