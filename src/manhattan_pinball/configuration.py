@@ -86,10 +86,14 @@ def unit(h, out=None):
 
 
 def closed_bits(h, p, out=None):
-    """Closed bits of the raw site hashes ``h`` at probability ``p``: (h >> 11)
-    < ceil(p 2^53), which is exactly unit(h) < p, the bit ``threshold`` gives,
-    without a float field; p = 1 closes every site.  Shifts ``h`` in place."""
-    return np.less(np.right_shift(h, _S11, out=h), np.uint64(math.ceil(p * 2.0 ** 53)), out=out)
+    """Closed bits of the raw site hashes ``h`` at probability ``p``: h <
+    ceil(p 2^53) << 11, which holds iff (h >> 11) < ceil(p 2^53), so exactly
+    when unit(h) < p, the bit ``threshold`` gives, without a float field or a
+    shift; p = 1 (where the limit is 2^64) closes every site."""
+    limit = math.ceil(p * 2.0 ** 53) << 11
+    if limit >> 64:
+        return np.greater_equal(h, np.uint64(0), out=out)
+    return np.less(h, np.array(limit, dtype=np.uint64), out=out)
 
 
 def site_sampler(M, sites):

@@ -174,14 +174,21 @@ _STACK_BYTES = 3 << 17
 
 
 @lru_cache(maxsize=16)
+def _read_mask(extent, n, event):
+    """(W, W) bool mask of the sites the event reads.  Cached, read-only."""
+    W = 2 * extent + 1
+    reads = np.zeros((W, W), dtype=bool)
+    reads.ravel()[EVENTS[event].reads(extent, n)] = True
+    reads.flags.writeable = False
+    return reads
+
+
+@lru_cache(maxsize=16)
 def _fill_sites(extent, n, event, pattern):
     """Flat indices of the sites a sample loop draws: those the event reads,
     dilated by the pattern's copies.  The enhanced field is then exact on
     every read site.  Cached, read-only."""
-    W = 2 * extent + 1
-    reads = np.zeros((W, W), dtype=bool)
-    reads.ravel()[EVENTS[event].reads(extent, n)] = True
-    sites = np.flatnonzero(_dilated(reads, pattern))
+    sites = np.flatnonzero(_dilated(_read_mask(extent, n, event), pattern))
     sites.flags.writeable = False
     return sites
 
@@ -245,9 +252,10 @@ def estimate_event(event: str, p: float, n: int, N: int, seed: int,
 def _paired_samples(args):
     event, p, n, seed, extent, pattern, indices = args
     ev = EVENTS[event]
-    reads = ev.reads(extent, n)
+    reads = _read_mask(extent, n, event)
     tally = np.zeros(4, dtype=np.int64)  # [neither, only plain, only enhanced, both]
     sites = _fill_sites(extent, n, event, pattern)
+    diff = None  # allocated for the first stack, the largest
     for closed in _field_stacks(p, extent, seed, indices, sites):
         a = ev.holds(closed, n)
         enhanced = enhance_stack(closed, pattern)
@@ -255,9 +263,11 @@ def _paired_samples(args):
         # changed none of them it would see the same input again, so b = a.
         # Any other sample is detected anew, which keeps a monotonicity
         # violation (only_plain) visible.
-        K = len(closed)
-        changed = (enhanced.reshape(K, -1)[:, reads]
-                   != closed.reshape(K, -1)[:, reads]).any(axis=1)
+        if diff is None:
+            diff = np.empty_like(closed)
+        delta = np.not_equal(enhanced, closed, out=diff[: len(closed)])
+        delta &= reads
+        changed = delta.any(axis=(1, 2))
         b = a.copy()
         if changed.any():
             b[changed] = ev.holds(enhanced[changed], n)

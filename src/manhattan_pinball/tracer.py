@@ -12,6 +12,9 @@ on a flat byte copy of the field that a ``TableWalks`` owns, with the
 kernel's state encoding; a loop over fields refills one table.
 ``trace_lockstep`` walks the origin rays of many sampled fields at once
 without building the fields: each step hashes just the sites the rays enter.
+Its turn table gives the start site a code of its own, whose row turns a ray
+back at its start state into a sentinel, as escape and abort are, so one
+comparison ends every ray.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .configuration import (
     check_probability,
     closed_bits,
     hash_key,
-    sample,
+    region_sampler,
     stream_base,
 )
 from .errors import ConfigParseError, DynamicsError
@@ -237,28 +240,36 @@ class TableWalks:
 # next direction from _lockstep_turn() at 2 * (4 * code + d) + closed: an
 # open site passes the ray straight on, a closed one turns it as _TURN does,
 # and the pad ring and the sites beyond the abort radius end it with the
-# sentinel _ESC or _ABORT whatever their uniform.
-_ESC, _ABORT = 8, 10
+# sentinel _ESC or _ABORT whatever their uniform.  The start site reads the
+# code _START, whose row ends a ray back at its start state with _HOME.
+_ESC, _ABORT, _HOME = 8, 10, 12
+_START = 5
 # Peak bytes a lockstep walk holds per ray: the ray state (site, direction,
 # stream base, sample position), one step's temporaries and the copies a
-# compaction makes.  tracemalloc measured 113 at M = 66 for 1000 to 8000
+# compaction makes.  tracemalloc measured 105 at M = 66 for 1000 to 8000
 # rays, on top of about 0.46 MB of tables that depend on M alone; the margin
 # to 128 keeps an estimate's walks at 3072 rays (montecarlo._STACK_BYTES).
 LOCKSTEP_RAY_BYTES = 128
 # A lockstep step costs about 30 us however few rays are live; _trace_kernel
-# costs about 0.5 us a step plus 0.3 ms to build the ray's field (M = 66).
-# So a walk ends when this many rays are left, and they finish one by one:
-# 1000 rays at p = 0.5, n = 64 then take 84 ms instead of 102 ms, and a
-# chunk this small never pays for a lockstep step (16 to 32 measured best).
+# costs about 0.3 us a step plus 0.12 ms to draw and write the ray's field
+# (M = 66).  So a walk ends when this many rays are left, and they finish one
+# by one: 1000 rays at p = 0.5, n = 64 then take 52 ms, against 75 ms all in
+# lockstep.  Ending at 16, 32, 48, 64 or 96 rays read 53, 52, 51, 52 and
+# 54 ms (medians of 10 interleaved rounds), so any of 32 to 64 is as good.
 _LOCKSTEP_MIN_RAYS = 32
 
 
-def _lockstep_turn():
-    """Turn table of the lockstep walk, built from _TURN when it is called."""
-    table = np.empty((5, 4, 2), dtype=np.intp)  # code, d, closed
+def _lockstep_turn(start_code, d0):
+    """Turn table of the lockstep walk, built from _TURN when it is called;
+    row _START is that of the start site's mirror code ``start_code`` with
+    _HOME for leaving along the start direction ``d0``."""
+    table = np.empty((_START + 1, 4, 2), dtype=np.intp)  # code, d, closed
     table[:3, :, 0] = 2 * np.arange(4)  # open site: straight on
     table[:3, :, 1] = 2 * np.reshape(_TURN, (3, 4))
     table[3], table[4] = _ESC, _ABORT
+    home = table[_START]
+    home[...] = table[start_code]
+    home[home == 2 * d0] = _HOME
     return table.ravel()
 
 
@@ -271,7 +282,8 @@ def trace_lockstep(p: float, M: int, seed: int, stream_indices,
     ray by ray, within the same budget of default_max_steps(M) steps.  While
     more than _LOCKSTEP_MIN_RAYS rays are live, one numpy step moves them all
     and hashes only the site each enters, so no field is built; the rays left
-    then finish one by one on their own fields.
+    then finish one by one on one field buffer, drawn by one sampler on the
+    sites a walk can read (those within the abort radius).
     """
     check_probability(p)
     _check_extent(M)
@@ -282,8 +294,11 @@ def trace_lockstep(p: float, M: int, seed: int, stream_indices,
     steps, pos, at = 0, np.arange(K), np.full(K, walks.state())
     if K > _LOCKSTEP_MIN_RAYS:
         steps, pos, at = _lockstep(p, M, seed, stream_indices, walks, max_steps, status)
-    for k, s in zip(pos.tolist(), at.tolist()):
-        walks.fill(sample(p, M, seed, stream_indices[k]).closed)
+    far = _abort_codes(M, walks.abort_at)[1]
+    draw, field = region_sampler(M, far == 0), np.zeros(far.shape, dtype=bool)
+    bases = stream_base(seed, [stream_indices[k] for k in pos.tolist()])
+    for k, s, base in zip(pos.tolist(), at.tolist(), bases):
+        walks.fill(draw(base, p, field))
         status[k] = walks.walk(max_steps=max_steps - steps, at=s)[0]
     return status
 
@@ -293,40 +308,42 @@ def _lockstep(p, M, seed, stream_indices, walks, max_steps, status):
     live or ``max_steps`` steps are done, writing the status of each ray that
     ends into ``status``.  Returns (steps, positions, states) of the rest.
 
-    A ray holds its site, direction, stream base and sample position.  A
-    walk with budget left after 4W^2 steps and more than _LOCKSTEP_MIN_RAYS
-    rays live raises ``DynamicsError``, as _trace_kernel does; a ray handed
-    on before that resumes there with 4W^2 steps of its own, inside the
-    budget default_max_steps(M) = 16W^2.
+    A ray holds its site, direction, stream base and sample position.  The
+    start site reads the code _START, whose row sends a ray back at its start
+    state to _HOME, so ``e >= _ESC`` decides every end: closure, escape and
+    abort.  A walk with budget left after
+    4W^2 steps and more than _LOCKSTEP_MIN_RAYS rays live raises
+    ``DynamicsError``, as _trace_kernel does; a ray handed on before that
+    resumes there with 4W^2 steps of its own, inside the budget
+    default_max_steps(M) = 16W^2.
     """
     P = 2 * M + 3
     bound = 4 * (2 * M + 1) ** 2
     # 8 * code of every cell of the padded table, and its uint64 coordinates
     walks.fill(np.ones((2 * M + 1, 2 * M + 1), dtype=bool))
+    s0 = walks.state()
+    turn = _lockstep_turn(walks.cells[s0 >> 2] >> 2, s0 & 3)
     cells = 2 * walks.cells.astype(np.intp)
+    cells[s0 >> 2] = 8 * _START
     axis = _as_uint64(np.arange(-M - 1, M + 2))
     cell_a, cell_b = np.repeat(axis, P), np.tile(axis, P)
     step = np.repeat((P, 1, -P, -1), 2)  # by doubled direction
-    turn = _lockstep_turn()
-    ending = np.full(_ABORT + 1, CLOSED, dtype=np.int8)  # status by final e
+    ending = np.full(_HOME + 1, CLOSED, dtype=np.int8)  # status by final e
     ending[_ESC], ending[_ABORT] = ESCAPED, ABORTED
 
     K = len(stream_indices)
-    s0 = walks.state()
-    key0 = np.array(2 * s0)  # the start's state key 8j + e
     j = np.full(K, s0 >> 2)
     e = np.full(K, 2 * (s0 & 3))
     base = stream_base(seed, stream_indices)
     pos = np.arange(K)
     scratch = np.empty(K, dtype=np.uint64)
-    esc, three = np.array(_ESC), np.array(3)  # 0-d: faster ufunc calls
+    esc = np.array(_ESC)  # 0-d: faster ufunc calls
     steps = 0
     while len(j) > _LOCKSTEP_MIN_RAYS and steps < max_steps:
         if steps == bound:
             raise DynamicsError(_REPEATED)
         steps += 1
-        L = len(j)
-        tmp = scratch[:L]
+        tmp = scratch[: len(j)]
         j += step[e]
         # the entered site's closed bit, exactly as sample() draws it
         h = hash_key(base, cell_a[j], tmp=tmp)
@@ -335,11 +352,7 @@ def _lockstep(p, M, seed, stream_indices, walks, max_steps, status):
         idx += e
         idx += closed_bits(h, p)
         e = turn[idx]
-        # a ray ends on its start state or on a sentinel
-        key = np.left_shift(j, three)
-        key += e
-        hit = key == key0
-        hit |= e >= esc
+        hit = e >= esc
         if not np.count_nonzero(hit):
             continue
         status[pos[hit]] = ending[e[hit]]

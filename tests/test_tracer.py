@@ -216,6 +216,18 @@ def test_lockstep_matches_trace_summary_on_budgets_and_radii(min_rays, monkeypat
     assert seen == set(STATUS_NAMES)
 
 
+@pytest.mark.parametrize("min_rays", [0, 12])
+def test_lockstep_matches_trace_summary_on_a_field_of_two_hash_blocks(min_rays, monkeypatch):
+    # M = 100 is hashed in two blocks of rows; with 12 of 12 rays every ray
+    # finishes on the tail's fields, with 0 every ray walks in lockstep
+    monkeypatch.setattr(tracer, "_LOCKSTEP_MIN_RAYS", min_rays)
+    M, indices = 100, range(3, 15)
+    for p in (0.2, 0.4, 0.5, 0.75):
+        for abort_radius in (-1, 0, 8, 20, 60, 99, M, 2 * M + 1):
+            assert (_lockstep_statuses(p, M, 17, indices, abort_radius)
+                    == _summary_statuses(p, M, 17, indices, abort_radius)), (p, abort_radius)
+
+
 def test_lockstep_guards():
     assert len(trace_lockstep(0.5, 4, 1, [], 2)) == 0
     for p in (-0.1, 1.5):
