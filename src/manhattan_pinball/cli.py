@@ -34,7 +34,7 @@ from .enhancement import (
     validate_pattern,
 )
 from .errors import ConfigParseError, DynamicsError, ResourceLimitError
-from .events import EVENTS, dump_witness, loads_witness
+from .events import EVENTS, WITNESS_FORMAT_VERSION, dump_witness, loads_witness
 from .montecarlo import (
     estimate_event,
     estimates_csv,
@@ -43,13 +43,14 @@ from .montecarlo import (
     write_csv,
 )
 from .render import ALL_LAYERS, RenderSpec, render_svg
-from .tracer import dump_trajectory, loads_trajectory, trace
+from .tracer import TRAJECTORY_FORMAT_VERSION, dump_trajectory, loads_trajectory, trace
 
 _VERSION_BLURB = (
     f"manhattan-pinball {__version__} "
     f"(configuration format v{FORMAT_VERSION}, "
     f"pattern format v{PATTERN_FORMAT_VERSION}, "
-    f"trajectory/witness format v1, generator {GENERATOR_ID})"
+    f"trajectory format v{TRAJECTORY_FORMAT_VERSION}, "
+    f"witness format v{WITNESS_FORMAT_VERSION}, generator {GENERATOR_ID})"
 )
 
 
@@ -94,7 +95,7 @@ def _cmd_enhance(args):
 
 
 def _cmd_event(args):
-    r = EVENTS[args.event].detect(load(args.config), args.n, witness=True)
+    r = EVENTS[args.event].detect(load(args.config), args.n, witness=bool(args.witness))
     print(f"event={r.event} holds={int(r.holds)}")
     if args.witness:
         atomic_write_text(args.witness, dump_witness(r))

@@ -8,6 +8,12 @@ across extents, and any subset of a field's sites can be drawn alone, in any
 order, with the same bits.  A site is closed iff its uniform is below p,
 which ``closed_bits`` decides on the raw hash.  The generator id is recorded
 in every serialized output; changing it is a format-breaking change.
+
+Every text file of the package (configuration, trajectory, witness, pattern)
+opens with the preamble that ``header_lines`` writes and ``read_header``
+checks: the line 'manhattan-pinball <kind> v<N>', then ordered 'key value'
+lines.  A configuration file then holds one run-length-encoded row per b;
+``loads`` checks the extent against the field budget before it reads a row.
 """
 
 from __future__ import annotations
@@ -298,7 +304,7 @@ def hybrid(inner: Configuration, outer: Configuration, k: int) -> Configuration:
 
 
 # ---------------------------------------------------------------------------
-# file format: text header, then run-length-encoded rows of the closed field.
+# file format: the preamble, then run-length-encoded rows of the closed field.
 # Rows are constant-b lines from b = -M to M; each row scans a = -M..M and is
 # encoded as run lengths alternating open/closed, starting with open.
 # ---------------------------------------------------------------------------
@@ -309,30 +315,15 @@ def _meta_str(v):
 
 
 def dumps(c: Configuration) -> str:
-    M = c.extent
-    lines = [
-        f"manhattan-pinball configuration v{FORMAT_VERSION}",
-        f"generator {c.generator}",
-        f"extent {M}",
-        f"p {_meta_str(c.p)}",
-        f"seed {_meta_str(c.seed)}",
-        f"stream {_meta_str(c.stream_index)}",
-        f"provenance {c.provenance}",
-    ]
-    for ib in range(2 * M + 1):
-        row = c.closed[:, ib]
-        runs = []
-        cur = False
-        count = 0
-        for v in row:
-            if bool(v) == cur:
-                count += 1
-            else:
-                runs.append(count)
-                cur = bool(v)
-                count = 1
-        runs.append(count)
-        lines.append(" ".join(str(r) for r in runs))
+    lines = header_lines("configuration", FORMAT_VERSION, {
+        "generator": c.generator, "extent": c.extent, "p": _meta_str(c.p),
+        "seed": _meta_str(c.seed), "stream": _meta_str(c.stream_index),
+        "provenance": c.provenance})
+    for row in c.closed.T:
+        # a run ends at each change and at the row's end; a closed first
+        # site makes a change at 0, the empty open run
+        ends = np.flatnonzero(np.diff(row, prepend=False, append=not row[-1]))
+        lines.append(" ".join(map(str, np.diff(ends, prepend=0).tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -350,6 +341,30 @@ def atomic_write_text(path, text):
         raise
 
 
+def header_lines(kind, version, fields):
+    """The preamble of a ``kind`` file: the line 'manhattan-pinball <kind>
+    v<version>', then a 'key value' line per item of the dict ``fields``."""
+    return [f"manhattan-pinball {kind} v{version}", *(f"{k} {v}" for k, v in fields.items())]
+
+
+def read_header(lines, kind, version, keys):
+    """The values of the ``keys`` lines that follow the format line of a
+    ``kind`` file at ``version``, in order, as ``header_lines`` writes them;
+    raises ConfigParseError on the first line that differs."""
+    head, _, found = (lines or [""])[0].rpartition(" v")
+    if head != f"manhattan-pinball {kind}":
+        raise ConfigParseError(f"missing {kind} header", line=1)
+    if found != str(version):
+        raise ConfigParseError(f"unsupported {kind} format version {found}", line=1)
+    values = []
+    for lineno, key in enumerate(keys, start=2):
+        parts = lines[lineno - 1].split(None, 1) if lineno <= len(lines) else []
+        if len(parts) != 2 or parts[0] != key:
+            raise ConfigParseError(f"expected '{key} ...'", line=lineno)
+        values.append(parts[1].rstrip())
+    return values
+
+
 def save(c: Configuration, path) -> None:
     atomic_write_text(path, dumps(c))
 
@@ -365,32 +380,24 @@ def _parse_meta(value, kind, lineno):
 
 def loads(text: str) -> Configuration:
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("manhattan-pinball configuration v"):
-        raise ConfigParseError("missing configuration header", line=1)
-    version = lines[0].rsplit("v", 1)[-1]
-    if version != str(FORMAT_VERSION):
-        raise ConfigParseError(f"unsupported format version {version}", line=1)
-    meta = {}
-    for i, key in enumerate(("generator", "extent", "p", "seed", "stream", "provenance")):
-        lineno = i + 2
-        if lineno > len(lines):
-            raise ConfigParseError("truncated header", line=lineno)
-        parts = lines[lineno - 1].split(None, 1)
-        if len(parts) != 2 or parts[0] != key:
-            raise ConfigParseError(f"expected '{key} ...'", line=lineno)
-        meta[key] = parts[1]
-    M = _parse_meta(meta["extent"], int, 3)
+    generator, extent, p_text, seed, stream, provenance = read_header(
+        lines, "configuration", FORMAT_VERSION,
+        ("generator", "extent", "p", "seed", "stream", "provenance"))
+    M = _parse_meta(extent, int, 3)
     if M is None or M < 1:
         raise ConfigParseError("bad extent", line=3)
-    p = _parse_meta(meta["p"], float, 4)
+    try:
+        _check_extent(M)
+    except ResourceLimitError as e:
+        raise ConfigParseError(str(e), line=3) from None
+    p = _parse_meta(p_text, float, 4)
     if p is not None and not 0.0 <= p <= 1.0:  # also rejects nan
-        raise ConfigParseError(f"p {meta['p']!r} is not a probability in [0, 1]", line=4)
+        raise ConfigParseError(f"p {p_text!r} is not a probability in [0, 1]", line=4)
     n_rows = 2 * M + 1
     if len(lines) != 7 + n_rows:
-        raise ConfigParseError(
-            f"expected {n_rows} data rows, found {len(lines) - 7}", line=len(lines)
-        )
-    closed = np.zeros((n_rows, n_rows), dtype=bool)
+        raise ConfigParseError(f"expected {n_rows} data rows, found {len(lines) - 7}",
+                               line=len(lines))
+    closed = np.empty((n_rows, n_rows), dtype=bool)
     for ib in range(n_rows):
         lineno = 8 + ib
         try:
@@ -401,29 +408,13 @@ def loads(text: str) -> Configuration:
             raise ConfigParseError("bad run length", line=lineno)
         total = sum(runs)
         if total != n_rows:
-            a = -M + total
             raise ConfigParseError(
-                f"row covers site ({a}, {ib - M}) outside extent {M}"
-                if total > n_rows
-                else f"row for b={ib - M} is short ({total} of {n_rows} sites)",
-                line=lineno,
-            )
-        pos = 0
-        cur = False
-        for r in runs:
-            if cur:
-                closed[pos : pos + r, ib] = True
-            pos += r
-            cur = not cur
-    return Configuration(
-        extent=M,
-        closed=closed,
-        p=p,
-        seed=_parse_meta(meta["seed"], int, 5),
-        stream_index=_parse_meta(meta["stream"], int, 6),
-        provenance=meta["provenance"],
-        generator=meta["generator"],
-    )
+                f"row covers site ({total - M}, {ib - M}) outside extent {M}" if total > n_rows
+                else f"row for b={ib - M} is short ({total} of {n_rows} sites)", line=lineno)
+        closed[:, ib] = np.repeat(np.arange(len(runs)) % 2 == 1, runs)
+    return Configuration(extent=M, closed=closed, p=p, seed=_parse_meta(seed, int, 5),
+                         stream_index=_parse_meta(stream, int, 6), provenance=provenance,
+                         generator=generator)
 
 
 def load(path) -> Configuration:

@@ -30,7 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import events as _ev
-from .configuration import Configuration, from_closed_sites
+from .configuration import (Configuration, atomic_write_text, from_closed_sites,
+                            header_lines, read_header)
 from .errors import ConfigParseError
 from .geometry import (
     DIAGONAL,
@@ -514,24 +515,17 @@ def search_patterns(r_max: int, budget: int = 200, essential_budget: int = 200):
 
 
 def dumps_pattern(g: Pattern) -> str:
-    lines = [
-        f"manhattan-pinball pattern v{PATTERN_FORMAT_VERSION}",
-        f"name {g.name}",
-        f"red {g.red_site[0]} {g.red_site[1]}",
-    ]
-    for a, b in sorted(g.closed_sites):
-        lines.append(f"closed {a} {b}")
-    for a, b in sorted(g.open_sites):
-        lines.append(f"open {a} {b}")
+    # the name and red lines are keyed lines a reader takes in any order
+    lines = header_lines("pattern", PATTERN_FORMAT_VERSION,
+                         {"name": g.name, "red": "{} {}".format(*g.red_site)})
+    lines += (f"closed {a} {b}" for a, b in sorted(g.closed_sites))
+    lines += (f"open {a} {b}" for a, b in sorted(g.open_sites))
     return "\n".join(lines) + "\n"
 
 
 def loads_pattern(text: str) -> Pattern:
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("manhattan-pinball pattern v"):
-        raise ConfigParseError("missing pattern header", line=1)
-    if lines[0].rsplit("v", 1)[-1] != str(PATTERN_FORMAT_VERSION):
-        raise ConfigParseError("unsupported pattern format version", line=1)
+    read_header(lines, "pattern", PATTERN_FORMAT_VERSION, ())
     name = None
     red = None
     closed = set()
@@ -569,8 +563,6 @@ def loads_pattern(text: str) -> Pattern:
 
 
 def save_pattern(g: Pattern, path) -> None:
-    from .configuration import atomic_write_text
-
     atomic_write_text(path, dumps_pattern(g))
 
 

@@ -6,7 +6,7 @@ class ResourceLimitError(RuntimeError):
 
 
 class ConfigParseError(ValueError):
-    """A configuration or pattern file failed to parse.
+    """A configuration, trajectory, witness or pattern file failed to parse.
 
     Carries the 1-based line number of the offending line when known.
     """

@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .configuration import Configuration
+from .configuration import Configuration, header_lines, read_header
 from .errors import ConfigParseError
 from .geometry import (
     DIAGONAL,
@@ -478,8 +478,7 @@ def circuit_holds(closed, n: int):
     M = _extent(closed)
     _require_extent(M, "Acirc", n, 2)
     raster, center, ring = _circuit_static(M, n)
-    labels, _ = _label(~closed, raster)
-    return (labels[:, ring] != labels[:, [center]]).all(axis=1)
+    return ~sides_joined(~closed, raster, [center], ring)
 
 
 def surrounding_circuit_exact(c: Configuration, n: int,
@@ -555,7 +554,7 @@ def dual_crosscheck(c: Configuration, n: int) -> bool:
 
 class Event(NamedTuple):
     min_extent: Callable  # scale n -> least extent that covers the event
-    detect: Callable  # (configuration, n, witness=False) -> EventResult
+    detect: Callable  # (configuration, n, *, witness=False) -> EventResult
     holds: Callable  # ((K, W, W) closed stack, n) -> bool array of length K
     reads: Callable  # (extent, n) -> flat field indices of every site holds reads
 
@@ -579,9 +578,8 @@ EVENTS = {
                      lambda M, n: np.flatnonzero(site_radius(M) <= n)),
     "A": Event(lambda n: n + 2, radial_closed_path, radial_holds,
                lambda M, n: _radial_static(M, n)[0].sites),
-    "Aprime": Event(lambda n: rect_min_extent(n, "T"),
-                    lambda c, n, witness=False: rect_crossing(c, n, "T", witness),
-                    rect_holds, lambda M, n: _rect_reads(M, n, ("T",))),
+    "Aprime": Event(lambda n: rect_min_extent(n, "T"), rect_crossing, rect_holds,
+                    lambda M, n: _rect_reads(M, n, ("T",))),
     "Acirc": Event(lambda n: 2 * n + 2, surrounding_circuit_exact, circuit_holds,
                    lambda M, n: _circuit_static(M, n)[0].sites),
     "Acirc4": Event(lambda n: 2 * n + 2,
@@ -590,30 +588,24 @@ EVENTS = {
 }
 
 
+WITNESS_FORMAT_VERSION = 1
+
+
 def dump_witness(result: EventResult) -> str:
-    """Witness dump: header naming the event, then 'u v' vertex lines."""
-    lines = [
-        "manhattan-pinball witness v1",
-        f"event {result.event}",
-        f"holds {int(result.holds)}",
-    ]
-    for u, v in result.witness or []:
-        lines.append(f"{u} {v}")
+    """Witness file: the preamble naming the event, then 'u v' vertex lines."""
+    lines = header_lines("witness", WITNESS_FORMAT_VERSION,
+                         {"event": result.event, "holds": int(result.holds)})
+    lines += (f"{u} {v}" for u, v in result.witness or [])
     return "\n".join(lines) + "\n"
 
 
 def loads_witness(text: str) -> EventResult:
-    lines = text.splitlines() + ["", ""]
-    if lines[0] != "manhattan-pinball witness v1":
-        raise ConfigParseError("missing witness header", line=1)
-    event = lines[1].split(None, 1)
-    if not lines[1].startswith("event ") or len(event) != 2:
-        raise ConfigParseError("expected 'event <name>'", line=2)
-    holds = lines[2].split()
-    if holds not in (["holds", "0"], ["holds", "1"]):
+    lines = text.splitlines()
+    event, holds = read_header(lines, "witness", WITNESS_FORMAT_VERSION, ("event", "holds"))
+    if holds not in ("0", "1"):
         raise ConfigParseError("expected 'holds 0' or 'holds 1'", line=3)
     pts = []
-    for lineno, line in enumerate(lines[3:-2], start=4):
+    for lineno, line in enumerate(lines[3:], start=4):
         parts = line.split()
         if len(parts) != 2:
             raise ConfigParseError("expected 'x y'", line=lineno)
@@ -624,4 +616,4 @@ def loads_witness(text: str) -> EventResult:
         if not np.isfinite([x, y]).all():
             raise ConfigParseError(f"non-finite coordinate in {line!r}", line=lineno)
         pts.append((x, y))
-    return EventResult(holds=holds[1] == "1", witness=pts or None, event=event[1])
+    return EventResult(holds=holds == "1", witness=pts or None, event=event)

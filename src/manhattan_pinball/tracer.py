@@ -33,6 +33,8 @@ from .configuration import (
     check_probability,
     closed_bits,
     hash_key,
+    header_lines,
+    read_header,
     region_sampler,
     stream_base,
 )
@@ -414,36 +416,25 @@ def trace_summary(c: Configuration, start: RayState = _ORIGIN,
     return STATUS_NAMES[status], len(a), diam, radius
 
 
-# Trajectory dump format: header with status and metrics, one state per line.
+# Trajectory file: the preamble with status and metrics, one state per line.
+TRAJECTORY_FORMAT_VERSION = 1
+
 
 def dump_trajectory(t: Trajectory) -> str:
-    lines = [
-        "manhattan-pinball trajectory v1",
-        f"status {t.status}",
-        f"states {len(t.states)}",
-        f"linf_diameter {t.linf_diameter}",
-        f"containment {t.containment}",
-    ]
-    for a, b, d in t.states:
-        lines.append(f"{a} {b} {Direction(int(d)).name}")
+    lines = header_lines("trajectory", TRAJECTORY_FORMAT_VERSION, {
+        "status": t.status, "states": len(t.states), "linf_diameter": t.linf_diameter,
+        "containment": t.containment})
+    lines += (f"{a} {b} {Direction(int(d)).name}" for a, b, d in t.states)
     return "\n".join(lines) + "\n"
 
 
 def loads_trajectory(text: str) -> Trajectory:
     lines = text.splitlines()
-    if not lines or lines[0] != "manhattan-pinball trajectory v1":
-        raise ConfigParseError("missing trajectory header", line=1)
-    meta = {}
-    for i, key in enumerate(("status", "states", "linf_diameter", "containment")):
-        parts = lines[i + 1].split() if i + 1 < len(lines) else []
-        if len(parts) != 2 or parts[0] != key:
-            raise ConfigParseError(f"expected '{key} ...'", line=i + 2)
-        meta[key] = parts[1]
-    if meta["status"] not in STATUS_NAMES:
-        raise ConfigParseError(f"unknown status {meta['status']!r}", line=2)
-    for lineno, key in ((3, "states"), (4, "linf_diameter"), (5, "containment")):
-        meta[key] = _parse_int(meta[key], lineno)
-    n = meta["states"]
+    status, *counts = read_header(lines, "trajectory", TRAJECTORY_FORMAT_VERSION,
+                                  ("status", "states", "linf_diameter", "containment"))
+    if status not in STATUS_NAMES:
+        raise ConfigParseError(f"unknown status {status!r}", line=2)
+    n, diam, radius = (_parse_int(v, lineno) for lineno, v in enumerate(counts, start=3))
     if n < 1:
         raise ConfigParseError("a trajectory has at least one state", line=3)
     if len(lines) != 5 + n:
@@ -460,9 +451,8 @@ def loads_trajectory(text: str) -> Trajectory:
     arr = np.array(rows, dtype=np.int32)
     arr.flags.writeable = False
     start = RayState((int(arr[0, 0]), int(arr[0, 1])), Direction(int(arr[0, 2])))
-    return Trajectory(start=start, states=arr, status=meta["status"],
-                      linf_diameter=meta["linf_diameter"],
-                      containment=meta["containment"])
+    return Trajectory(start=start, states=arr, status=status, linf_diameter=diam,
+                      containment=radius)
 
 
 def _parse_int(token: str, lineno: int) -> int:

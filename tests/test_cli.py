@@ -2,7 +2,7 @@
 
 import pytest
 
-from manhattan_pinball import cli
+from manhattan_pinball import cli, events
 from manhattan_pinball.cli import main
 
 
@@ -16,7 +16,8 @@ def test_version(capsys):
     assert ei.value.code == 0
     out = capsys.readouterr().out
     assert "splitmix64-v1" in out
-    assert "configuration format v1" in out
+    for kind in ("configuration", "pattern", "trajectory", "witness"):
+        assert f"{kind} format v1" in out
 
 
 def test_usage_error_exit_2(capsys):
@@ -90,6 +91,32 @@ def test_event_and_witness_and_render(tmp_path, capsys):
                 "--layers", "lattice,mirrors,circuit_witness",
                 "--out", str(svg)]) == 0
     assert "<polyline" in svg.read_text() or "holds 0" in wit.read_text()
+
+
+def test_event_without_witness_flag_builds_no_witness(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "c.txt"
+    run(["sample", "--p", "0.55", "--extent", "18", "--seed", "3", "--out", str(cfg)])
+    args = ["event", "--config", str(cfg), "--event", "Acirc", "--n", "4"]
+    capsys.readouterr()
+    assert run([*args, "--witness", str(tmp_path / "w.txt")]) == 0
+    line = capsys.readouterr().out
+
+    def no_witness(*_):
+        raise AssertionError("witness built without --witness")
+    monkeypatch.setattr(events, "_circuit_witness", no_witness)
+    monkeypatch.setattr(events, "_dual_path", no_witness)
+    assert run(args) == 0
+    assert capsys.readouterr().out == line
+
+
+def test_configuration_beyond_the_field_budget_is_parse_error(tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("manhattan-pinball configuration v1\ngenerator splitmix64-v1\n"
+                   "extent 20000\np none\nseed none\nstream none\nprovenance explicit\n")
+    for args in (["trace", "--out", str(tmp_path / "t.txt")],
+                 ["event", "--event", "Acirc", "--n", "2"]):
+        assert run([*args, "--config", str(cfg)]) == 2
+        assert "line 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p, holds", [("1", 1), ("0", 0)])

@@ -32,8 +32,16 @@ from manhattan_pinball.configuration import (
     uniforms,
     unit,
 )
+from manhattan_pinball.enhancement import default_pattern, dumps_pattern, enhance, loads_pattern
 from manhattan_pinball.errors import ConfigParseError, ResourceLimitError
-from manhattan_pinball.geometry import edge_for_site
+from manhattan_pinball.events import (
+    dump_witness,
+    loads_witness,
+    radial_closed_path,
+    surrounding_circuit_exact,
+)
+from manhattan_pinball.geometry import Direction, edge_for_site
+from manhattan_pinball.tracer import RayState, dump_trajectory, loads_trajectory, trace
 
 
 def vertex_in_q(vertex, k):
@@ -240,6 +248,13 @@ def test_from_closed_sites_rejects_out_of_extent():
 def test_resource_limit():
     with pytest.raises(ResourceLimitError):
         sample(0.5, 20000, seed=0)
+    # 40,001 rows of '40001' would make a valid file of about 240 kB that
+    # asks for a 1.6 GB field; loads refuses its header on the extent line
+    header = dumps(sample(0.5, 1, seed=1)).splitlines()[:7]
+    header[2] = "extent 20000"
+    with pytest.raises(ConfigParseError, match="budget") as ei:
+        loads("\n".join(header) + "\n")
+    assert ei.value.line == 3
 
 
 def test_hybrid_against_enumeration_oracle():
@@ -331,3 +346,64 @@ def test_configuration_loader_and_commands_fuzz(text):
         for args in (["trace", "--out", str(Path(d) / "t.txt")],
                      ["event", "--event", "Acirc", "--n", "2"]):
             assert main([*args, "--config", str(path)]) in (0, 1, 2)
+
+
+def _dumps_of_the_four_formats():
+    """Dumps of configurations (several extents, all-open and all-closed rows,
+    rows that start closed, an enhanced and a hybrid field), trajectories,
+    A and Acirc witnesses that hold and that do not, and the default pattern."""
+    fields = [sample(0.5, M, seed=1) for M in (1, 2, 5, 12)]
+    fields += [sample(0.0, 3, seed=1), sample(1.0, 3, seed=1),
+               from_closed_sites(4, [(a, -4) for a in range(-4, 5)] + [(-4, 0), (4, 1), (0, 4)]),
+               enhance(sample(0.55, 12, seed=5), default_pattern()),
+               hybrid(sample(0.5, 8, seed=1), sample(0.5, 8, seed=2), 3)]
+    ring = from_closed_sites(12, [(a, b) for a in range(-12, 13) for b in range(-12, 13)
+                                  if max(abs(a + b - 1), abs(a - b)) in (4, 5)])
+    walks = [trace(sample(0.5, 8, seed=4)), trace(constant(4, True)), trace(constant(3, False)),
+             trace(sample(0.5, 12, seed=7)),
+             trace(sample(0.55, 10, seed=2), RayState((1, 2), Direction.S))]
+    witnesses = [radial_closed_path(sample(p, 8, seed=4), 6, witness=True) for p in (0.3, 0.7)]
+    witnesses += [surrounding_circuit_exact(c, 2, witness=True)
+                  for c in (ring, sample(0.5, 12, seed=6))]
+    return ([dumps(c) for c in fields] + [dump_trajectory(t) for t in walks]
+            + [dump_witness(r) for r in witnesses] + [dumps_pattern(default_pattern())])
+
+
+# sha256 of the dumps above, computed before the four formats shared one
+# header codec and the configuration rows were run-length coded by numpy
+FORMATS_DIGEST = "a2071d3e2b0f7e3229b77dfae4a86953adeffc64d135a039d38f4a981752b521"
+
+
+def test_four_formats_dump_to_pinned_bytes():
+    texts = _dumps_of_the_four_formats()
+    assert [r.holds for r in (radial_closed_path(sample(p, 8, seed=4), 6) for p in (0.3, 0.7))] \
+        == [False, True]
+    assert "\n0 9\n" in texts[6] and "\n7\n" in texts[4]  # an all-closed and an all-open row
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == FORMATS_DIGEST
+
+
+_WITNESS_TEXT = "manhattan-pinball witness v1\nevent A_2\nholds 1\n0.5 0.5\n"
+
+
+@pytest.mark.parametrize("loader, text, keyed, ordered", [
+    (loads, dumps(sample(0.5, 3, seed=1)), range(2, 8), True),
+    (loads_trajectory, dump_trajectory(trace(constant(4, True))), range(2, 6), True),
+    (loads_witness, _WITNESS_TEXT, (2, 3), True),
+    # a pattern's name and red lines may come in any order
+    (loads_pattern, dumps_pattern(default_pattern()), (2, 3), False),
+], ids=["configuration", "trajectory", "witness", "pattern"])
+def test_every_format_names_its_bad_header_line(loader, text, keyed, ordered):
+    lines = text.splitlines()
+    with pytest.raises(ConfigParseError, match="version") as ei:
+        loader("\n".join([lines[0].replace(" v1", " v9"), *lines[1:]]))
+    assert ei.value.line == 1
+    for lineno in keyed:
+        misnamed = lines.copy()
+        misnamed[lineno - 1] = "bogus " + lines[lineno - 1].split(None, 1)[1]
+        with pytest.raises(ConfigParseError) as ei:
+            loader("\n".join(misnamed))
+        assert ei.value.line == lineno
+        with pytest.raises(ConfigParseError) as ei:
+            loader("\n".join(lines[: lineno - 1] + lines[lineno:]))
+        assert ei.value.line == (lineno if ordered else None)
+
