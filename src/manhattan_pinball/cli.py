@@ -36,6 +36,7 @@ from .enhancement import (
 from .errors import ConfigParseError, DynamicsError, ResourceLimitError
 from .events import EVENTS, WITNESS_FORMAT_VERSION, dump_witness, loads_witness
 from .montecarlo import (
+    MAX_TRIALS,
     estimate_event,
     estimates_csv,
     verification_csv,
@@ -181,11 +182,15 @@ def _cmd_render(args):
 
 
 def _count(least):
-    """argparse type of an integer count of at least ``least``."""
+    """argparse type of an integer count of at least ``least`` and at most
+    ``MAX_TRIALS`` (``sys.maxsize``), the most trials a run takes; no count
+    of this command needs more."""
     def count(text):
         value = int(text)
         if value < least:
             raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        if value > MAX_TRIALS:
+            raise argparse.ArgumentTypeError(f"must be <= {MAX_TRIALS}, got {value}")
         return value
     return count
 
@@ -231,7 +236,7 @@ def _build_parser():
     p.add_argument("--event", required=True, choices=tuple(EVENTS))
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_count(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--enhanced", action="store_true")
     p.add_argument("--csv")
@@ -241,7 +246,7 @@ def _build_parser():
     p = sub.add_parser("verify", help="replay the localization theorem per sample")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_count(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pattern", default="default")
     p.add_argument("--csv")

@@ -535,6 +535,8 @@ def loads_pattern(text: str) -> Pattern:
             continue
         parts = line.split()
         if parts[0] == "name" and len(parts) == 2:
+            if name is not None:
+                raise ConfigParseError("second name line", line=lineno)
             name = parts[1]
             continue
         if parts[0] in ("red", "closed", "open") and len(parts) == 3:
@@ -548,6 +550,8 @@ def loads_pattern(text: str) -> Pattern:
             if site in (opens if parts[0] == "closed" else closed):
                 raise ConfigParseError(f"site {site} is both closed and open", line=lineno)
             if parts[0] == "red":
+                if red is not None:
+                    raise ConfigParseError("second red line", line=lineno)
                 red = site
             (closed if parts[0] == "closed" else opens).add(site)
             continue

@@ -32,15 +32,20 @@ separates.  So, 4-connected, vertex pixels plus closed site pixels have the
 components of the closed graph, and face pixels plus open site pixels
 those of its dual.  Each event builds a ``Raster`` once per (extent, n) on
 the box of its region.  A ``*_holds`` function gathers a (K, W, W) stack of
-closed fields into a (K, H, W') image and makes one ``scipy.ndimage.label``
-call that links nothing across the stack; one configuration is a stack of
-one.  Witnesses come from ``breadth_first``, one deterministic FIFO search
-that the enhancement module shares; the circuit witness searches the
+closed fields into a (K, H, W') image and labels it with one call of
+scipy's labelling kernel, the C routine behind ``scipy.ndimage.label``, that
+links nothing across the stack; one configuration is a stack of one.
+Witnesses come from ``breadth_first``, one deterministic FIFO search that
+the enhancement module shares; the circuit witness searches the
 parity-doubled cover of the closed graph.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -171,18 +176,47 @@ _PLANE = np.zeros((3, 3, 3), dtype=bool)
 _PLANE[1, 1, :] = _PLANE[1, :, 1] = True
 
 
+@lru_cache(maxsize=1)
+def _label_kernel():
+    """``scipy.ndimage._ni_label._label(image, structure, labels)``, which
+    writes the labels and returns their count.  ``import scipy.ndimage`` would
+    run the package's ``__init__``, whose array-API imports are most of a
+    graph run's set-up, so the extension is loaded from its own file.  It is
+    registered under its name first: a later ``import scipy.ndimage`` then
+    takes this module and does not load the extension again."""
+    name = "scipy.ndimage._ni_label"
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy  # imported on first use: closure runs need no scipy
+
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(scipy.__path__[0], "ndimage")])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[name]
+            raise
+    return module._label
+
+
 def _label(bits, raster):
     """Component labels of the images of the fields of the (K, W, W) stack
-    ``bits``: (K, H * W) labels from one ``ndimage.label`` call, unique
-    across the stack, and their count."""
-    from scipy import ndimage  # imported on first use: closure runs need no scipy
-
+    ``bits``: (K, H * W) labels from one call of scipy's labelling kernel,
+    unique across the stack, and their count."""
     K = len(bits)
     image = np.empty((K,) + raster.base.shape, dtype=bool)
     image[:] = raster.base
     for pixels, field in zip(image.reshape(K, -1), bits):
         pixels[raster.pixels] = np.take(field, raster.sites)
-    labels, count = ndimage.label(image, _PLANE)
+    # An event's image is no larger than its field, and a stack of K > 1
+    # fields is smaller than one field at the budget, so the field budget
+    # (``_check_extent``, W² <= 2**29) keeps an image under 2**31 pixels and
+    # int32 holds its labels: the int64 retry of ``ndimage.label``
+    # (NeedMoreBits) cannot be reached.
+    labels = np.empty(image.shape, dtype=np.int32)
+    count = _label_kernel()(image, _PLANE, labels)
     return labels.reshape(K, -1), count
 
 

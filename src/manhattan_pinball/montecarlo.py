@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -126,12 +127,17 @@ class PairedReport:
 # ---------------------------------------------------------------------------
 
 
+# The most trials one run takes: a worker's sample indices are a range, whose
+# length must fit a C ssize_t.
+MAX_TRIALS = sys.maxsize
+
+
 def _run(worker, args, N, workers):
     """``worker((*args, indices))`` for one chunk of range(N) per worker, in
     this process, or in a pool when there is more than one chunk; the results
     in chunk order."""
-    if N < 1:
-        raise ValueError("need at least one trial")
+    if not 1 <= N <= MAX_TRIALS:
+        raise ValueError(f"need 1 to {MAX_TRIALS} trials, got {N}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     size = (N + workers - 1) // workers
@@ -168,8 +174,9 @@ def event_extent(event: str, n: int, pattern: Pattern | None = None) -> int:
 # are hashed, one sample at a time, in 33 bytes of buffers per site (8,868 at
 # M = 101).  Plain closure builds no fields; it walks up to
 # _STACK_BYTES // LOCKSTEP_RAY_BYTES = 3072 rays at once.  Verify does not
-# stack: K is 1 at its extent, and a stack would not pay, since ndimage.label
-# took 3.72 ms per image on a (9, 515, 515) stack and 3.63 ms on one image.
+# stack: K is 1 at its extent, and a stack would not pay, since scipy's
+# labelling kernel took 3.72 ms per image on a (9, 515, 515) stack and 3.63 ms
+# on one image.
 _STACK_BYTES = 3 << 17
 
 

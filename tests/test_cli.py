@@ -4,6 +4,7 @@ import pytest
 
 from manhattan_pinball import cli, events
 from manhattan_pinball.cli import main
+from manhattan_pinball.montecarlo import MAX_TRIALS
 
 
 def run(args):
@@ -274,6 +275,22 @@ def test_workers_below_one_is_usage_error(workers, capsys):
                        "--workers", workers])
         assert ei.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", [["estimate", "--event", "closure", "--n", "4"],
+                                 ["verify", "--n", "101"]])
+def test_trials_beyond_ssize_t_is_usage_error(cmd, capsys, monkeypatch):
+    # a range of more than sys.maxsize sample indices has no length: the
+    # parser refuses such a count, and past it the run driver does, before
+    # any trial runs
+    args = cmd + ["--p", "0.5", "--trials", str(MAX_TRIALS + 1), "--seed", "1"]
+    with pytest.raises(SystemExit) as ei:
+        run(args)
+    assert ei.value.code == 2
+    assert f"--trials: must be <= {MAX_TRIALS}" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "MAX_TRIALS", 10 * MAX_TRIALS)
+    assert run(args) == 2
+    assert f"need 1 to {MAX_TRIALS} trials, got {MAX_TRIALS + 1}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("action", ["check", "search"])

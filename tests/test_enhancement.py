@@ -313,6 +313,16 @@ def test_site_required_closed_and_open_is_a_parse_error():
         assert ei.value.line == len(ok.splitlines()) + 1
 
 
+def test_second_name_or_red_line_is_a_parse_error_with_its_line():
+    # keeping the last red would leave the earlier red an open site of the
+    # loaded pattern
+    ok = dumps_pattern(default_pattern())
+    for extra, key in (("red 0 -1", "red"), ("name other", "name")):
+        with pytest.raises(ConfigParseError, match=f"second {key} line") as ei:
+            loads_pattern(ok + extra + "\n")
+        assert ei.value.line == len(ok.splitlines()) + 1
+
+
 _PATTERN_TOKENS = st.sampled_from(["red", "closed", "open", "name", "0", "1", "-1", "2", "-3",
                                    "16", "-17", "99999999999", "x", "1.5", ""])
 

@@ -32,14 +32,19 @@ from manhattan_pinball.enhancement import (
 )
 from manhattan_pinball.events import (
     EVENTS,
+    _PLANE,
     EventResult,
     _circuit_static,
+    _cycle_static,
     _label,
+    _radial_static,
+    _rect_static,
     circuit4_holds,
     circuit_holds,
     closure_holds,
     dual_crosscheck,
     dump_witness,
+    edge_raster,
     loads_witness,
     radial_closed_path,
     radial_holds,
@@ -272,36 +277,89 @@ def test_event_reads_cover_every_site_the_detector_sees(event):
                 event, n, fill)
 
 
-def test_package_import_leaves_scipy_sparse_out():
-    # loading scipy.sparse beside scipy.ndimage costs set-up time and memory
-    # in every fresh interpreter and worker
+@pytest.mark.parametrize("K", [1, 3, 9])
+def test_label_kernel_matches_public_ndimage_label(K):
+    # _label calls scipy's labelling kernel without its public wrapper, which
+    # is the oracle here for the labels and the count on every cached raster
+    from scipy import ndimage
+
+    n, M = 3, 8
+    W = 2 * M + 1
+    rasters = [_radial_static(M, n)[0], *(_rect_static(M, n, kind)[0] for kind in
+                                          ("T", "T1", "T2", "T3", "T4")),
+               _circuit_static(M, n)[0], _cycle_static(M, n)[0],
+               edge_raster(M, np.zeros(W * W, dtype=bool))]  # an image with no foreground
+    rng = np.random.default_rng(K)
+    counts = []
+    for raster in rasters:
+        bits = rng.random((K, W, W)) < rng.random((K, 1, 1))
+        image = np.stack([raster.base] * K)
+        for pixels, field in zip(image.reshape(K, -1), bits.reshape(K, -1)):
+            pixels[raster.pixels] = field[raster.sites]
+        expected, count = ndimage.label(image, _PLANE)
+        labels, got = _label(bits, raster)
+        assert got == count and np.array_equal(labels, expected.reshape(K, -1))
+        counts.append(count)
+    assert counts[-1] == 0 and max(counts) > K
+
+
+def modules_after(code, then=""):
+    """The names in sys.modules of a fresh interpreter, with the package under
+    test on its path, once ``code`` has run there; ``then`` runs next in the
+    same interpreter and must not fail.  Neither may print."""
     src = str(Path(manhattan_pinball.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, manhattan_pinball; print(sorted(m for m in sys.modules"
-         " if m.startswith('scipy.sparse')))"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-        timeout=120, check=True)
-    assert out.stdout.strip() == "[]"
+        [sys.executable, "-c", f"import sys\n{code}\nprint(*sys.modules)\n{then}"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.split())
+
+
+def test_package_import_leaves_scipy_sparse_out():
+    # loading scipy.sparse costs set-up time and memory in every fresh
+    # interpreter and worker
+    assert not {m for m in modules_after("import manhattan_pinball")
+                if m.startswith("scipy.sparse")}
 
 
 def test_closure_runs_leave_scipy_out():
     # closure walks the ray and labels no image; importing scipy would
     # more than double its set-up time in every fresh interpreter and worker
-    src = str(Path(manhattan_pinball.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys\n"
-         "from manhattan_pinball.configuration import sample\n"
-         "from manhattan_pinball.montecarlo import estimate_event\n"
-         "from manhattan_pinball.tracer import trace\n"
-         "estimate_event('closure', 0.5, 8, 50, 1)\n"
-         "estimate_event('closure', 0.5, 8, 5, 1, enhanced=True)\n"
-         "trace(sample(0.5, 10, 1))\n"
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-        timeout=120, check=True)
-    assert out.stdout.strip() == "[]"
+    loaded = modules_after(
+        "from manhattan_pinball.configuration import sample\n"
+        "from manhattan_pinball.montecarlo import estimate_event\n"
+        "from manhattan_pinball.tracer import trace\n"
+        "estimate_event('closure', 0.5, 8, 50, 1)\n"
+        "estimate_event('closure', 0.5, 8, 5, 1, enhanced=True)\n"
+        "trace(sample(0.5, 10, 1))")
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
+
+def test_graph_event_runs_leave_scipy_ndimage_out():
+    # the labelling kernel is loaded from its extension file: the package
+    # scipy.ndimage and its array-API imports would more than double the
+    # set-up of a graph run.  A later import of scipy.ndimage takes the same
+    # kernel module, so labels do not change.
+    loaded = modules_after(
+        "from manhattan_pinball.enhancement import default_pattern\n"
+        "from manhattan_pinball.montecarlo import compare_enhanced, estimate_event, verify_theorem\n"
+        "for event in ('A', 'Aprime', 'Acirc', 'Acirc4'):\n"
+        "    for enhanced in (False, True):\n"
+        "        estimate_event(event, 0.55, 3, 4, 1, enhanced=enhanced)\n"
+        "compare_enhanced(0.55, 3, 4, 1, default_pattern())\n"
+        "verify_theorem(0.55, 101, 1, 1, default_pattern())",
+        then="import numpy as np\n"
+        "from manhattan_pinball.configuration import sample\n"
+        "from manhattan_pinball.events import _circuit_static, _label\n"
+        "closed, raster = ~sample(0.55, 8, 1).closed[np.newaxis], _circuit_static(8, 3)[0]\n"
+        "labels, count = _label(closed, raster)\n"
+        "kernel = sys.modules['scipy.ndimage._ni_label']\n"
+        "import scipy.ndimage\n"
+        "assert scipy.ndimage._measurements._ni_label is kernel\n"
+        "again, count_again = _label(closed, raster)\n"
+        "assert count_again == count and np.array_equal(again, labels)")
+    assert "scipy.ndimage._ni_label" in loaded
+    assert "scipy.ndimage" not in loaded
 
 
 def test_planted_diamond_ring():
