@@ -328,17 +328,20 @@ def dumps(c: Configuration) -> str:
 
 
 def atomic_write_text(path, text):
-    """Write via temp file + rename so readers never see partial output."""
+    """Write via temp file + rename so readers never see partial output; an
+    OSError names ``path``, not the temp file."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from e
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def header_lines(kind, version, fields):

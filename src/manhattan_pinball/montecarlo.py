@@ -238,12 +238,13 @@ def _eval_samples(args):
 def estimate_event(event: str, p: float, n: int, N: int, seed: int,
                    enhanced: bool = False, pattern: Pattern | None = None,
                    workers: int = 1) -> EstimationReport:
-    """Monte Carlo estimate of P_p[event at scale n] over N independent samples."""
+    """Monte Carlo estimate of P_p[event at scale n] over N independent samples,
+    enhanced by ``pattern`` (default: the default pattern) if ``enhanced``."""
+    if not enhanced and pattern is not None:
+        raise ValueError("a pattern is given only with enhanced=True")
     if enhanced and pattern is None:
         from .enhancement import default_pattern
         pattern = default_pattern()
-    if not enhanced:
-        pattern = None
     t0 = time.perf_counter()
     extent = event_extent(event, n, pattern)
     hits = sum(_run(_eval_samples, (event, p, n, seed, extent, pattern), N, workers))

@@ -4,12 +4,12 @@ The ray state is (site just departed, outgoing direction); the origin ray is
 ((0, 0), E).  The forward map is a bijection on states, so every trajectory
 is either a closed orbit or leaves the extent, within 4W^2 steps: the
 extent has 4W^2 ray states, W = 2M + 1, and a walk visits each at most
-once.  So walks count their steps instead of marking states: one still live
-after 4W^2 steps has repeated a state other than its start and raises
-``DynamicsError``.  ``step`` and ``step_back``
-are the reference dynamics.  Every other walk runs one table-driven kernel
-on a flat byte copy of the field that a ``TableWalks`` owns, with the
-kernel's state encoding; a loop over fields refills one table.
+once.  So a walk has no step budget and marks no state: it ends when the
+ray closes, escapes or aborts, and raises ``DynamicsError`` if still live
+after 4W^2 steps, having repeated a state other than its start.  ``step``
+and ``step_back`` are the reference dynamics.  Every other walk runs one
+table-driven kernel on a flat byte copy of the field that a ``TableWalks``
+owns, with the kernel's state encoding; a loop over fields refills one table.
 ``trace_lockstep`` walks the origin rays of many sampled fields at once
 without building the fields: each step hashes just the sites the rays enter.
 Its turn table gives the start site a code of its own, whose row turns a ray
@@ -85,9 +85,9 @@ def step_back(s: RayState, c: Configuration) -> RayState:
     return RayState((pa, pb), d)
 
 
-CLOSED, ESCAPED, BUDGET_EXCEEDED, ABORTED = range(4)
+CLOSED, ESCAPED, ABORTED = range(3)
 
-STATUS_NAMES = ("closed", "escaped", "budget_exceeded", "aborted")  # by status code
+STATUS_NAMES = ("closed", "escaped", "aborted")  # by status code
 
 # The kernel reads the field from a padded (2M+3)^2 byte table with flat index
 # j = (a + M + 1) * P + (b + M + 1), row length P = 2M + 3.  Each byte holds
@@ -116,26 +116,25 @@ def _abort_codes(M, abort_at):
 _REPEATED = "non-start state repeated: dynamics not injective"
 
 
-def _trace_kernel(cells: bytes, P: int, s0: int, max_steps: int, at: int | None = None):
-    """Walk from state ``s0`` until closure, escape, abort or ``max_steps`` steps.
+def _trace_kernel(cells: bytes, P: int, s0: int, at: int | None = None):
+    """Walk from state ``s0`` until closure, escape or abort.
 
     Returns (status, path) with path the visited states, start first.  An
     aborted walk ends with the first site beyond the abort radius, recorded
     with the direction the ray entered it.  With ``at``, the walk resumes
     from state ``at`` of a walk that started at ``s0``; the path starts at
-    ``at``.  The walk takes at most 4W^2 steps, W = P - 2, and raises
-    ``DynamicsError`` if it is live after them with budget left: an injective
-    walk from any state of its orbit meets ``s0`` or ends within 4W^2 steps.
+    ``at``.  An injective walk from any state of its orbit meets ``s0`` or
+    ends within 4W^2 steps, W = P - 2, so one live after them raises
+    ``DynamicsError``.
     """
     step = (P, 1, -P, -1)
     turn = _TURN
-    bound = 4 * (P - 2) ** 2
     if at is None:
         at = s0
     path = array("q", (at,))
     append = path.append
     i, d = at >> 2, at & 3
-    for _ in range(min(max_steps, bound)):
+    for _ in range(4 * (P - 2) ** 2):
         j = i + step[d]
         c = cells[j]
         if c >= _OUT:
@@ -149,9 +148,7 @@ def _trace_kernel(cells: bytes, P: int, s0: int, max_steps: int, at: int | None 
             return CLOSED, path
         append(s)
         i = j
-    if max_steps > bound:
-        raise DynamicsError(_REPEATED)
-    return BUDGET_EXCEEDED, path
+    raise DynamicsError(_REPEATED)
 
 
 def _abort_at(abort_radius: int, start: RayState) -> int | None:
@@ -161,19 +158,16 @@ def _abort_at(abort_radius: int, start: RayState) -> int | None:
     return max(abort_radius, q_radius(start.site)) if abort_radius >= 0 else None
 
 
-def _walk(c: Configuration, start: RayState, max_steps: int | None,
-          abort_radius: int):
+def _walk(c: Configuration, start: RayState, abort_radius: int):
     """Run the kernel; returns (status, a, b, dir, linf_diameter, containment).
 
     a, b and dir are int64 arrays over the visited states, start first.
     """
     if not c.in_extent(start.site):
         raise ValueError("start site outside extent")
-    if max_steps is not None and max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
     walks = TableWalks(c.extent, _abort_at(abort_radius, start))
     walks.fill(c.closed)
-    status, path = walks.walk(start, max_steps)
+    status, path = walks.walk(start)
     a, b = walks.sites(path)
     diam = max(np.ptp(a), np.ptp(b))
     return (status, a, b, np.frombuffer(path, dtype=np.int64) & 3, int(diam),
@@ -223,14 +217,10 @@ class TableWalks:
         on = np.frombuffer(path, dtype=np.int64)[:, np.newaxis] >> 2 == self.index(sites)
         return bool(on.any())
 
-    def walk(self, start: RayState = _ORIGIN, max_steps: int | None = None,
-             at: int | None = None):
-        """(status, path) of ``_trace_kernel`` from ``start`` within
-        ``max_steps`` steps (default_max_steps(M) when None), resumed from
+    def walk(self, start: RayState = _ORIGIN, at: int | None = None):
+        """(status, path) of ``_trace_kernel`` from ``start``, resumed from
         state ``at`` when given."""
-        if max_steps is None:
-            max_steps = default_max_steps(self.M)
-        return _trace_kernel(self.table, self.P, self.state(start), max_steps, at)
+        return _trace_kernel(self.table, self.P, self.state(start), at)
 
     def containment(self, path) -> int:
         """The largest radius of a site on ``path``."""
@@ -281,43 +271,39 @@ def trace_lockstep(p: float, M: int, seed: int, stream_indices,
     ``sample(p, M, seed, i)``, i in ``stream_indices``, traced in lockstep.
 
     Equal to ``trace_summary(sample(p, M, seed, i), abort_radius=abort_radius)``
-    ray by ray, within the same budget of default_max_steps(M) steps.  While
-    more than _LOCKSTEP_MIN_RAYS rays are live, one numpy step moves them all
-    and hashes only the site each enters, so no field is built; the rays left
-    then finish one by one on one field buffer, drawn by one sampler on the
-    sites a walk can read (those within the abort radius).
+    ray by ray.  While more than _LOCKSTEP_MIN_RAYS rays are live, one numpy
+    step moves them all and hashes only the site each enters, so no field is
+    built; the rays left then finish one by one on one field buffer, drawn by
+    one sampler on the sites a walk can read (those within the abort radius).
     """
     check_probability(p)
     _check_extent(M)
-    max_steps = default_max_steps(M)
     walks = TableWalks(M, _abort_at(abort_radius, _ORIGIN))
     K = len(stream_indices)
-    status = np.full(K, BUDGET_EXCEEDED, dtype=np.int8)
-    steps, pos, at = 0, np.arange(K), np.full(K, walks.state())
+    status = np.empty(K, dtype=np.int8)
+    pos, at = np.arange(K), np.full(K, walks.state())
     if K > _LOCKSTEP_MIN_RAYS:
-        steps, pos, at = _lockstep(p, M, seed, stream_indices, walks, max_steps, status)
+        pos, at = _lockstep(p, M, seed, stream_indices, walks, status)
     far = _abort_codes(M, walks.abort_at)[1]
     draw, field = region_sampler(M, far == 0), np.zeros(far.shape, dtype=bool)
     bases = stream_base(seed, [stream_indices[k] for k in pos.tolist()])
     for k, s, base in zip(pos.tolist(), at.tolist(), bases):
         walks.fill(draw(base, p, field))
-        status[k] = walks.walk(max_steps=max_steps - steps, at=s)[0]
+        status[k] = walks.walk(at=s)[0]
     return status
 
 
-def _lockstep(p, M, seed, stream_indices, walks, max_steps, status):
+def _lockstep(p, M, seed, stream_indices, walks, status):
     """Walk the origin rays in lockstep until at most _LOCKSTEP_MIN_RAYS are
-    live or ``max_steps`` steps are done, writing the status of each ray that
-    ends into ``status``.  Returns (steps, positions, states) of the rest.
+    live, writing the status of each ray that ends into ``status``.  Returns
+    (positions, states) of the rest.
 
     A ray holds its site, direction, stream base and sample position.  The
     start site reads the code _START, whose row sends a ray back at its start
     state to _HOME, so ``e >= _ESC`` decides every end: closure, escape and
-    abort.  A walk with budget left after
-    4W^2 steps and more than _LOCKSTEP_MIN_RAYS rays live raises
-    ``DynamicsError``, as _trace_kernel does; a ray handed on before that
-    resumes there with 4W^2 steps of its own, inside the budget
-    default_max_steps(M) = 16W^2.
+    abort.  A walk with more than _LOCKSTEP_MIN_RAYS rays live after 4W^2
+    steps raises ``DynamicsError``, as _trace_kernel does; a ray handed on
+    before that resumes in _trace_kernel, whose own bound then holds.
     """
     P = 2 * M + 3
     bound = 4 * (2 * M + 1) ** 2
@@ -341,7 +327,7 @@ def _lockstep(p, M, seed, stream_indices, walks, max_steps, status):
     scratch = np.empty(K, dtype=np.uint64)
     esc = np.array(_ESC)  # 0-d: faster ufunc calls
     steps = 0
-    while len(j) > _LOCKSTEP_MIN_RAYS and steps < max_steps:
+    while len(j) > _LOCKSTEP_MIN_RAYS:
         if steps == bound:
             raise DynamicsError(_REPEATED)
         steps += 1
@@ -360,12 +346,12 @@ def _lockstep(p, M, seed, stream_indices, walks, max_steps, status):
         status[pos[hit]] = ending[e[hit]]
         live = ~hit
         j, e, base, pos = (x[live] for x in (j, e, base, pos))
-    return steps, pos, (j << 2) + (e >> 1)
+    return pos, (j << 2) + (e >> 1)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Traced light path with closure status and containment metrics."""
+    """Traced light path, how it ended (one of STATUS_NAMES) and containment metrics."""
 
     start: RayState
     states: np.ndarray  # (n, 3) int32 rows of (a, b, dir)
@@ -385,14 +371,9 @@ class Trajectory:
         return self.containment <= m
 
 
-def default_max_steps(M: int) -> int:
-    return 16 * (2 * M + 1) ** 2
-
-
-def trace(c: Configuration, start: RayState = _ORIGIN,
-          max_steps: int | None = None) -> Trajectory:
-    """Iterate the step map until closure, escape, or step budget."""
-    status, a, b, d, diam, radius = _walk(c, start, max_steps, -1)
+def trace(c: Configuration, start: RayState = _ORIGIN) -> Trajectory:
+    """Iterate the step map until the ray closes or escapes."""
+    status, a, b, d, diam, radius = _walk(c, start, -1)
     states = np.stack((a, b, d), axis=1).astype(np.int32)
     states.flags.writeable = False
     return Trajectory(
@@ -404,15 +385,14 @@ def trace(c: Configuration, start: RayState = _ORIGIN,
     )
 
 
-def trace_summary(c: Configuration, start: RayState = _ORIGIN,
-                  max_steps: int | None = None, abort_radius: int = -1):
+def trace_summary(c: Configuration, start: RayState = _ORIGIN, *, abort_radius: int = -1):
     """(status, number of states, linf_diameter, containment) of ``trace``.
 
     ``abort_radius >= 0`` stops early with status 'aborted' once the ray
     reaches a site outside both Q_abort_radius and the start's own Q_m; used
     by event estimators that only care about closure within Q_n.
     """
-    status, a, _, _, diam, radius = _walk(c, start, max_steps, abort_radius)
+    status, a, _, _, diam, radius = _walk(c, start, abort_radius)
     return STATUS_NAMES[status], len(a), diam, radius
 
 

@@ -42,6 +42,16 @@ def test_missing_file_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_write_error_names_the_requested_file(tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    assert run(["sample", "--p", "1", "--extent", "4", "--seed", "1", "--out", str(cfg)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "missing" / "t.txt"
+    assert run(["trace", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and ".tmp-" not in err
+
+
 def test_sample_then_trace_p1_loop(tmp_path, capsys):
     cfg = tmp_path / "c.txt"
     out = tmp_path / "t.txt"
@@ -316,13 +326,16 @@ def test_bad_trajectory_file_is_parse_error(tmp_path, capsys):
     cfg, traj = tmp_path / "c.txt", tmp_path / "t.txt"
     run(["sample", "--p", "1", "--extent", "4", "--seed", "1", "--out", str(cfg)])
     run(["trace", "--config", str(cfg), "--out", str(traj)])
-    lines = traj.read_text().splitlines()
-    lines[6] = "0 0 Q"
-    traj.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert run(["render", "--config", str(cfg), "--trajectory", str(traj),
-                "--layers", "trajectory", "--out", str(tmp_path / "r.svg")]) == 2
-    assert "line 7" in capsys.readouterr().err
+    text = traj.read_text()
+    # a bad state line, and a status no walk ends with
+    for line, bad in ((7, "0 0 Q"), (2, "status budget_exceeded")):
+        lines = text.splitlines()
+        lines[line - 1] = bad
+        traj.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["render", "--config", str(cfg), "--trajectory", str(traj),
+                    "--layers", "trajectory", "--out", str(tmp_path / "r.svg")]) == 2
+        assert f"line {line}" in capsys.readouterr().err
 
 
 def test_bad_witness_file_is_parse_error(tmp_path, capsys):

@@ -119,6 +119,12 @@ def test_event_extent_covers_enhanced_padding():
     assert event_extent("Acirc", 8, g) == 18 + g.radius
 
 
+def test_pattern_without_enhanced_is_refused():
+    # a pattern that would not be applied must not yield a plain estimate
+    with pytest.raises(ValueError, match="enhanced=True"):
+        estimate_event("Aprime", 0.5, 8, 200, 1, pattern=SKEWED_PATTERN)
+
+
 def test_compare_enhanced_monotone_and_trivial():
     g = default_pattern()
     pr = compare_enhanced(0.5, 8, 300, seed=3, g=g)

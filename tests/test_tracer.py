@@ -26,7 +26,6 @@ from manhattan_pinball.tracer import (
     Escape,
     RayState,
     Trajectory,
-    default_max_steps,
     dump_trajectory,
     loads_trajectory,
     step,
@@ -109,7 +108,7 @@ def test_manhattan_consistency_along_trajectories():
                 assert d == (1 if a % 2 == 0 else 3), (a, b, d)
 
 
-def _oracle(c, start, max_steps, abort_radius=-1):
+def _oracle(c, start, abort_radius=-1):
     """Iterate ``step``: (status, states, linf_diameter, containment).
 
     With ``abort_radius >= 0`` the walk stops, status 'aborted', at the first
@@ -118,9 +117,8 @@ def _oracle(c, start, max_steps, abort_radius=-1):
     states = [start]
     seen = {start}
     radius = q_radius(start.site)
-    status = "budget_exceeded"
     s = start
-    for _ in range(max_steps):
+    while True:
         try:
             s = step(s, c)
         except Escape:
@@ -144,8 +142,8 @@ def _oracle(c, start, max_steps, abort_radius=-1):
 
 
 def test_trace_matches_step_oracle():
-    # seeded sweep over p, extent, start state, budget and abort radius,
-    # including starts outside Q_abort_radius
+    # seeded sweep over p, extent, start state and abort radius, including
+    # starts outside Q_abort_radius
     rng = random.Random(2024)
     for case in range(150):
         p = (0.0, 1.0)[case] if case < 2 else rng.random()
@@ -154,18 +152,16 @@ def test_trace_matches_step_oracle():
         start = RayState((rng.randint(-M, M), rng.randint(-M, M)),
                          Direction(rng.randrange(4)))
         r0 = q_radius(start.site)
-        for max_steps in (rng.randint(1, 12), default_max_steps(M)):
-            status, states, diam, radius = _oracle(c, start, max_steps)
-            t = trace(c, start, max_steps)
-            assert t.status == status and t.start == start
-            assert t.states.dtype == np.int32
-            assert np.array_equal(t.states, states)
-            assert (t.linf_diameter, t.containment) == (diam, radius)
-            for abort_radius in (-1, r0 - 1, r0, r0 + 1, 2 * M):
-                status, states, diam, radius = _oracle(c, start, max_steps, abort_radius)
-                got = trace_summary(c, start, max_steps, abort_radius)
-                assert got == (status, len(states), diam, radius), (
-                    case, start, max_steps, abort_radius)
+        status, states, diam, radius = _oracle(c, start)
+        t = trace(c, start)
+        assert t.status == status and t.start == start
+        assert t.states.dtype == np.int32
+        assert np.array_equal(t.states, states)
+        assert (t.linf_diameter, t.containment) == (diam, radius)
+        for abort_radius in (-1, r0 - 1, r0, r0 + 1, 2 * M):
+            status, states, diam, radius = _oracle(c, start, abort_radius)
+            got = trace_summary(c, start, abort_radius=abort_radius)
+            assert got == (status, len(states), diam, radius), (case, start, abort_radius)
 
 
 def _summary_statuses(p, M, seed, indices, abort_radius):
@@ -195,20 +191,16 @@ def test_lockstep_matches_trace_summary_at_closure_extents(p, min_rays, monkeypa
 
 
 @MIN_RAYS
-def test_lockstep_matches_trace_summary_on_budgets_and_radii(min_rays, monkeypatch):
-    # seeded sweep over p, extent, abort radius (none, inside and beyond the
-    # start's radius 1) and step budget, so every status occurs; both walks
-    # read their budget from default_max_steps
+def test_lockstep_matches_trace_summary_on_radii(min_rays, monkeypatch):
+    # seeded sweep over p, extent and abort radius (none, inside and beyond
+    # the start's radius 1), so every status occurs
     monkeypatch.setattr(tracer, "_LOCKSTEP_MIN_RAYS", min_rays)
-    default = tracer.default_max_steps
     rng = random.Random(77)
     seen = set()
     for case in range(60):
         p = rng.choice((0.0, 1.0, rng.random()))
         M = rng.randint(1, 12)
         abort_radius = rng.choice((-1, 0, 1, 2, M, 2 * M))
-        budget = rng.choice((1, rng.randint(2, 40), default(M)))
-        monkeypatch.setattr(tracer, "default_max_steps", lambda M, budget=budget: budget)
         indices = [rng.randrange(-50, 10**6) for _ in range(rng.randint(1, 30))]
         want = _summary_statuses(p, M, case, indices, abort_radius)
         assert _lockstep_statuses(p, M, case, indices, abort_radius) == want, case
@@ -336,11 +328,10 @@ def test_walks_in_threads_equal_the_serial_walks():
 
 def test_walks_raise_once_live_past_the_extents_ray_states(monkeypatch):
     # an injective walk ends within the extent's 4W^2 ray states, so one still
-    # live after 4W^2 steps raises, and a budget of 4W^2 stops it before
+    # live after 4W^2 steps raises, whether it walks alone or in lockstep
     monkeypatch.setattr(tracer, "_TURN", _NON_INJECTIVE_TURN)
     monkeypatch.setattr(tracer, "_LOCKSTEP_MIN_RAYS", 0)
     M, seed = 10, 5
-    bound = 4 * (2 * M + 1) ** 2
     for i in range(60):
         c = sample(0.5, M, seed, i)
         try:
@@ -349,12 +340,8 @@ def test_walks_raise_once_live_past_the_extents_ray_states(monkeypatch):
             break
     else:
         pytest.fail("no walk raised")
-    assert trace_summary(c, max_steps=bound)[0] == "budget_exceeded"
     with pytest.raises(DynamicsError):
-        trace_summary(c, max_steps=bound + 1)
-    monkeypatch.setattr(tracer, "default_max_steps", lambda M: bound)
-    assert _lockstep_statuses(0.5, M, seed, [i], -1) == ["budget_exceeded"]
-    monkeypatch.setattr(tracer, "default_max_steps", lambda M: bound + 1)
+        trace(c)
     with pytest.raises(DynamicsError):
         trace_lockstep(0.5, M, seed, [i], -1)
 
@@ -393,13 +380,8 @@ def test_trace_summary_abort_radius():
     status, _, _, radius = trace_summary(c, RayState((0, 0), E), abort_radius=2)
     assert status == "aborted"
     assert radius == 3
-
-
-def test_budget_exhaustion():
-    c = constant(6, False)
-    t = trace(c, RayState((0, 0), E), max_steps=3)
-    assert t.status == "budget_exceeded"
-    assert len(t.states) == 4  # start plus three steps
+    with pytest.raises(TypeError):  # the abort radius is keyword-only
+        trace_summary(c, RayState((0, 0), E), 2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -468,15 +450,15 @@ def test_loader_fuzz_returns_trajectory_or_parse_error(text):
     assert isinstance(t, Trajectory) and len(t.states) >= 1
 
 
-# (start, step budget) of the walks below; each start lies in Q_3, inside
-# every abort radius the test uses, so trace_summary aborts where they do
-_TABLE_WALKS = ((RayState((0, 0), Direction.E), None), (RayState((1, 2), Direction.S), None),
-                (RayState((-2, 1), Direction.W), 9), (RayState((0, -1), Direction.N), 300))
+# starts of the walks below; each lies in Q_3, inside every abort radius the
+# test uses, so trace_summary aborts where they do
+_TABLE_STARTS = (RayState((0, 0), Direction.E), RayState((1, 2), Direction.S),
+                 RayState((-2, 1), Direction.W), RayState((0, -1), Direction.N))
 
 
 def test_table_walks_match_trace_summary():
     # one table refilled field after field, and mirrors added to it in place;
-    # a walk stopped half way and resumed from its last state ends as it would
+    # a walk resumed from a state half way along its path ends as it would
     rng = np.random.default_rng(4)
     for M, abort_at in ((6, 3), (20, 12), (20, 60)):
         walks = tracer.TableWalks(M, abort_at)
@@ -494,20 +476,17 @@ def test_table_walks_match_trace_summary():
                     walks.close(extra)
                     field = c.closed.copy()
                     field.ravel()[extra] = True
-                for start, budget in reversed(_TABLE_WALKS):  # the origin's path last
-                    status, path = walks.walk(start, budget)
-                    want = trace_summary(Configuration(extent=M, closed=field), start, budget,
+                for start in reversed(_TABLE_STARTS):  # the origin's path last
+                    status, path = walks.walk(start)
+                    want = trace_summary(Configuration(extent=M, closed=field), start,
                                          abort_radius=abort_at)
                     got = (STATUS_NAMES[status], len(path), walks.containment(path))
                     assert got == (want[0], want[1], want[3]), (M, abort_at, i, start)
                     a, b = walks.sites(path[:1])
                     assert ((int(a[0]), int(b[0])), path[0] & 3) == start
                     k = (len(path) - 1) // 2  # steps before the resumed walk's start
-                    if k:
-                        head = walks.walk(start, k)[1]
-                        rest = (default_max_steps(M) if budget is None else budget) - k
-                        resumed, tail = walks.walk(start, rest, at=head[-1])
-                        assert (resumed, head[:-1] + tail) == (status, path), (M, i, start)
+                    resumed, tail = walks.walk(start, at=path[k])
+                    assert (resumed, path[:k] + tail) == (status, path), (M, i, start)
 
 
 def sites_on(path, M):
