@@ -216,9 +216,6 @@ class Configuration:
         M = self.extent
         return bool(self.closed[a + M, b + M])
 
-    def same_field(self, other) -> bool:
-        return self.extent == other.extent and np.array_equal(self.closed, other.closed)
-
 
 def uniforms(M: int, seed: int, stream_index: int) -> UniformField:
     """Counter-based uniform field over sites |a|, |b| <= M."""

@@ -145,15 +145,22 @@ def _match_mask(closed, g, excluded_core=None):
     parity-valid offset and, with ``excluded_core = k``, with its red edge
     outside Q_k.
     """
+    t1_lo, t2_lo, allowed = _offsets(closed.shape[-1] // 2, g, excluded_core)
+    return t1_lo, t2_lo, _copies(closed, g, t1_lo, t2_lo, allowed)
+
+
+def _copies(closed, g, t1_lo, t2_lo, allowed):
+    """``ok[..., i, j]``: ``allowed[i, j]`` and the copy of ``g`` at offset
+    (t1_lo + i, t2_lo + j), which must lie inside the extent, appears in the
+    fields of shape (..., 2M+1, 2M+1) ``closed``."""
     M = closed.shape[-1] // 2
-    t1_lo, t2_lo, allowed = _offsets(M, g, excluded_core)
     n1, n2 = allowed.shape
     ok = np.broadcast_to(allowed, closed.shape[:-2] + allowed.shape).copy()
     for sites, require in ((g.closed_sites, np.logical_and), (g.open_sites, np.greater)):
         for (a, b) in sorted(sites):  # ok & s, or ok & ~s as ok > s, in place
             require(ok, closed[..., t1_lo + a + M : t1_lo + a + M + n1,
                                t2_lo + b + M : t2_lo + b + M + n2], out=ok)
-    return t1_lo, t2_lo, ok
+    return ok
 
 
 def match_pattern(c: Configuration, g: Pattern, excluded_core=None) -> MatchSet:

@@ -34,7 +34,9 @@ those of its dual.  Each event builds a ``Raster`` once per (extent, n) on
 the box of its region.  A ``*_holds`` function gathers a (K, W, W) stack of
 closed fields into a (K, H, W') image and labels it with one call of
 scipy's labelling kernel, the C routine behind ``scipy.ndimage.label``, that
-links nothing across the stack; one configuration is a stack of one.
+links nothing across the stack; one configuration is a stack of one.  An
+event decided by one ``sides_joined`` names its raster and sides in
+``EVENTS``, so that a caller can read its labels too (``joined_labels``).
 Witnesses come from ``breadth_first``, one deterministic FIFO search that
 the enhancement module shares; the circuit witness searches the
 parity-doubled cover of the closed graph.
@@ -77,6 +79,7 @@ __all__ = [
     "closed_orbit",
     "closure_holds",
     "first_path",
+    "joined_labels",
     "radial_closed_path",
     "radial_holds",
     "rect_crossing",
@@ -220,14 +223,21 @@ def _label(bits, raster):
     return labels.reshape(K, -1), count
 
 
+def joined_labels(closed, raster, side_a, side_b):
+    """``sides_joined`` and the labelling it reads: (holds, labels, on_a), with
+    the (K, H * W) labels of ``_label`` and ``on_a[l]`` true iff label l is on
+    a pixel of ``side_a``."""
+    labels, count = _label(closed, raster)
+    on_a = np.zeros(count + 1, dtype=bool)
+    on_a[labels[:, side_a]] = True
+    return on_a[labels[:, side_b]].any(axis=1), labels, on_a
+
+
 def sides_joined(closed, raster, side_a, side_b):
     """For each field of the (K, W, W) stack ``closed``: does its image of
     ``raster`` join a pixel of ``side_a`` to one of ``side_b``?  A bool array
     of length K; the sides are flat indices of base pixels."""
-    labels, count = _label(closed, raster)
-    on_a = np.zeros(count + 1, dtype=bool)
-    on_a[labels[:, side_a]] = True
-    return on_a[labels[:, side_b]].any(axis=1)
+    return joined_labels(closed, raster, side_a, side_b)[0]
 
 
 _RECT_KINDS = ("T", "T1", "T2", "T3", "T4")
@@ -591,6 +601,10 @@ class Event(NamedTuple):
     detect: Callable  # (configuration, n, *, witness=False) -> EventResult
     holds: Callable  # ((K, W, W) closed stack, n) -> bool array of length K
     reads: Callable  # (extent, n) -> flat field indices of every site holds reads
+    # (extent, n) -> (raster, side_a, side_b) when holds is ``sides_joined`` of
+    # the closed bits on them, an image in which a closed site joins its edge's
+    # two ends; None for the other events
+    sides: Callable | None = None
 
 
 @lru_cache(maxsize=64)
@@ -611,9 +625,10 @@ EVENTS = {
     "closure": Event(lambda n: n + 2, closed_orbit, closure_holds,
                      lambda M, n: np.flatnonzero(site_radius(M) <= n)),
     "A": Event(lambda n: n + 2, radial_closed_path, radial_holds,
-               lambda M, n: _radial_static(M, n)[0].sites),
+               lambda M, n: _radial_static(M, n)[0].sites, _radial_static),
     "Aprime": Event(lambda n: rect_min_extent(n, "T"), rect_crossing, rect_holds,
-                    lambda M, n: _rect_reads(M, n, ("T",))),
+                    lambda M, n: _rect_reads(M, n, ("T",)),
+                    lambda M, n: _rect_static(M, n, "T")),
     "Acirc": Event(lambda n: 2 * n + 2, surrounding_circuit_exact, circuit_holds,
                    lambda M, n: _circuit_static(M, n)[0].sites),
     "Acirc4": Event(lambda n: 2 * n + 2,

@@ -8,8 +8,13 @@ scheduling.  Estimates and paired comparisons fill a stack of closed fields
 one sample at a time, drawing only the sites the event reads (dilated by the
 pattern when enhancing), and hand each stack to the event's stacked
 detector; plain closure builds no field and traces a worker's samples
-together with ``trace_lockstep``.  Stack and walk sizes follow from a fixed
-byte budget, and no tally depends on them.  The harness replays the
+together with ``trace_lockstep``.  A paired comparison of A or Aprime, whose
+detector is one ``sides_joined`` on a primal image, labels each plain stack
+once and decides the enhanced event from those labels: enhancement only
+closes matched reds, and a closed red joins the labels of its edge's two
+ends.  The other events are detected again on the enhanced fields whose read
+sites enhancement changed.  Stack and walk sizes follow from a fixed byte
+budget, and no tally depends on them.  The harness replays the
 localization argument per sample: if the enhanced field carries an exact
 surrounding circuit at scale n, the origin trajectory of the raw field must
 close inside Q_{2n+2D} and the hybrid field (raw core, enhanced exterior)
@@ -47,10 +52,10 @@ from .configuration import (
     site_sampler,
     stream_base,
 )
-from .enhancement import (Pattern, _dilated, check_detour, enhance, enhance_stack,
-                          matched_reds)
-from .events import EVENTS, circuit_holds, surrounding_circuit_exact
-from .geometry import site_radius
+from .enhancement import (Pattern, _copies, _dilated, _offsets, check_detour, enhance,
+                          enhance_stack, matched_reds)
+from .events import EVENTS, circuit_holds, joined_labels, surrounding_circuit_exact
+from .geometry import edge_ends, site_radius
 from .tracer import CLOSED, LOCKSTEP_RAY_BYTES, TableWalks, trace_lockstep, trace_summary
 
 _Z95 = 1.959963984540054
@@ -168,9 +173,11 @@ def event_extent(event: str, n: int, pattern: Pattern | None = None) -> int:
 
 # Bytes of closed fields a sample loop holds at once: it fills and detects
 # stacks of K = max(1, _STACK_BYTES // (2M + 1)^2) fields.  Each field of a
-# stack adds about 0.1 MB of event images and enhancement arrays to the peak
-# memory, so peak RSS sets this: K = 9 at the Aprime extent of n = 64 (M = 101)
-# and 1 from M = 222 on, which covers the verify extent.  Only the drawn sites
+# stack adds 0.13 to 0.18 MB of event images, labels and enhancement arrays to
+# the peak traced memory (Aprime at n = 64: 133 KB plain, 178 KB enhanced and
+# 137 KB paired, which holds no enhanced stack), so peak RSS sets this: K = 9
+# at the Aprime extent of n = 64 (M = 101) and 1 from M = 222 on, which covers
+# the verify extent.  Only the drawn sites
 # are hashed, one sample at a time, in 33 bytes of buffers per site (8,868 at
 # M = 101).  Plain closure builds no fields; it walks up to
 # _STACK_BYTES // LOCKSTEP_RAY_BYTES = 3072 rays at once.  Verify does not
@@ -257,28 +264,95 @@ def estimate_event(event: str, p: float, n: int, N: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _red_ends(extent, n, event, pattern):
+    """(t1_lo, t2_lo, useful, ends) on the bounding box of the offsets of the
+    copies of ``pattern`` whose red site ``event`` reads, a site of its
+    raster: ``useful[i, j]`` says the copy at offset (t1_lo + i, t2_lo + j)
+    is one, inside the extent at a parity-valid offset, and ``ends[:, i * w +
+    j]`` are then the image pixels of its red's two ends, w the box's width.
+    Cached, read-only."""
+    t1_lo, t2_lo, allowed = _offsets(extent, pattern, None)
+    (h, w), (ra, rb) = allowed.shape, pattern.red_site
+    row, col = ra + t1_lo + extent, rb + t2_lo + extent
+    useful = allowed & _read_mask(extent, n, event)[row : row + h, col : col + w]
+    i, j = np.nonzero(useful)
+    i0, i1, j0, j1 = (i.min(), i.max() + 1, j.min(), j.max() + 1) if i.size else (0, 0, 0, 0)
+    t1, t2 = t1_lo + i0, t2_lo + j0
+    e1, f1, e2, f2 = edge_ends(*np.ogrid[ra + t1 : ra + t1 + i1 - i0, rb + t2 : rb + t2 + j1 - j0])
+    raster = EVENTS[event].sides(extent, n)[0]
+    ends = np.stack([raster.pixel(e1 + f1, e1 - f1), raster.pixel(e2 + f2, e2 - f2)])
+    useful, ends = useful[i0:i1, j0:j1], ends.reshape(2, -1)
+    useful.flags.writeable = ends.flags.writeable = False
+    return int(t1), int(t2), useful, ends
+
+
+def _joins(x, y, on_a, on_b):
+    """For the edges x[i] - y[i] between labels: does the component of x[i]
+    in their graph hold a label of ``on_a`` and one of ``on_b``?"""
+    parent = {}
+
+    def root(v):
+        while v in parent:
+            v = parent[v]
+        return v
+
+    for u, v in zip(x, y):
+        if root(u) != root(v):
+            parent[root(u)] = root(v)
+    sides = {}
+    for v, side in zip(x + y, (on_a[x + y] + 2 * on_b[x + y]).tolist()):
+        sides[root(v)] = sides.get(root(v), 0) | side
+    return [sides[root(v)] == 3 for v in x]
+
+
+def _paired_merge(closed, n, extent, event, pattern):
+    """(plain, enhanced) event bits of the (K, W, W) stack of plain fields
+    ``closed``, for an event with ``sides``, from one labelling.
+
+    Enhancement only closes matched reds, which are open in the plain field,
+    and a closed red joins the pixels of its edge's two ends.  So where the
+    plain event fails it holds enhanced iff the plain labels, merged along
+    the matched reds whose sites the raster reads, join the two sides."""
+    raster, side_a, side_b = EVENTS[event].sides(extent, n)
+    t1_lo, t2_lo, useful, ends = _red_ends(extent, n, event, pattern)
+    a, labels, on_a = joined_labels(closed, raster, side_a, side_b)
+    ok = _copies(closed, pattern, t1_lo, t2_lo, useful)
+    ok[a] = False  # a broadcast ``&=`` of ~a costs as much as half the matching
+    k, at = np.divmod(np.flatnonzero(ok), useful.size)
+    b = a.copy()
+    if k.size:
+        x, y = labels[k, ends[:, at]]
+        on_b = np.zeros_like(on_a)
+        on_b[labels[:, side_b]] = True
+        b[k[_joins(x.tolist(), y.tolist(), on_a, on_b)]] = True
+    return a, b
+
+
+def _paired_redetect(closed, n, extent, event, pattern):
+    """(plain, enhanced) event bits of the (K, W, W) stack of plain fields
+    ``closed``, for any event.  Only a field where enhancement changed a site
+    of ``_read_mask`` is detected again; that keeps a monotonicity violation
+    visible."""
+    holds = EVENTS[event].holds
+    a = holds(closed, n)
+    enhanced = enhance_stack(closed, pattern)
+    delta = enhanced != closed
+    delta &= _read_mask(extent, n, event)
+    changed = delta.any(axis=(1, 2))
+    b = a.copy()
+    if changed.any():
+        b[changed] = holds(enhanced[changed], n)
+    return a, b
+
+
 def _paired_samples(args):
     event, p, n, seed, extent, pattern, indices = args
-    ev = EVENTS[event]
-    reads = _read_mask(extent, n, event)
+    decide = _paired_redetect if EVENTS[event].sides is None else _paired_merge
     tally = np.zeros(4, dtype=np.int64)  # [neither, only plain, only enhanced, both]
     sites = _fill_sites(extent, n, event, pattern)
-    diff = None  # allocated for the first stack, the largest
     for closed in _field_stacks(p, extent, seed, indices, sites):
-        a = ev.holds(closed, n)
-        enhanced = enhance_stack(closed, pattern)
-        # The detector reads only the sites ``reads``: where enhancement
-        # changed none of them it would see the same input again, so b = a.
-        # Any other sample is detected anew, which keeps a monotonicity
-        # violation (only_plain) visible.
-        if diff is None:
-            diff = np.empty_like(closed)
-        delta = np.not_equal(enhanced, closed, out=diff[: len(closed)])
-        delta &= reads
-        changed = delta.any(axis=(1, 2))
-        b = a.copy()
-        if changed.any():
-            b[changed] = ev.holds(enhanced[changed], n)
+        a, b = decide(closed, n, extent, event, pattern)
         tally += np.bincount(a + 2 * b, minlength=4)
     return tally
 
@@ -286,6 +360,12 @@ def _paired_samples(args):
 def compare_enhanced(p: float, n: int, N: int, seed: int, g: Pattern,
                      event: str = "Aprime", workers: int = 1) -> PairedReport:
     """Evaluate an event on identical samples before and after enhancement.
+
+    A and Aprime are decided before and after from one labelling of the plain
+    field, merged along the matched reds: closing edges only joins labels, so
+    ``only_plain`` is then 0 by construction.  The other events detect the
+    enhanced field again where enhancement changed a site they read, so a
+    monotonicity violation would show in ``only_plain``.
 
     The paired gap interval is a normal-approximation interval on the mean
     of the per-sample differences (enhanced minus plain, each in {-1,0,1}).

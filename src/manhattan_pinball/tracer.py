@@ -1,4 +1,4 @@
-"""Deterministic light dynamics: step map, trajectory tracing, metrics.
+"""Deterministic light dynamics: trajectory tracing and its metrics.
 
 The ray state is (site just departed, outgoing direction); the origin ray is
 ((0, 0), E).  The forward map is a bijection on states, so every trajectory
@@ -6,10 +6,10 @@ is either a closed orbit or leaves the extent, within 4W^2 steps: the
 extent has 4W^2 ray states, W = 2M + 1, and a walk visits each at most
 once.  So a walk has no step budget and marks no state: it ends when the
 ray closes, escapes or aborts, and raises ``DynamicsError`` if still live
-after 4W^2 steps, having repeated a state other than its start.  ``step``
-and ``step_back`` are the reference dynamics.  Every other walk runs one
-table-driven kernel on a flat byte copy of the field that a ``TableWalks``
-owns, with the kernel's state encoding; a loop over fields refills one table.
+after 4W^2 steps, having repeated a state other than its start.  A walk runs
+one table-driven kernel on a flat byte copy of the field that a
+``TableWalks`` owns, with the kernel's state encoding; a loop over fields
+refills one table.
 ``trace_lockstep`` walks the origin rays of many sampled fields at once
 without building the fields: each step hashes just the sites the rays enter.
 Its turn table gives the start site a code of its own, whose row turns a ray
@@ -39,8 +39,7 @@ from .configuration import (
     stream_base,
 )
 from .errors import ConfigParseError, DynamicsError
-from .geometry import (UNIT, Direction, Orientation, mirror_orientation, q_radius, reflect,
-                       site_radius, tilted_radius)
+from .geometry import Direction, Orientation, q_radius, reflect, site_radius, tilted_radius
 
 
 class RayState(NamedTuple):
@@ -49,40 +48,6 @@ class RayState(NamedTuple):
 
 
 _ORIGIN = RayState((0, 0), Direction.E)
-
-
-class Escape(Exception):
-    """Raised by ``step`` when the next site lies outside the extent.
-
-    Carries the exiting state (last in-extent state) in ``state``.
-    """
-
-    def __init__(self, state: RayState):
-        super().__init__(f"ray escapes from {state}")
-        self.state = state
-
-
-def step(s: RayState, c: Configuration) -> RayState:
-    """One move of the light ray (reference implementation)."""
-    da, db = UNIT[s.dir]
-    na, nb = s.site[0] + da, s.site[1] + db
-    if not c.in_extent((na, nb)):
-        raise Escape(s)
-    if c.closed_at((na, nb)):
-        nd = reflect(s.dir, mirror_orientation((na, nb)))
-    else:
-        nd = s.dir
-    return RayState((na, nb), nd)
-
-
-def step_back(s: RayState, c: Configuration) -> RayState:
-    """Inverse of ``step`` (the dynamics is a bijection on states)."""
-    d = reflect(s.dir, mirror_orientation(s.site)) if c.closed_at(s.site) else s.dir
-    da, db = UNIT[d]
-    pa, pb = s.site[0] - da, s.site[1] - db
-    if not c.in_extent((pa, pb)):
-        raise Escape(s)
-    return RayState((pa, pb), d)
 
 
 CLOSED, ESCAPED, ABORTED = range(3)

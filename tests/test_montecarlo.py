@@ -376,38 +376,87 @@ def test_closure_does_not_depend_on_workers_or_walk_size(monkeypatch):
 
 
 def test_paired_shortcut_keeps_every_change_of_outcome(monkeypatch):
-    # a non-monotone "enhancement": fields whose site (0, 0) is open lose
-    # closed edges and can lose their crossing, the others gain a straight
-    # crossing of T.  The paired comparison must count both changes exactly
-    # as a per-sample comparison without the shortcut does.
+    # a non-monotone "enhancement" of Acirc, an event whose enhanced bit is
+    # detected again: fields whose site (1, 6) is open lose every other closed
+    # edge across the cut ray and can lose their circuit, the others gain
+    # every usable edge and with them a circuit.  The paired comparison must
+    # count both changes exactly as a per-sample comparison without the
+    # shortcut does.
     g = default_pattern()
-    p, n, N, seed = 0.55, 6, 120, 29
+    p, n, N, seed = 0.8, 4, 120, 29
     real = enhance_stack
-    extent = event_extent("Aprime", n, g)
+    extent = event_extent("Acirc", n, g)
     a, b = np.meshgrid(np.arange(-extent, extent + 1), np.arange(-extent, extent + 1),
                        indexing="ij")
-    cut = (a - b == 1) & (b % 2 == 0)  # every other edge across a - b = 1
-    line = a + b - 1 == 3  # the straight crossing of T along u = 3
+    cut = (b == 1) & (a >= 2) & (a % 2 == 0)
+    ring = events._usable(n, *geometry.site_edges(extent))
+    assert montecarlo._read_mask(extent, n, "Acirc")[extent + 1, extent + 6]
 
     def fake(closed, pattern):
         out = real(closed, pattern)
-        center = closed[:, extent, extent]
-        out[~center] &= ~cut
-        out[center] |= line
+        selected = closed[:, extent + 1, extent + 6]
+        out[~selected] &= ~cut
+        out[selected] |= ring
         return out
 
     monkeypatch.setattr(montecarlo, "enhance_stack", fake)
-    pr = compare_enhanced(p, n, N, seed, g)
+    pr = compare_enhanced(p, n, N, seed, g, "Acirc")
     only_plain = only_enhanced = 0
     for i in range(N):
         c = sample(p, extent, seed, stream_index=i)
         e = Configuration(extent=extent, closed=fake(c.closed[np.newaxis], g)[0])
-        before, after = rect_crossing(c, n).holds, rect_crossing(e, n).holds
+        before, after = (surrounding_circuit_exact(x, n).holds for x in (c, e))
         only_plain += before and not after
         only_enhanced += after and not before
     assert pr.only_plain == only_plain > 0
     assert pr.only_enhanced == only_enhanced > 0
-    assert pr.only_plain < pr.plain.hits  # the cut spares some crossings
+    assert pr.only_plain < pr.plain.hits  # the cut spares some circuits
+
+
+# The events whose enhanced bit a paired comparison decides from the plain
+# labelling, with the scales the merge is checked at.
+MERGE_CASES = (("A", (2, 5, 12)), ("Aprime", (3, 6, 14)))
+
+
+@pytest.mark.parametrize("event, scales", MERGE_CASES, ids=[e for e, _ in MERGE_CASES])
+def test_paired_merge_matches_detecting_the_enhanced_field(event, scales, monkeypatch):
+    # the merge of the plain labels along the matched reds against detecting
+    # the enhanced field itself, sample by sample, on the same stacks of a few
+    # fields each
+    monkeypatch.setattr(montecarlo, "_STACK_BYTES", 4000)
+    calls = []
+    label = events._label
+    monkeypatch.setattr(events, "_label", lambda *args: calls.append(1) or label(*args))
+    holds, N, seed = EVENTS[event].holds, 40, 17
+    only_enhanced = together = 0
+    for g in (default_pattern(), SKEWED_PATTERN):
+        for n in scales:
+            extent = event_extent(event, n, g)
+            reads = EVENTS[event].reads(extent, n)
+            for p in (0.3, 0.45, 0.5, 0.55, 0.6, 0.7):
+                del calls[:]
+                stacks = [s.copy() for s in montecarlo._field_stacks(
+                    p, extent, seed, range(N), montecarlo._fill_sites(extent, n, event, g))]
+                tally = np.zeros(4, dtype=np.int64)
+                for closed in stacks:
+                    a, b = montecarlo._paired_merge(closed, n, extent, event, g)
+                    assert np.array_equal(a, holds(closed, n)), (event, g.name, n, p)
+                    assert np.array_equal(b, holds(enhance_stack(closed, g), n)), \
+                        (event, g.name, n, p)
+                    tally += np.bincount(a + 2 * b, minlength=4)
+                    for field in closed[b & ~a]:
+                        reds = np.intersect1d(enhancement.matched_reds(field, g, None), reads)
+                        alone = np.repeat(field[np.newaxis], len(reds), axis=0)
+                        alone.reshape(len(reds), -1)[np.arange(len(reds)), reds] = True
+                        together += not holds(alone, n).any()
+                assert tally[1] == 0  # closing edges never breaks a crossing
+                only_enhanced += int(tally[2])
+                del calls[:]
+                pr = compare_enhanced(p, n, N, seed, g, event)
+                assert len(calls) == len(stacks)  # one labelling per stack
+                assert (pr.only_plain, pr.only_enhanced, pr.both) == tuple(tally[1:])
+    assert only_enhanced > 0
+    assert together > 0  # some field is joined by two reds or more, none alone
 
 
 VERIFY_CASES = ((0.55, 128, 40, 1, 1), (0.55, 128, 40, 2, 1), (0.55, 128, 40, 3, 1),

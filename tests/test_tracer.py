@@ -19,23 +19,49 @@ from manhattan_pinball import configuration, enhancement, events, geometry, mont
 from manhattan_pinball.cli import main
 from manhattan_pinball.configuration import Configuration, constant, from_closed_sites, sample
 from manhattan_pinball.errors import ConfigParseError, DynamicsError, ResourceLimitError
-from manhattan_pinball.geometry import Direction, q_radius
+from manhattan_pinball.geometry import UNIT, Direction, mirror_orientation, q_radius, reflect
 from manhattan_pinball.tracer import (
     LOCKSTEP_RAY_BYTES,
     STATUS_NAMES,
-    Escape,
     RayState,
     Trajectory,
     dump_trajectory,
     loads_trajectory,
-    step,
-    step_back,
     trace,
     trace_lockstep,
     trace_summary,
 )
 
 E, N, W, S = Direction.E, Direction.N, Direction.W, Direction.S
+
+
+class Escape(Exception):
+    """Raised by ``step`` when the next site lies outside the extent; carries
+    the exiting state (last in-extent state) in ``state``."""
+
+    def __init__(self, state):
+        super().__init__(f"ray escapes from {state}")
+        self.state = state
+
+
+def step(s, c):
+    """One move of the light ray: the reference dynamics the walks are checked against."""
+    da, db = UNIT[s.dir]
+    na, nb = s.site[0] + da, s.site[1] + db
+    if not c.in_extent((na, nb)):
+        raise Escape(s)
+    d = reflect(s.dir, mirror_orientation((na, nb))) if c.closed_at((na, nb)) else s.dir
+    return RayState((na, nb), d)
+
+
+def step_back(s, c):
+    """Inverse of ``step`` (the dynamics is a bijection on states)."""
+    d = reflect(s.dir, mirror_orientation(s.site)) if c.closed_at(s.site) else s.dir
+    da, db = UNIT[d]
+    pa, pb = s.site[0] - da, s.site[1] - db
+    if not c.in_extent((pa, pb)):
+        raise Escape(s)
+    return RayState((pa, pb), d)
 
 
 def test_step_hand_cases():
