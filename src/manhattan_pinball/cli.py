@@ -106,7 +106,7 @@ def _cmd_event(args):
 def _cmd_estimate(args):
     report = estimate_event(
         args.event, args.p, args.n, args.trials, args.seed,
-        enhanced=args.enhanced, workers=args.workers,
+        pattern=default_pattern() if args.enhanced else None, workers=args.workers,
     )
     text = estimates_csv([report])
     if args.csv:

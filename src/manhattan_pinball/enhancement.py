@@ -30,16 +30,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import events as _ev
-from .configuration import (Configuration, atomic_write_text, from_closed_sites,
-                            header_lines, read_header)
+from .configuration import (Configuration, atomic_write_text, edge_inside_q_mask,
+                            from_closed_sites, header_lines, read_header)
 from .errors import ConfigParseError
 from .geometry import (
     DIAGONAL,
     UNIT,
     Direction,
-    edge_ends,
     edge_for_site,
-    edge_in_region,
     mirror_orientation,
     reflect,
     site_between,
@@ -117,49 +115,48 @@ class PatternReport:
 
 
 @lru_cache(maxsize=16)
-def _offsets(M, g, excluded_core):
-    """(t1_lo, t2_lo, allowed): the offsets (t1_lo + i, t2_lo + j) keep every
-    site of a copy of ``g`` inside extent M, and ``allowed[i, j]`` says the
-    offset is parity-valid and, with ``excluded_core = k``, its red edge is
-    not inside Q_k.  Cached per (M, pattern, core), read-only."""
+def _red_box(M, g, excluded_core):
+    """(r0, c0, allowed): the copies of ``g`` inside extent M have their red
+    sites at field indices (r0 + i, c0 + j), and ``allowed[i, j]`` says that
+    copy's offset is parity-valid and, with ``excluded_core = k``, its red
+    edge is not inside Q_k.  Cached per (M, pattern, core), read-only."""
     if M < g.radius:
         raise ValueError("extent smaller than pattern radius")
     a, b = zip(*g.sites)
-    t1 = np.arange(-M - min(a), M - max(a) + 1)[:, np.newaxis]
-    t2 = np.arange(-M - min(b), M - max(b) + 1)[np.newaxis, :]
-    allowed = t1 % 2 == t2 % 2  # (t1 + t2) even, without an int64 (n1, n2) temporary
+    (ra, rb), W = g.red_site, 2 * M + 1
+    rows, cols = slice(ra - min(a), W + ra - max(a)), slice(rb - min(b), W + rb - max(b))
+    r, c = np.ogrid[rows, cols]
+    # the copy's offset, its red site less M + g.red_site, has an even sum;
+    # tested without an int64 (h, w) temporary
+    allowed = (r + ra) % 2 == (c + rb) % 2
     if excluded_core is not None:
-        # the red edge of the copy at offset (t1, t2) joins the red edge's
-        # ends translated by (t1, t2)
-        i1, j1, i2, j2 = edge_ends(*g.red_site)
-        allowed &= ~edge_in_region("Q", excluded_core, i1 + t1, j1 + t2, i2 + t1, j2 + t2)
+        allowed &= ~edge_inside_q_mask(M, excluded_core)[rows, cols]
     allowed.flags.writeable = False
-    return int(t1[0, 0]), int(t2[0, 0]), allowed
+    return rows.start, cols.start, allowed
 
 
 def _match_mask(closed, g, excluded_core=None):
     """Where copies of ``g`` appear in fields of shape (..., 2M+1, 2M+1).
 
-    Returns (t1_lo, t2_lo, ok): ``ok[..., i, j]`` says the copy at offset
-    (t1_lo + i, t2_lo + j) appears in that field, inside the extent, at a
-    parity-valid offset and, with ``excluded_core = k``, with its red edge
-    outside Q_k.
+    Returns (r0, c0, ok): ``ok[..., i, j]`` says the copy whose red site is
+    at field index (r0 + i, c0 + j) appears in that field, inside the extent,
+    at a parity-valid offset and, with ``excluded_core = k``, with its red
+    edge outside Q_k.
     """
-    t1_lo, t2_lo, allowed = _offsets(closed.shape[-1] // 2, g, excluded_core)
-    return t1_lo, t2_lo, _copies(closed, g, t1_lo, t2_lo, allowed)
+    r0, c0, allowed = _red_box(closed.shape[-1] // 2, g, excluded_core)
+    return r0, c0, _copies(closed, g, r0, c0, allowed)
 
 
-def _copies(closed, g, t1_lo, t2_lo, allowed):
-    """``ok[..., i, j]``: ``allowed[i, j]`` and the copy of ``g`` at offset
-    (t1_lo + i, t2_lo + j), which must lie inside the extent, appears in the
-    fields of shape (..., 2M+1, 2M+1) ``closed``."""
-    M = closed.shape[-1] // 2
-    n1, n2 = allowed.shape
+def _copies(closed, g, r0, c0, allowed):
+    """``ok[..., i, j]``: ``allowed[i, j]`` and the copy of ``g`` whose red
+    site is at field index (r0 + i, c0 + j), which must lie inside the
+    extent, appears in the fields of shape (..., 2M+1, 2M+1) ``closed``."""
+    (h, w), (ra, rb) = allowed.shape, g.red_site
     ok = np.broadcast_to(allowed, closed.shape[:-2] + allowed.shape).copy()
     for sites, require in ((g.closed_sites, np.logical_and), (g.open_sites, np.greater)):
         for (a, b) in sorted(sites):  # ok & s, or ok & ~s as ok > s, in place
-            require(ok, closed[..., t1_lo + a + M : t1_lo + a + M + n1,
-                               t2_lo + b + M : t2_lo + b + M + n2], out=ok)
+            i, j = r0 + a - ra, c0 + b - rb
+            require(ok, closed[..., i : i + h, j : j + w], out=ok)
     return ok
 
 
@@ -169,28 +166,26 @@ def match_pattern(c: Configuration, g: Pattern, excluded_core=None) -> MatchSet:
     Copies must lie fully inside the extent.  With ``excluded_core = k``,
     offsets whose red edge is inside Q_k are dropped.
     """
-    t1_lo, t2_lo, ok = _match_mask(c.closed, g, excluded_core)
-    return MatchSet(offsets=tuple((int(i + t1_lo), int(j + t2_lo)) for i, j in np.argwhere(ok)))
+    r0, c0, ok = _match_mask(c.closed, g, excluded_core)
+    t1, t2 = r0 - g.red_site[0] - c.extent, c0 - g.red_site[1] - c.extent
+    return MatchSet(offsets=tuple((int(i + t1), int(j + t2)) for i, j in np.argwhere(ok)))
 
 
 def enhance_stack(closed, g: Pattern, excluded_core=None):
     """``enhance`` on fields of shape (..., 2M+1, 2M+1): a new array in
     which the red edge of every copy matched in a field is closed."""
-    M = closed.shape[-1] // 2
-    t1_lo, t2_lo, ok = _match_mask(closed, g, excluded_core)
+    r0, c0, ok = _match_mask(closed, g, excluded_core)
     out = closed.copy()
-    a, b = g.red_site[0] + t1_lo + M, g.red_site[1] + t2_lo + M
-    out[..., a : a + ok.shape[-2], b : b + ok.shape[-1]] |= ok
+    out[..., r0 : r0 + ok.shape[-2], c0 : c0 + ok.shape[-1]] |= ok
     return out
 
 
 def matched_reds(closed, g: Pattern, excluded_core):
     """Flat indices, ascending, of the red sites that ``enhance`` with
     ``excluded_core`` closes in the (2M+1, 2M+1) field ``closed``."""
-    M = len(closed) // 2
-    t1_lo, t2_lo, ok = _match_mask(closed, g, excluded_core)
+    r0, c0, ok = _match_mask(closed, g, excluded_core)
     row, col = np.divmod(np.flatnonzero(ok), ok.shape[1])
-    return (row + g.red_site[0] + t1_lo + M) * len(closed) + col + g.red_site[1] + t2_lo + M
+    return (row + r0) * len(closed) + col + c0
 
 
 def _dilated(mask, pattern):
@@ -323,8 +318,9 @@ def _essential_witnesses(closed, g: Pattern):
     """Per field of a (K, W, W) window stack: the copy of ``g`` at offset
     (0, 0) matches, and closing the matched red edges makes a crossing that
     was not there."""
-    t1_lo, t2_lo, ok = _match_mask(closed, g)
-    return (ok[:, -t1_lo, -t2_lo] & ~_window_crossing(closed)
+    r0, c0, ok = _match_mask(closed, g)
+    M = closed.shape[-1] // 2
+    return (ok[:, g.red_site[0] + M - r0, g.red_site[1] + M - c0] & ~_window_crossing(closed)
             & _window_crossing(enhance_stack(closed, g)))
 
 
@@ -335,9 +331,7 @@ def _chain_to_boundary(g, extent, start_vertex, westward, blocked_vertices):
     unconstrained by the pattern; chain edges must avoid the pattern's
     mirror endpoints and previously used vertices.
     """
-    pattern_vertices = set()
-    for s in g.closed_sites:
-        pattern_vertices.update(edge_for_site(s))
+    pattern_vertices = {v for s in g.closed_sites for v in edge_for_site(s)}
 
     def neighbours(v):
         for di, dj in DIAGONAL:

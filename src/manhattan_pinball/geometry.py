@@ -46,16 +46,18 @@ def mirror_orientation(site) -> Orientation:
     return Orientation.NE if (a - b) % 2 == 0 else Orientation.NW
 
 
-def edge_for_site(site):
-    """The tilted edge with midpoint ``site``, as an ordered pair of vertices.
+def edge_ends(a, b):
+    """Vertex indices (i1, j1, i2, j2) of the edge at site (a, b), west end
+    first; elementwise on arrays."""
+    ne = (a - b) % 2 == 0
+    return a - 1, b - ne, a, b - 1 + ne
 
-    Endpoints differ from the site by (+-1/2, +-1/2); the west endpoint comes
-    first.
-    """
-    a, b = site
-    if (a - b) % 2 == 0:
-        return ((a - 0.5, b - 0.5), (a + 0.5, b + 0.5))
-    return ((a - 0.5, b + 0.5), (a + 0.5, b - 0.5))
+
+def edge_for_site(site):
+    """The tilted edge with midpoint ``site``, as an ordered pair of vertices:
+    its ``edge_ends`` (i, j), each standing for (i + 1/2, j + 1/2)."""
+    i1, j1, i2, j2 = edge_ends(*site)
+    return ((i1 + 0.5, j1 + 0.5), (i2 + 0.5, j2 + 0.5))
 
 
 def reflect(d: Direction, m: Orientation) -> Direction:
@@ -128,13 +130,6 @@ def site_between(v, w):
     """The site whose edge joins (or, between faces, separates) neighbouring
     vertex or face indices ``v`` and ``w``."""
     return (v[0] + w[0] + 1) // 2, (v[1] + w[1] + 1) // 2
-
-
-def edge_ends(a, b):
-    """Vertex indices (i1, j1, i2, j2) of the edge at site (a, b), west end
-    first; elementwise on arrays."""
-    ne = (a - b) % 2 == 0
-    return a - 1, b - ne, a, b - 1 + ne
 
 
 def site_edges(M: int):

@@ -52,7 +52,7 @@ from .configuration import (
     site_sampler,
     stream_base,
 )
-from .enhancement import (Pattern, _copies, _dilated, _offsets, check_detour, enhance,
+from .enhancement import (Pattern, _copies, _dilated, _red_box, check_detour, enhance,
                           enhance_stack, matched_reds)
 from .events import EVENTS, circuit_holds, joined_labels, surrounding_circuit_exact
 from .geometry import edge_ends, site_radius
@@ -243,19 +243,13 @@ def _eval_samples(args):
 
 
 def estimate_event(event: str, p: float, n: int, N: int, seed: int,
-                   enhanced: bool = False, pattern: Pattern | None = None,
-                   workers: int = 1) -> EstimationReport:
+                   pattern: Pattern | None = None, workers: int = 1) -> EstimationReport:
     """Monte Carlo estimate of P_p[event at scale n] over N independent samples,
-    enhanced by ``pattern`` (default: the default pattern) if ``enhanced``."""
-    if not enhanced and pattern is not None:
-        raise ValueError("a pattern is given only with enhanced=True")
-    if enhanced and pattern is None:
-        from .enhancement import default_pattern
-        pattern = default_pattern()
+    enhanced by ``pattern`` if one is given."""
     t0 = time.perf_counter()
     extent = event_extent(event, n, pattern)
     hits = sum(_run(_eval_samples, (event, p, n, seed, extent, pattern), N, workers))
-    return _report(event + ("~" if enhanced else ""), p, n, N, hits, seed,
+    return _report(event + ("" if pattern is None else "~"), p, n, N, hits, seed,
                    int(round((time.perf_counter() - t0) * 1000)))
 
 
@@ -265,26 +259,20 @@ def estimate_event(event: str, p: float, n: int, N: int, seed: int,
 
 
 @lru_cache(maxsize=16)
-def _red_ends(extent, n, event, pattern):
-    """(t1_lo, t2_lo, useful, ends) on the bounding box of the offsets of the
-    copies of ``pattern`` whose red site ``event`` reads, a site of its
-    raster: ``useful[i, j]`` says the copy at offset (t1_lo + i, t2_lo + j)
-    is one, inside the extent at a parity-valid offset, and ``ends[:, i * w +
-    j]`` are then the image pixels of its red's two ends, w the box's width.
-    Cached, read-only."""
-    t1_lo, t2_lo, allowed = _offsets(extent, pattern, None)
-    (h, w), (ra, rb) = allowed.shape, pattern.red_site
-    row, col = ra + t1_lo + extent, rb + t2_lo + extent
-    useful = allowed & _read_mask(extent, n, event)[row : row + h, col : col + w]
+def _read_reds(extent, n, event, pattern):
+    """(r0, c0, useful): ``useful[i, j]`` says the site at field index
+    (r0 + i, c0 + j) is the red site of a copy of ``pattern`` inside the
+    extent at a parity-valid offset, and ``event`` reads it.  The box is the
+    bounding box of those sites, cut from ``enhancement._red_box``.  Cached,
+    read-only."""
+    r0, c0, allowed = _red_box(extent, pattern, None)
+    h, w = allowed.shape
+    useful = allowed & _read_mask(extent, n, event)[r0 : r0 + h, c0 : c0 + w]
     i, j = np.nonzero(useful)
     i0, i1, j0, j1 = (i.min(), i.max() + 1, j.min(), j.max() + 1) if i.size else (0, 0, 0, 0)
-    t1, t2 = t1_lo + i0, t2_lo + j0
-    e1, f1, e2, f2 = edge_ends(*np.ogrid[ra + t1 : ra + t1 + i1 - i0, rb + t2 : rb + t2 + j1 - j0])
-    raster = EVENTS[event].sides(extent, n)[0]
-    ends = np.stack([raster.pixel(e1 + f1, e1 - f1), raster.pixel(e2 + f2, e2 - f2)])
-    useful, ends = useful[i0:i1, j0:j1], ends.reshape(2, -1)
-    useful.flags.writeable = ends.flags.writeable = False
-    return int(t1), int(t2), useful, ends
+    useful = useful[i0:i1, j0:j1]
+    useful.flags.writeable = False
+    return int(r0 + i0), int(c0 + j0), useful
 
 
 def _joins(x, y, on_a, on_b):
@@ -315,14 +303,17 @@ def _paired_merge(closed, n, extent, event, pattern):
     plain event fails it holds enhanced iff the plain labels, merged along
     the matched reds whose sites the raster reads, join the two sides."""
     raster, side_a, side_b = EVENTS[event].sides(extent, n)
-    t1_lo, t2_lo, useful, ends = _red_ends(extent, n, event, pattern)
+    r0, c0, useful = _read_reds(extent, n, event, pattern)
     a, labels, on_a = joined_labels(closed, raster, side_a, side_b)
-    ok = _copies(closed, pattern, t1_lo, t2_lo, useful)
+    ok = _copies(closed, pattern, r0, c0, useful)
     ok[a] = False  # a broadcast ``&=`` of ~a costs as much as half the matching
     k, at = np.divmod(np.flatnonzero(ok), useful.size)
     b = a.copy()
     if k.size:
-        x, y = labels[k, ends[:, at]]
+        row, col = np.divmod(at, useful.shape[1])
+        i1, j1, i2, j2 = edge_ends(row + r0 - extent, col + c0 - extent)
+        x = labels[k, raster.pixel(i1 + j1, i1 - j1)]
+        y = labels[k, raster.pixel(i2 + j2, i2 - j2)]
         on_b = np.zeros_like(on_a)
         on_b[labels[:, side_b]] = True
         b[k[_joins(x.tolist(), y.tolist(), on_a, on_b)]] = True

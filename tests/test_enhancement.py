@@ -1,5 +1,6 @@
 """Enhancement patterns: matching oracle, the three validity checks, search."""
 
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -28,6 +29,13 @@ from manhattan_pinball.enhancement import (
 )
 from manhattan_pinball.errors import ConfigParseError
 from manhattan_pinball.geometry import edge_for_site
+
+
+# An asymmetric pattern whose red site is not the origin, so that a copy's
+# offset and its red site differ.  It matches often, so enhancement changes
+# many outcomes.
+SKEWED_PATTERN = Pattern(closed_sites=frozenset({(4, 2)}), open_sites=frozenset({(1, 2), (1, 3)}),
+                         red_site=(1, 2), name="skewed")
 
 
 def vertex_in_q(vertex, k):
@@ -59,12 +67,12 @@ def brute_match(c, g, excluded_core=None):
 
 
 def test_match_against_brute_oracle():
-    g = default_pattern()
-    for seed in range(8):
-        c = sample(0.35, 7, seed=seed)
-        assert sorted(match_pattern(c, g).offsets) == brute_match(c, g)
-        assert sorted(match_pattern(c, g, excluded_core=4).offsets) == brute_match(
-            c, g, excluded_core=4)
+    for g in (default_pattern(), SKEWED_PATTERN):
+        for seed in range(8):
+            c = sample(0.35, 7, seed=seed)
+            assert sorted(match_pattern(c, g).offsets) == brute_match(c, g)
+            assert sorted(match_pattern(c, g, excluded_core=4).offsets) == brute_match(
+                c, g, excluded_core=4)
 
 
 def test_planted_copy_matches():
@@ -85,8 +93,7 @@ def test_translated_planted_copy():
 
 
 def test_enhance_changes_exactly_matched_reds():
-    g = default_pattern()
-    for seed in range(6):
+    for g, seed in itertools.product((default_pattern(), SKEWED_PATTERN), range(6)):
         c = sample(0.5, 10, seed=100 + seed)
         e = enhance(c, g)
         diff = {tuple(d - 10) for d in np.argwhere(e.closed != c.closed)}
@@ -107,20 +114,21 @@ def test_excluded_core_drops_central_matches():
 
 @pytest.mark.parametrize("core", [None, 2, 100])
 def test_matched_reds_are_the_sites_enhance_closes(core):
-    g, M = default_pattern(), 110
-    fields = [sample(p, M, seed=31, stream_index=i) for i, p in enumerate((0.0, 0.4, 0.5))]
-    planted = sample(0.4, M, seed=32).closed.copy()
-    # red edges inside Q_2, inside Q_100 only, and outside Q_100 twice
-    for t1, t2 in ((0, 0), (6, 6), (60, 60), (-90, 20)):
-        for sites, bit in ((g.closed_sites, True), (g.open_sites, False)):
-            for a, b in sites:
-                planted[a + t1 + M, b + t2 + M] = bit
-    fields.append(Configuration(extent=M, closed=planted))
-    for c in fields:
-        reds = matched_reds(c.closed, g, core)
-        assert np.array_equal(
-            reds, np.flatnonzero(enhance(c, g, excluded_core=core).closed & ~c.closed))
-    assert len(reds) >= {None: 4, 2: 3, 100: 2}[core]
+    M = 110
+    for g in (default_pattern(), SKEWED_PATTERN):
+        fields = [sample(p, M, seed=31, stream_index=i) for i, p in enumerate((0.0, 0.4, 0.5))]
+        planted = sample(0.4, M, seed=32).closed.copy()
+        # red edges inside Q_2, inside Q_100 only, and outside Q_100 twice
+        for t1, t2 in ((0, 0), (6, 6), (60, 60), (-90, 20)):
+            for sites, bit in ((g.closed_sites, True), (g.open_sites, False)):
+                for a, b in sites:
+                    planted[a + t1 + M, b + t2 + M] = bit
+        fields.append(Configuration(extent=M, closed=planted))
+        for c in fields:
+            reds = matched_reds(c.closed, g, core)
+            assert np.array_equal(
+                reds, np.flatnonzero(enhance(c, g, excluded_core=core).closed & ~c.closed))
+        assert len(reds) >= {None: 4, 2: 3, 100: 2}[core]
 
 
 def test_shipped_pattern_passes_all_checks():

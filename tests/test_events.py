@@ -327,10 +327,11 @@ def test_closure_runs_leave_scipy_out():
     # more than double its set-up time in every fresh interpreter and worker
     loaded = modules_after(
         "from manhattan_pinball.configuration import sample\n"
+        "from manhattan_pinball.enhancement import default_pattern\n"
         "from manhattan_pinball.montecarlo import estimate_event\n"
         "from manhattan_pinball.tracer import trace\n"
         "estimate_event('closure', 0.5, 8, 50, 1)\n"
-        "estimate_event('closure', 0.5, 8, 5, 1, enhanced=True)\n"
+        "estimate_event('closure', 0.5, 8, 5, 1, pattern=default_pattern())\n"
         "trace(sample(0.5, 10, 1))")
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
 
@@ -344,8 +345,8 @@ def test_graph_event_runs_leave_scipy_ndimage_out():
         "from manhattan_pinball.enhancement import default_pattern\n"
         "from manhattan_pinball.montecarlo import compare_enhanced, estimate_event, verify_theorem\n"
         "for event in ('A', 'Aprime', 'Acirc', 'Acirc4'):\n"
-        "    for enhanced in (False, True):\n"
-        "        estimate_event(event, 0.55, 3, 4, 1, enhanced=enhanced)\n"
+        "    for pattern in (None, default_pattern()):\n"
+        "        estimate_event(event, 0.55, 3, 4, 1, pattern=pattern)\n"
         "compare_enhanced(0.55, 3, 4, 1, default_pattern())\n"
         "verify_theorem(0.55, 101, 1, 1, default_pattern())",
         then="import numpy as np\n"

@@ -34,6 +34,8 @@ from manhattan_pinball.montecarlo import (
     wilson_interval,
 )
 
+from test_enhancement import SKEWED_PATTERN
+
 
 @pytest.mark.parametrize("event", ["A", "Aprime", "Acirc", "Acirc4"])
 def test_graph_event_retains_few_bytes_per_site(event):
@@ -117,12 +119,6 @@ def test_event_extent_covers_enhanced_padding():
     g = default_pattern()
     assert event_extent("Acirc", 8) == 18
     assert event_extent("Acirc", 8, g) == 18 + g.radius
-
-
-def test_pattern_without_enhanced_is_refused():
-    # a pattern that would not be applied must not yield a plain estimate
-    with pytest.raises(ValueError, match="enhanced=True"):
-        estimate_event("Aprime", 0.5, 8, 200, 1, pattern=SKEWED_PATTERN)
 
 
 def test_compare_enhanced_monotone_and_trivial():
@@ -253,8 +249,8 @@ def _paired_text(pr):
 
 def _graph_run_text(N, workers):
     g = default_pattern()
-    reports = [estimate_event(ev, p, n, N, seed=19, enhanced=enhanced, workers=workers)
-               for ev, p, n in GRAPH_CASES for enhanced in (False, True)]
+    reports = [estimate_event(ev, p, n, N, seed=19, pattern=pattern, workers=workers)
+               for ev, p, n in GRAPH_CASES for pattern in (None, g)]
     paired = [compare_enhanced(p, n, min(N, trials), seed, g, event, workers=workers)
               for p, n, trials, seed, event in PAIRED_CASES]
     return estimates_csv(reports) + "".join(_paired_text(pr) for pr in paired)
@@ -279,11 +275,8 @@ def test_reports_do_not_depend_on_workers_or_stack_size(monkeypatch):
     assert _graph_run_text(37, 3) == reference
 
 
-# An asymmetric pattern whose red site is not the origin: filling the copies
-# around a read site with offsets red - s instead of s - red misses its sites.
-# It matches often, so enhancement changes many outcomes.
-SKEWED_PATTERN = Pattern(closed_sites=frozenset({(4, 2)}), open_sites=frozenset({(1, 2), (1, 3)}),
-                         red_site=(1, 2), name="skewed")
+# Filling the copies of SKEWED_PATTERN around a read site with offsets red - s
+# instead of s - red misses its sites.
 FILL_CASES = (("A", (2, 5)), ("Aprime", (3, 6)), ("Acirc", (2, 3)), ("Acirc4", (2, 3)))
 
 
@@ -295,7 +288,7 @@ def _fill_run_text():
                 out.append(estimates_csv([estimate_event(event, p, n, 30, seed=13)]))
                 for g in (default_pattern(), SKEWED_PATTERN):
                     out.append(estimates_csv([estimate_event(event, p, n, 30, seed=13,
-                                                             enhanced=True, pattern=g)]))
+                                                             pattern=g)]))
                     out.append(_paired_text(compare_enhanced(p, n, 30, 13, g, event)))
     return "".join(out)
 
@@ -335,6 +328,20 @@ def test_paired_at_n64_matches_pinned_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == PAIRED_N64_DIGEST
 
 
+# sha256 of the concatenated _paired_text of compare_enhanced(0.5, n, 200, 17,
+# SKEWED_PATTERN, event) for A at n = 5 and 12 and Aprime at n = 6 and 14,
+# computed when copies were indexed by their offset
+PAIRED_SKEWED_DIGEST = "7f542bf5b5b5b77237c4b350253cd2aa03bda195af6dd5d9ad874549c31906f2"
+
+
+def test_paired_changes_of_outcome_match_pinned_digest():
+    reports = [compare_enhanced(0.5, n, 200, 17, SKEWED_PATTERN, event)
+               for event, n in (("A", 5), ("A", 12), ("Aprime", 6), ("Aprime", 14))]
+    assert all(pr.only_enhanced > 0 for pr in reports)  # the merge joins labels in each
+    text = "".join(_paired_text(pr) for pr in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == PAIRED_SKEWED_DIGEST
+
+
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.55, 0.6, 0.7, 1.0])
 def test_closure_estimate_matches_per_sample_closure(p):
     # the lockstep walk of plain closure against the field-by-field detector
@@ -350,9 +357,9 @@ CLOSURE_CASES = ((0.3, 6), (0.45, 10), (0.5, 3), (0.55, 16), (0.65, 4), (0.8, 2)
 
 
 def _closure_run_text(N, workers):
-    return estimates_csv([estimate_event("closure", p, n, N, seed=23, enhanced=enhanced,
+    return estimates_csv([estimate_event("closure", p, n, N, seed=23, pattern=pattern,
                                          workers=workers)
-                          for p, n in CLOSURE_CASES for enhanced in (False, True)])
+                          for p, n in CLOSURE_CASES for pattern in (None, default_pattern())])
 
 
 # sha256 of _closure_run_text(120, 1), computed before plain closure was traced
@@ -415,7 +422,7 @@ def test_paired_shortcut_keeps_every_change_of_outcome(monkeypatch):
 
 # The events whose enhanced bit a paired comparison decides from the plain
 # labelling, with the scales the merge is checked at.
-MERGE_CASES = (("A", (2, 5, 12)), ("Aprime", (3, 6, 14)))
+MERGE_CASES = (("A", (2, 5, 12)), ("Aprime", (1, 2, 3, 6, 14)))
 
 
 @pytest.mark.parametrize("event, scales", MERGE_CASES, ids=[e for e, _ in MERGE_CASES])
@@ -580,7 +587,7 @@ def test_estimates_check_the_extent_before_building_tables(event):
     with pytest.raises(ResourceLimitError):
         estimate_event(event, 0.5, 100000, 1, 1)
     with pytest.raises(ResourceLimitError):
-        estimate_event(event, 0.5, 100000, 1, 1, enhanced=True)
+        estimate_event(event, 0.5, 100000, 1, 1, pattern=g)
     with pytest.raises(ResourceLimitError):
         compare_enhanced(0.5, 100000, 1, 1, g, event=event)
 
