@@ -36,9 +36,9 @@ FORMAT_VERSION = 1
 MAX_FIELD_BYTES = 1 << 29
 
 # 0-d arrays: ufuncs take them faster than numpy scalars or Python numbers
-_GOLDEN, _M1, _M2, _S11, _S27, _S30, _S31 = (
+_GOLDEN, _M1, _M2, _S11, _S27, _S30, _S31, _ZERO = (
     np.array(k, dtype=np.uint64)
-    for k in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 11, 27, 30, 31))
+    for k in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 11, 27, 30, 31, 0))
 _ULP = np.array(2.0 ** -53)
 
 
@@ -91,15 +91,24 @@ def unit(h, out=None):
     return np.multiply(np.right_shift(h, _S11, out=h), _ULP, out=out)
 
 
-def closed_bits(h, p, out=None):
-    """Closed bits of the raw site hashes ``h`` at probability ``p``: h <
-    ceil(p 2^53) << 11, which holds iff (h >> 11) < ceil(p 2^53), so exactly
-    when unit(h) < p, the bit ``threshold`` gives, without a float field or a
-    shift; p = 1 (where the limit is 2^64) closes every site."""
+def closed_test(p):
+    """(ufunc, limit) with ufunc(h, limit) the closed bits of the raw site
+    hashes h at probability ``p``: h < ceil(p 2^53) << 11, which holds iff
+    (h >> 11) < ceil(p 2^53), so exactly when unit(h) < p, the bit
+    ``threshold`` gives, without a float field or a shift; p = 1 (where the
+    limit is 2^64) closes every site.  A loop over many hash arrays at one p
+    computes the limit once."""
     limit = math.ceil(p * 2.0 ** 53) << 11
     if limit >> 64:
-        return np.greater_equal(h, np.uint64(0), out=out)
-    return np.less(h, np.array(limit, dtype=np.uint64), out=out)
+        return np.greater_equal, _ZERO
+    return np.less, np.array(limit, dtype=np.uint64)
+
+
+def closed_bits(h, p, out=None):
+    """Closed bits of the raw site hashes ``h`` at probability ``p`` (see
+    ``closed_test``)."""
+    test, limit = closed_test(p)
+    return test(h, limit, out=out)
 
 
 def site_sampler(M, sites):

@@ -34,7 +34,6 @@ import io
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -149,6 +148,10 @@ def _run(worker, args, N, workers):
     jobs = [(*args, range(lo, min(lo + size, N))) for lo in range(0, N, size)]
     if len(jobs) == 1:
         return [worker(jobs[0])]
+    # imported here: it loads multiprocessing and logging, which a run in one
+    # process never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(jobs))) as ex:
         return list(ex.map(worker, jobs))
 

@@ -12,9 +12,12 @@ one table-driven kernel on a flat byte copy of the field that a
 refills one table.
 ``trace_lockstep`` walks the origin rays of many sampled fields at once
 without building the fields: each step hashes just the sites the rays enter.
+Once the live rays fit a fixed byte cap, a table holds the hashed key of
+every row of every live ray, and a step hashes the entered column alone.
 Its turn table gives the start site a code of its own, whose row turns a ray
 back at its start state into a sentinel, as escape and abort are, so one
-comparison ends every ray.
+comparison ends every ray.  A ray parks on its sentinel, which steps nowhere
+and turns into itself, so the walk drops ended rays only now and then.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .configuration import (
     _as_uint64,
     _check_extent,
     check_probability,
-    closed_bits,
+    closed_test,
     hash_key,
     header_lines,
     read_header,
@@ -194,25 +197,40 @@ class TableWalks:
 
 
 # The lockstep walk keeps each ray's direction doubled, e = 2d, and reads its
-# next direction from _lockstep_turn() at 2 * (4 * code + d) + closed: an
-# open site passes the ray straight on, a closed one turns it as _TURN does,
-# and the pad ring and the sites beyond the abort radius end it with the
-# sentinel _ESC or _ABORT whatever their uniform.  The start site reads the
-# code _START, whose row ends a ray back at its start state with _HOME.
+# next direction from _lockstep_turn() at 16 * code + e + closed: an open site
+# passes the ray straight on, a closed one turns it as _TURN does, and the pad
+# ring and the sites beyond the abort radius end it with the sentinel _ESC or
+# _ABORT whatever their uniform.  The start site reads the code _START, whose
+# row ends a ray back at its start state with _HOME.  Every row maps a
+# sentinel to itself and a sentinel steps 0, so an ended ray parks on its end
+# cell until a compaction drops it.
 _ESC, _ABORT, _HOME = 8, 10, 12
 _START = 5
 # Peak bytes a lockstep walk holds per ray: the ray state (site, direction,
 # stream base, sample position), one step's temporaries and the copies a
-# compaction makes.  tracemalloc measured 105 at M = 66 for 1000 to 8000
-# rays, on top of about 0.46 MB of tables that depend on M alone; the margin
-# to 128 keeps an estimate's walks at 3072 rays (montecarlo._STACK_BYTES).
+# compaction makes.  tracemalloc measured 98.5 at M = 66 for 1000 to 8000
+# rays, on top of about 0.46 MB of tables that depend on M alone and the
+# row-key table with its hash buffer, at most _ROW_KEY_BYTES (0.5 MB); the
+# margin to 128 keeps an estimate's walks at 3072 rays (montecarlo._STACK_BYTES).
 LOCKSTEP_RAY_BYTES = 128
-# A lockstep step costs about 30 us however few rays are live; _trace_kernel
-# costs about 0.3 us a step plus 0.12 ms to draw and write the ray's field
-# (M = 66).  So a walk ends when this many rays are left, and they finish one
-# by one: 1000 rays at p = 0.5, n = 64 then take 52 ms, against 75 ms all in
-# lockstep.  Ending at 16, 32, 48, 64 or 96 rays read 53, 52, 51, 52 and
-# 54 ms (medians of 10 interleaved rounds), so any of 32 to 64 is as good.
+# The row-key table holds hash_key(stream base, a) for every padded row a of
+# every live ray, so a step hashes only the entered site's column.  A walk
+# builds it once its live rays' keys fit in this many bytes together with
+# the buffer they are hashed in (_ROW_KEY_BLOCK sites): 455 rays at M = 66.
+# With caps of 256 KB, 512 KB and 1 MB, 1000 rays at p = 0.5, n = 64 ran
+# 1.08x, 1.13x and 1.15x as fast as with no table (medians of 10 interleaved
+# rounds); the table adds its bytes to a closure run's peak memory.
+_ROW_KEY_BYTES = 1 << 19
+_ROW_KEY_BLOCK = 1 << 12
+# A lockstep step costs about 44 us with more than 500 rays in its arrays and
+# 19 us with 33 to 50 (M = 66, row keys from 455 rays on); _trace_kernel
+# costs about 0.3 us a step plus 0.12 ms to draw and write the ray's field.
+# So a walk ends when this many rays are left, and they finish one by one:
+# 1000 rays at p = 0.5, n = 64 then took 52 ms, against 71 ms all in
+# lockstep (6 interleaved rounds).  Ending at 16, 32, 48 or 64 rays read
+# 40.1, 39.0, 37.8 and 41.0 ms in one set of 10 interleaved rounds and 43.6,
+# 44.2, 44.4 and 49.6 ms in another (the host's speed moved between sets),
+# so any of 16 to 48 is as good.
 _LOCKSTEP_MIN_RAYS = 32
 
 
@@ -220,14 +238,31 @@ def _lockstep_turn(start_code, d0):
     """Turn table of the lockstep walk, built from _TURN when it is called;
     row _START is that of the start site's mirror code ``start_code`` with
     _HOME for leaving along the start direction ``d0``."""
-    table = np.empty((_START + 1, 4, 2), dtype=np.intp)  # code, d, closed
-    table[:3, :, 0] = 2 * np.arange(4)  # open site: straight on
-    table[:3, :, 1] = 2 * np.reshape(_TURN, (3, 4))
-    table[3], table[4] = _ESC, _ABORT
+    table = np.empty((_START + 1, 8, 2), dtype=np.intp)  # code, e // 2, closed
+    table[...] = 2 * np.arange(8)[:, np.newaxis]  # open: straight on; sentinels stay
+    table[:3, :4, 1] = 2 * np.reshape(_TURN, (3, 4))
+    table[3, :4], table[4, :4] = _ESC, _ABORT
     home = table[_START]
     home[...] = table[start_code]
     home[home == 2 * d0] = _HOME
     return table.ravel()
+
+
+def _row_keys(base, axis):
+    """The row-key table of the rays with stream bases ``base``: hash_key(base[k],
+    axis[a]) at k * len(axis) + a, hashed a block of rays at a time in one
+    block-sized buffer, which holds the block's bases and then the hash's
+    scratch (a ufunc that broadcasts the bases buffers about twice the block)."""
+    P = len(axis)
+    keys = np.empty((len(base), P), dtype=np.uint64)
+    buf = np.empty((max(1, _ROW_KEY_BLOCK // P), P), dtype=np.uint64)
+    for lo in range(0, len(base), len(buf)):
+        block = keys[lo : lo + len(buf)]
+        np.copyto(block, axis)
+        tmp = buf[: len(block)]
+        np.copyto(tmp, base[lo : lo + len(buf), np.newaxis])
+        hash_key(tmp, block, out=block, tmp=tmp)
+    return keys.ravel()
 
 
 def trace_lockstep(p: float, M: int, seed: int, stream_indices,
@@ -237,8 +272,9 @@ def trace_lockstep(p: float, M: int, seed: int, stream_indices,
 
     Equal to ``trace_summary(sample(p, M, seed, i), abort_radius=abort_radius)``
     ray by ray.  While more than _LOCKSTEP_MIN_RAYS rays are live, one numpy
-    step moves them all and hashes only the site each enters, so no field is
-    built; the rays left then finish one by one on one field buffer, drawn by
+    step moves them all and hashes only the site each enters (from a table
+    of row keys once they fit _ROW_KEY_BYTES), so no field is built; the
+    rays left then finish one by one on one field buffer, drawn by
     one sampler on the sites a walk can read (those within the abort radius).
     """
     check_probability(p)
@@ -263,55 +299,74 @@ def _lockstep(p, M, seed, stream_indices, walks, status):
     live, writing the status of each ray that ends into ``status``.  Returns
     (positions, states) of the rest.
 
-    A ray holds its site, direction, stream base and sample position.  The
-    start site reads the code _START, whose row sends a ray back at its start
-    state to _HOME, so ``e >= _ESC`` decides every end: closure, escape and
-    abort.  A walk with more than _LOCKSTEP_MIN_RAYS rays live after 4W^2
-    steps raises ``DynamicsError``, as _trace_kernel does; a ray handed on
-    before that resumes in _trace_kernel, whose own bound then holds.
+    A ray holds its site, direction, sample position and row source: its
+    stream base, which a step hashes with the entered row and then column,
+    or, once the row-key table is built, the offset of its rows in the table,
+    so that a step hashes the column alone.  The start site reads the code
+    _START, whose row sends a ray back at its start state to _HOME, so
+    ``e >= _ESC`` decides every end: closure, escape and abort.  An ended ray
+    parks on its sentinel.  The walk counts its live rays every fourth step,
+    and writes the parked rays' statuses and drops them only when a quarter
+    of its arrays has ended, when the live rays first fit in the table (which
+    is then built for exactly those rays, and never moved) and when it stops.
+    A walk with more than _LOCKSTEP_MIN_RAYS rays live after 4W^2 steps (a
+    multiple of four, so the count is exact there) raises ``DynamicsError``,
+    as _trace_kernel does; a ray handed on before that resumes in
+    _trace_kernel, whose own bound then holds.
     """
     P = 2 * M + 3
     bound = 4 * (2 * M + 1) ** 2
-    # 8 * code of every cell of the padded table, and its uint64 coordinates
+    # 16 * code of every cell of the padded table, and its uint64 coordinates
     walks.fill(np.ones((2 * M + 1, 2 * M + 1), dtype=bool))
     s0 = walks.state()
     turn = _lockstep_turn(walks.cells[s0 >> 2] >> 2, s0 & 3)
-    cells = 2 * walks.cells.astype(np.intp)
-    cells[s0 >> 2] = 8 * _START
+    cells = 4 * walks.cells.astype(np.intp)
+    cells[s0 >> 2] = 16 * _START
     axis = _as_uint64(np.arange(-M - 1, M + 2))
     cell_a, cell_b = np.repeat(axis, P), np.tile(axis, P)
-    step = np.repeat((P, 1, -P, -1), 2)  # by doubled direction
+    step = np.zeros(16, dtype=np.intp)  # by doubled direction; a sentinel stays
+    step[:8] = np.repeat((P, 1, -P, -1), 2)
     ending = np.full(_HOME + 1, CLOSED, dtype=np.int8)  # status by final e
     ending[_ESC], ending[_ABORT] = ESCAPED, ABORTED
+    closed, limit = closed_test(p)
+    fits = _ROW_KEY_BYTES // (8 * P) - max(1, _ROW_KEY_BLOCK // P)  # rays the table takes
 
     K = len(stream_indices)
     j = np.full(K, s0 >> 2)
     e = np.full(K, 2 * (s0 & 3))
-    base = stream_base(seed, stream_indices)
+    row = stream_base(seed, stream_indices)
     pos = np.arange(K)
+    keys = None
     scratch = np.empty(K, dtype=np.uint64)
     esc = np.array(_ESC)  # 0-d: faster ufunc calls
-    steps = 0
-    while len(j) > _LOCKSTEP_MIN_RAYS:
+    live, steps = K, 0
+    while True:
+        table_due = keys is None and live <= fits
+        if live <= _LOCKSTEP_MIN_RAYS or table_due or 4 * live <= 3 * len(j):
+            ended = e >= esc
+            status[pos[ended]] = ending[e[ended]]
+            j, e, row, pos = (x[~ended] for x in (j, e, row, pos))
+            if live <= _LOCKSTEP_MIN_RAYS:
+                return pos, (j << 2) + (e >> 1)
+            if table_due:
+                keys, row = _row_keys(row, axis), np.arange(0, len(j) * P, P)
         if steps == bound:
             raise DynamicsError(_REPEATED)
         steps += 1
         tmp = scratch[: len(j)]
         j += step[e]
         # the entered site's closed bit, exactly as sample() draws it
-        h = hash_key(base, cell_a[j], tmp=tmp)
+        if keys is None:
+            h = hash_key(row, cell_a[j], tmp=tmp)
+        else:
+            h = keys.take(row + j // P)
         hash_key(h, cell_b[j], out=h, tmp=tmp)
         idx = cells[j]
         idx += e
-        idx += closed_bits(h, p)
+        idx += closed(h, limit)
         e = turn[idx]
-        hit = e >= esc
-        if not np.count_nonzero(hit):
-            continue
-        status[pos[hit]] = ending[e[hit]]
-        live = ~hit
-        j, e, base, pos = (x[live] for x in (j, e, base, pos))
-    return pos, (j << 2) + (e >> 1)
+        if not steps & 3:  # counted every fourth step: a count costs 2 of the ~23 calls
+            live = len(j) - np.count_nonzero(e >= esc)
 
 
 @dataclass(frozen=True)

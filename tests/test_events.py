@@ -336,6 +336,20 @@ def test_closure_runs_leave_scipy_out():
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
 
 
+def test_single_worker_runs_leave_the_process_pool_out():
+    # a run in one process starts no pool, and importing one would load
+    # multiprocessing and logging into every fresh interpreter
+    pool = {"concurrent.futures.process", "multiprocessing"}
+    run = ("from manhattan_pinball.enhancement import default_pattern\n"
+           "from manhattan_pinball.montecarlo import compare_enhanced, estimate_event, verify_theorem\n"
+           "estimate_event('closure', 0.5, 8, 50, 1, workers={w})\n"
+           "estimate_event('Aprime', 0.55, 3, 4, 1, workers={w})\n"
+           "compare_enhanced(0.55, 3, 4, 1, default_pattern(), workers={w})\n"
+           "verify_theorem(0.55, 101, 1, 1, default_pattern(), workers={w})")
+    assert not pool & modules_after(run.format(w=1))
+    assert pool <= modules_after(run.format(w=2))
+
+
 def test_graph_event_runs_leave_scipy_ndimage_out():
     # the labelling kernel is loaded from its extension file: the package
     # scipy.ndimage and its array-API imports would more than double the

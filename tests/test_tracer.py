@@ -246,6 +246,48 @@ def test_lockstep_matches_trace_summary_on_a_field_of_two_hash_blocks(min_rays, 
                     == _summary_statuses(p, M, 17, indices, abort_radius)), (p, abort_radius)
 
 
+# The row-key table's cap: no table, one built mid-walk for the rays still
+# live (about half of K), and one built before the first step
+ROW_KEYS = ("none", "mid", "all")
+
+
+def _cap_row_keys(monkeypatch, row_keys, M, K):
+    """Set the row-key cap of extent M for walks of K rays; returns the ray
+    counts of the tables built, in order."""
+    P = 2 * M + 3
+    cap = {"none": 0, "mid": 8 * (P * (K // 2) + tracer._ROW_KEY_BLOCK), "all": 1 << 40}
+    monkeypatch.setattr(tracer, "_ROW_KEY_BYTES", cap[row_keys])
+    built, row_keys_of = [], tracer._row_keys
+
+    def spy(base, axis):
+        built.append(len(base))
+        return row_keys_of(base, axis)
+    monkeypatch.setattr(tracer, "_row_keys", spy)
+    return built
+
+
+@pytest.mark.parametrize("row_keys", ROW_KEYS)
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.6, 1.0])
+def test_lockstep_paths_match_trace_summary(p, row_keys, monkeypatch):
+    # at p = 0 and 1 every ray ends on the same step, so the parked rays'
+    # statuses are all written by the last compaction
+    K = 40
+    for n in (2, 8, 64):
+        built = _cap_row_keys(monkeypatch, row_keys, n + 2, K)
+        for min_rays in (0, 8):
+            monkeypatch.setattr(tracer, "_LOCKSTEP_MIN_RAYS", min_rays)
+            for seed in (3, -8):
+                indices = range(seed % 7, seed % 7 + K)
+                assert (_lockstep_statuses(p, n + 2, seed, indices, abort_radius=n)
+                        == _summary_statuses(p, n + 2, seed, indices, abort_radius=n)), (n, seed)
+        if row_keys == "none":
+            assert not built
+        elif row_keys == "all":
+            assert built == [K] * 4
+        elif 0 < p < 1:
+            assert 0 < min(built) < K and max(built) <= K // 2 + 1, built
+
+
 def test_lockstep_guards():
     assert len(trace_lockstep(0.5, 4, 1, [], 2)) == 0
     for p in (-0.1, 1.5):
@@ -270,6 +312,23 @@ def test_lockstep_memory_per_ray_within_declared_bytes(monkeypatch):
     assert 0 < (peaks[1] - peaks[0]) / 2000 <= LOCKSTEP_RAY_BYTES
 
 
+def test_row_key_table_adds_at_most_its_cap_to_a_walks_peak(monkeypatch):
+    # the table is hashed a block of rays at a time: no full-size temporary
+    monkeypatch.setattr(tracer, "_LOCKSTEP_MIN_RAYS", 0)
+    caps = (0, 1 << 17, tracer._ROW_KEY_BYTES)
+    peaks = []
+    for cap in caps:
+        monkeypatch.setattr(tracer, "_ROW_KEY_BYTES", cap)
+        tracemalloc.start()
+        try:
+            trace_lockstep(0.5, 66, 1001, range(1000), abort_radius=64)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    for cap, peak in zip(caps[1:], peaks[1:]):
+        assert 0 < peak - peaks[0] <= cap, (cap, peak - peaks[0])
+
+
 # NE mirrors send a ray entering southward on south, as they do one entering
 # westward: two states step to the same state
 _NON_INJECTIVE_TURN = (0, 1, 2, 3, 1, 0, 3, 3, 3, 2, 1, 0)
@@ -292,17 +351,20 @@ def test_non_injective_dynamics_raise_on_the_same_samples(monkeypatch, capsys):
     sound = [i for i in range(60) if not scalar[i]]
     first = scalar.index(True)
     args = ["estimate", "--event", "closure", "--p", str(p), "--n", str(n), "--seed", str(seed)]
-    for min_rays in (0, 4, tracer._LOCKSTEP_MIN_RAYS):
-        monkeypatch.setattr(tracer, "_LOCKSTEP_MIN_RAYS", min_rays)
-        assert [raises(trace_lockstep, p, n + 2, seed, [i], abort_radius=n)
-                for i in range(60)] == scalar
-        assert raises(trace_lockstep, p, n + 2, seed, range(60), abort_radius=n)
-        assert (_lockstep_statuses(p, n + 2, seed, sound, abort_radius=n)
-                == _summary_statuses(p, n + 2, seed, sound, abort_radius=n))
-        if first:
-            assert main(args + ["--trials", str(first)]) == 0
-        assert main(args + ["--trials", str(first + 1)]) == 3
-        assert main(args + ["--trials", "60"]) == 3
+    for row_keys in ROW_KEYS:
+        for min_rays in (0, 4, tracer._LOCKSTEP_MIN_RAYS):
+            with monkeypatch.context() as patched:
+                _cap_row_keys(patched, row_keys, n + 2, 60)
+                patched.setattr(tracer, "_LOCKSTEP_MIN_RAYS", min_rays)
+                assert [raises(trace_lockstep, p, n + 2, seed, [i], abort_radius=n)
+                        for i in range(60)] == scalar
+                assert raises(trace_lockstep, p, n + 2, seed, range(60), abort_radius=n)
+                assert (_lockstep_statuses(p, n + 2, seed, sound, abort_radius=n)
+                        == _summary_statuses(p, n + 2, seed, sound, abort_radius=n))
+                if first:
+                    assert main(args + ["--trials", str(first)]) == 0
+                assert main(args + ["--trials", str(first + 1)]) == 3
+                assert main(args + ["--trials", "60"]) == 3
     assert "internal error: non-start state repeated" in capsys.readouterr().err
 
 
