@@ -369,9 +369,12 @@ def _vertex_real(v):
 # ---------------------------------------------------------------------------
 
 
-def _require_extent(M, event, n, least_n=1):
-    if n < least_n:
-        raise ValueError(f"{event} needs n >= {least_n}, got {n}")
+def _require_extent(M, event, n):
+    """Raise ValueError unless n is a scale of ``event`` (at least 1 and at
+    least its ``least_n``) and the extent M covers the event at n."""
+    for least in (1, EVENTS[event].least_n):
+        if n < least:
+            raise ValueError(f"{event} needs n >= {least}, got {n}")
     need = EVENTS[event].min_extent(n)
     if M < need:
         raise ValueError(f"extent {M} is below {need}, the least that covers {event} at n={n}")
@@ -520,7 +523,7 @@ def circuit_holds(closed, n: int):
     closed edges cut the center face off from the faces outside Q_2n.
     """
     M = _extent(closed)
-    _require_extent(M, "Acirc", n, 2)
+    _require_extent(M, "Acirc", n)
     raster, center, ring = _circuit_static(M, n)
     return ~sides_joined(~closed, raster, [center], ring)
 
@@ -589,7 +592,7 @@ def dual_crosscheck(c: Configuration, n: int) -> bool:
     graph as a check on the dual image of ``circuit_holds``: a cycle crossing
     the cut ray an odd number of times exists iff the components of the
     usable closed edges off the ray, joined by those across it, have one."""
-    _require_extent(c.extent, "Acirc", n, 2)
+    _require_extent(c.extent, "Acirc", n)
     raster, bridges, (e1, e2) = _cycle_static(c.extent, n)
     labels = _label(c.closed[np.newaxis], raster)[0][0]
     closed = c.closed.ravel()[bridges]
@@ -605,6 +608,7 @@ class Event(NamedTuple):
     # the closed bits on them, an image in which a closed site joins its edge's
     # two ends; None for the other events
     sides: Callable | None = None
+    least_n: int = 1  # the least scale at which the event is defined
 
 
 @lru_cache(maxsize=64)
@@ -630,7 +634,7 @@ EVENTS = {
                     lambda M, n: _rect_reads(M, n, ("T",)),
                     lambda M, n: _rect_static(M, n, "T")),
     "Acirc": Event(lambda n: 2 * n + 2, surrounding_circuit_exact, circuit_holds,
-                   lambda M, n: _circuit_static(M, n)[0].sites),
+                   lambda M, n: _circuit_static(M, n)[0].sites, least_n=2),
     "Acirc4": Event(lambda n: 2 * n + 2,
                     lambda c, n, witness=False: surrounding_circuit_4rect(c, n),
                     circuit4_holds, lambda M, n: _rect_reads(M, n, ("T1", "T2", "T3", "T4"))),

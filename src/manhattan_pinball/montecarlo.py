@@ -22,9 +22,10 @@ must localize inside Q_{2n}.  A verify worker reuses one field and one walk
 table, and a sample draws only the sites its record reads.  The reds it
 closes are ``enhancement.matched_reds`` outside the core Q_100: its enhanced
 circuit is ``circuit_holds`` on that field with them closed, and its hybrid
-walk the raw walk's table with them added.  Only a sample whose raw orbit
-closes inside Q_{2n+2D} and whose hybrid orbit closes inside Q_{2n} is
-decided so; any other is recomputed on whole fields by ``_verify_reference``.
+walk the raw walk's table with them added.  ``_record`` decides every
+record from the circuit and the two orbits.  A worker keeps only the records
+it passes, whose orbits read exact bits, and hands every other sample to
+``_verify_reference``, which recomputes it on whole fields.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ import io
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +53,8 @@ from .configuration import (
 )
 from .enhancement import (Pattern, _copies, _dilated, _red_box, check_detour, enhance,
                           enhance_stack, matched_reds)
-from .events import EVENTS, circuit_holds, joined_labels, surrounding_circuit_exact
+from .events import (EVENTS, _require_extent, circuit_holds, joined_labels,
+                     surrounding_circuit_exact)
 from .geometry import edge_ends, site_radius
 from .tracer import CLOSED, LOCKSTEP_RAY_BYTES, TableWalks, trace_lockstep, trace_summary
 
@@ -164,29 +165,21 @@ def _report(event, p, n, N, hits, seed, walltime_ms):
 
 def event_extent(event: str, n: int, pattern: Pattern | None = None) -> int:
     """Extent covering the event region, plus matching padding when enhancing;
-    checked against the field budget."""
+    checked against the event's least scale and the field budget."""
     if event not in EVENTS:
         raise ValueError(f"unknown event {event!r}; choose from {tuple(EVENTS)}")
-    if n < 1:
-        raise ValueError(f"{event} needs n >= 1, got {n}")
     extent = EVENTS[event].min_extent(n) + (pattern.radius if pattern is not None else 0)
+    _require_extent(extent, event, n)
     _check_extent(extent)
     return extent
 
 
 # Bytes of closed fields a sample loop holds at once: it fills and detects
 # stacks of K = max(1, _STACK_BYTES // (2M + 1)^2) fields.  Each field of a
-# stack adds 0.13 to 0.18 MB of event images, labels and enhancement arrays to
-# the peak traced memory (Aprime at n = 64: 133 KB plain, 178 KB enhanced and
-# 137 KB paired, which holds no enhanced stack), so peak RSS sets this: K = 9
-# at the Aprime extent of n = 64 (M = 101) and 1 from M = 222 on, which covers
-# the verify extent.  Only the drawn sites
-# are hashed, one sample at a time, in 33 bytes of buffers per site (8,868 at
-# M = 101).  Plain closure builds no fields; it walks up to
-# _STACK_BYTES // LOCKSTEP_RAY_BYTES = 3072 rays at once.  Verify does not
-# stack: K is 1 at its extent, and a stack would not pay, since scipy's
-# labelling kernel took 3.72 ms per image on a (9, 515, 515) stack and 3.63 ms
-# on one image.
+# stack adds up to 0.18 MB of images and labels to the peak traced memory, so
+# peak RSS sets this: K = 9 at the Aprime extent of n = 64 (M = 101).  Plain
+# closure builds no fields; it walks _STACK_BYTES // LOCKSTEP_RAY_BYTES = 3072
+# rays at once.
 _STACK_BYTES = 3 << 17
 
 
@@ -393,50 +386,54 @@ def verify_extent(n: int, g: Pattern, detour_radius: int) -> int:
     return 2 * n + 2 * detour_radius + g.radius + 2
 
 
+def _record(i, circuit, raw, hybrid, n, D):
+    """The record of sample i, decided from whether its enhanced field has a
+    surrounding circuit at scale n and, if so, from the (closed, containment)
+    of its raw orbit, ``raw``, and of its hybrid orbit, ``hybrid``: the raw
+    orbit must close inside Q_{2n+2D} and the hybrid orbit inside Q_2n."""
+    if not circuit:
+        return VerificationRecord(sample=i, circuit=False, closed=None, contained=None,
+                                  hybrid_contained=None, passed=True)
+    (closed, containment), (h_closed, h_containment) = raw, hybrid
+    contained = closed and containment <= 2 * n + 2 * D
+    hybrid_contained = h_closed and h_containment <= 2 * n
+    return VerificationRecord(sample=i, circuit=True, closed=closed, contained=contained,
+                              hybrid_contained=hybrid_contained,
+                              passed=contained and hybrid_contained)
+
+
 def _verify_reference(p, n, seed, extent, g, D, i):
     """The record of sample i, computed on whole fields: the oracle of
     ``_verify_samples`` and its fallback."""
     w = sample(p, extent, seed, stream_index=i)
     w_t = enhance(w, g)
     if not surrounding_circuit_exact(w_t, n).holds:
-        return VerificationRecord(sample=i, circuit=False, closed=None, contained=None,
-                                  hybrid_contained=None, passed=True)
+        return _record(i, False, None, None, n, D)
     status, _, _, containment = trace_summary(w)
-    closed = status == "closed"
-    contained = closed and containment <= 2 * n + 2 * D
-    w0 = hybrid(w, w_t, _CORE_RADIUS)
-    h_status, _, _, h_containment = trace_summary(w0)
-    hybrid_contained = h_status == "closed" and h_containment <= 2 * n
-    passed = closed and contained and hybrid_contained
-    diag = "" if passed else (
+    h_status, _, _, h_containment = trace_summary(hybrid(w, w_t, _CORE_RADIUS))
+    record = _record(i, True, (status == "closed", containment),
+                     (h_status == "closed", h_containment), n, D)
+    if record.passed:
+        return record
+    return replace(record, diagnostics=(
         f"seed={seed} stream={i} n={n} p={p} extent={extent} "
         f"status={status} containment={containment} "
-        f"hybrid_status={h_status} hybrid_containment={h_containment}"
-    )
-    return VerificationRecord(sample=i, circuit=True, closed=closed, contained=contained,
-                              hybrid_contained=hybrid_contained, passed=passed,
-                              diagnostics=diag)
-
-
-class _VerifyStatic(NamedTuple):
-    """What the verify samples of a run share; read-only."""
-
-    reach: int  # raw walks abort beyond Q_reach
-    drawn: np.ndarray  # (W, W) mask of the sites a record reads
+        f"hybrid_status={h_status} hybrid_containment={h_containment}"))
 
 
 @lru_cache(maxsize=4)
 def _verify_static(extent, n, g, reach):
-    """The ``_VerifyStatic`` of verify samples at (extent, n, g) whose raw
-    walks abort beyond Q_reach.  A record reads the raw bits of Q_reach for
-    the raw walk, and those of Q_{2n+1}, dilated by the pattern, for the
-    enhanced circuit and the hybrid walk inside Q_2n: a site is the tilted
-    midpoint of its edge, so the usable sites lie in Q_2n."""
+    """(reach, drawn) of verify samples at (extent, n, g) whose walks abort
+    beyond Q_reach: ``drawn`` is the read-only (W, W) mask of the sites a
+    record reads.  That is the raw bits of Q_reach for the raw walk, and
+    those of Q_{2n+1}, dilated by the pattern, for the enhanced circuit and
+    the hybrid walk inside Q_2n: a site is the tilted midpoint of its edge,
+    so the usable sites lie in Q_2n."""
     radius = site_radius(extent)
     drawn = _dilated(radius <= 2 * n + 1, g)
     drawn |= radius <= reach
     drawn.flags.writeable = False
-    return _VerifyStatic(reach, drawn)
+    return reach, drawn
 
 
 def _verify_samples(args):
@@ -450,19 +447,20 @@ def _verify_samples(args):
     both ends of a red inside the core lie in Q_n, no circuit may use it and
     ``circuit_holds`` never reads it, so the field with the reds closed is the
     enhanced one on every site the circuit reads.  The hybrid, the raw field
-    plus the reds, is walked on the raw walk's table with them added, only if
-    the raw orbit meets one.  A sample is decided here when its raw orbit
-    closes inside Q_{2n+2D} and its hybrid orbit inside Q_2n, where the drawn
-    bits are exact; any other, as a theorem failure would be, is recomputed
-    by ``_verify_reference``.
+    plus the reds, is walked on the raw walk's table with them added.  A walk
+    aborts beyond Q_reach, where the drawn bits end, and its path then ends
+    on a site of radius reach + 1.  ``_record`` decides every record from
+    these walks, and a record it does not pass, as a theorem failure would
+    be, is recomputed by ``_verify_reference``: so this path passes only what
+    ``_record`` passes on orbits that read exact bits.
     """
     p, n, seed, extent, g, D, indices = args
-    st = _verify_static(extent, n, g, 2 * n + 2 * D)
+    reach, drawn = _verify_static(extent, n, g, 2 * n + 2 * D)
     W = 2 * extent + 1
-    draw = region_sampler(extent, st.drawn)
+    draw = region_sampler(extent, drawn)
     field = np.zeros((W, W), dtype=bool)
     flat = field.ravel()
-    walks = TableWalks(extent, st.reach)
+    walks = TableWalks(extent, reach)
     records = []
     for i, base in zip(indices, stream_base(seed, indices)):
         draw(base, p, field)
@@ -470,22 +468,16 @@ def _verify_samples(args):
         flat[reds] = True
         circuit = circuit_holds(field[np.newaxis], n)[0]
         flat[reds] = False
-        if not circuit:
-            records.append(VerificationRecord(sample=i, circuit=False, closed=None,
-                                              contained=None, hybrid_contained=None,
-                                              passed=True))
-            continue
-        walks.fill(field)
-        status, path = walks.walk()
-        if status == CLOSED and walks.visits(path, reds):
+        orbits = None, None  # (closed, containment) of the raw and hybrid orbits
+        if circuit:
+            walks.fill(field)
+            raw = walks.walk()
             walks.close(reds)
-            status, path = walks.walk()
-        if status == CLOSED and walks.containment(path) <= 2 * n:
-            records.append(VerificationRecord(sample=i, circuit=True, closed=True,
-                                              contained=True, hybrid_contained=True,
-                                              passed=True))
-        else:
-            records.append(_verify_reference(p, n, seed, extent, g, D, i))
+            orbits = [(status == CLOSED, walks.containment(path))
+                      for status, path in (raw, walks.walk())]
+        record = _record(i, circuit, *orbits, n, D)
+        records.append(record if record.passed
+                       else _verify_reference(p, n, seed, extent, g, D, i))
     return records
 
 
@@ -589,11 +581,6 @@ def verification_csv(records) -> str:
     return _write_csv(
         ("sample", "circuit", "closed", "contained", "hybrid_contained", "pass"),
         rows)
-
-
-def fits_csv(fits) -> str:
-    rows = [(f.c_hat, f.intercept, f.r2, len(f.points)) for f in fits]
-    return _write_csv(("c_hat", "intercept", "r2", "points_used"), rows)
 
 
 def write_csv(text: str, path) -> None:

@@ -164,11 +164,6 @@ class TableWalks:
         (a, b), M = ray.site, self.M
         return 4 * ((a + M + 1) * self.P + b + M + 1) + int(ray.dir)
 
-    def index(self, sites: np.ndarray) -> np.ndarray:
-        """Table indices of the flat field indices ``sites``."""
-        row, col = np.divmod(sites, 2 * self.M + 1)
-        return (row + 1) * self.P + col + 1
-
     def sites(self, path):
         """(a, b): the int64 coordinates of each site on ``path``."""
         a, b = np.divmod(np.frombuffer(path, dtype=np.int64) >> 2, self.P)
@@ -176,14 +171,10 @@ class TableWalks:
 
     def close(self, sites: np.ndarray) -> None:
         """Put a mirror on each of the flat field ``sites`` that reads open."""
-        j = self.index(sites)
+        row, col = np.divmod(sites, 2 * self.M + 1)
+        j = (row + 1) * self.P + col + 1
         open_ = self.cells[j] == 0
         self.cells[j[open_]] = _abort_codes(self.M, self.abort_at)[0].ravel()[sites[open_]]
-
-    def visits(self, path, sites: np.ndarray) -> bool:
-        """Does ``path`` visit any of the flat field ``sites``?"""
-        on = np.frombuffer(path, dtype=np.int64)[:, np.newaxis] >> 2 == self.index(sites)
-        return bool(on.any())
 
     def walk(self, start: RayState = _ORIGIN, at: int | None = None):
         """(status, path) of ``_trace_kernel`` from ``start``, resumed from
@@ -206,31 +197,21 @@ class TableWalks:
 # cell until a compaction drops it.
 _ESC, _ABORT, _HOME = 8, 10, 12
 _START = 5
-# Peak bytes a lockstep walk holds per ray: the ray state (site, direction,
-# stream base, sample position), one step's temporaries and the copies a
-# compaction makes.  tracemalloc measured 98.5 at M = 66 for 1000 to 8000
-# rays, on top of about 0.46 MB of tables that depend on M alone and the
-# row-key table with its hash buffer, at most _ROW_KEY_BYTES (0.5 MB); the
-# margin to 128 keeps an estimate's walks at 3072 rays (montecarlo._STACK_BYTES).
+# Peak bytes a lockstep walk holds per ray (its state, one step's temporaries
+# and a compaction's copies), beside tables that depend on M alone and at most
+# _ROW_KEY_BYTES of row keys: tracemalloc measured 98.5 at M = 66.
 LOCKSTEP_RAY_BYTES = 128
 # The row-key table holds hash_key(stream base, a) for every padded row a of
 # every live ray, so a step hashes only the entered site's column.  A walk
 # builds it once its live rays' keys fit in this many bytes together with
 # the buffer they are hashed in (_ROW_KEY_BLOCK sites): 455 rays at M = 66.
-# With caps of 256 KB, 512 KB and 1 MB, 1000 rays at p = 0.5, n = 64 ran
-# 1.08x, 1.13x and 1.15x as fast as with no table (medians of 10 interleaved
-# rounds); the table adds its bytes to a closure run's peak memory.
+# With this cap 1000 rays at p = 0.5, n = 64 ran 1.13x as fast as without.
 _ROW_KEY_BYTES = 1 << 19
 _ROW_KEY_BLOCK = 1 << 12
-# A lockstep step costs about 44 us with more than 500 rays in its arrays and
-# 19 us with 33 to 50 (M = 66, row keys from 455 rays on); _trace_kernel
-# costs about 0.3 us a step plus 0.12 ms to draw and write the ray's field.
-# So a walk ends when this many rays are left, and they finish one by one:
-# 1000 rays at p = 0.5, n = 64 then took 52 ms, against 71 ms all in
-# lockstep (6 interleaved rounds).  Ending at 16, 32, 48 or 64 rays read
-# 40.1, 39.0, 37.8 and 41.0 ms in one set of 10 interleaved rounds and 43.6,
-# 44.2, 44.4 and 49.6 ms in another (the host's speed moved between sets),
-# so any of 16 to 48 is as good.
+# A lockstep step costs about 19 us even with 33 to 50 rays (M = 66), and
+# _trace_kernel about 0.3 us a step plus 0.12 ms to draw the ray's field.  So
+# a walk ends when this many rays are left, and they finish one by one: any
+# end from 16 to 48 rays ran as fast (1000 rays at p = 0.5, n = 64).
 _LOCKSTEP_MIN_RAYS = 32
 
 

@@ -102,15 +102,17 @@ def test_criterion_4_enhancement_monotonicity():
 def test_criterion_5_theorem_replay():
     g = default_pattern()
     t0 = time.time()
-    circuits = 0
+    legs = []
     for p in (0.45, 0.50, 0.55):
         recs, summ = verify_theorem(p, 128, 500, seed=101, g=g, workers=4)
         assert summ.conditional_pass_rate == 1.0, [r for r in recs if not r.passed]
-        circuits += summ.circuits
+        # a leg with no circuit passes without checking anything
+        vacuous = " (vacuous)" if summ.circuits == 0 else ""
+        legs.append(f"p={p}: {summ.circuits} circuits{vacuous}")
     elapsed = time.time() - t0
     assert elapsed < 600
     _report(5, f"conditional pass rate 1.0 at n=128 over 1500 samples "
-               f"({circuits} circuits), {elapsed:.0f}s")
+               f"({'; '.join(legs)}), {elapsed:.0f}s")
 
 
 def test_criterion_6_supercritical_closure():

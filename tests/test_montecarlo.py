@@ -28,7 +28,6 @@ from manhattan_pinball.montecarlo import (
     estimates_csv,
     event_extent,
     fit_decay,
-    fits_csv,
     verification_csv,
     verify_theorem,
     wilson_interval,
@@ -214,11 +213,6 @@ def test_csv_schemas():
     vtext = verification_csv(recs)
     assert vtext.splitlines()[0] == "sample,circuit,closed,contained,hybrid_contained,pass"
     assert vtext.splitlines()[1] == "0,1,1,1,1,1"
-    f = fit_decay([(n, EstimationReport(event="e", p=0.6, n=n, trials=10, hits=5,
-                                        estimate=1 - math.exp(-0.1 * n),
-                                        ci_lo=0, ci_hi=1, seed=0))
-                   for n in (8, 16, 32)])
-    assert fits_csv([f]).splitlines()[0] == "c_hat,intercept,r2,points_used"
 
 
 def test_coupled_monotonicity_small():
@@ -517,7 +511,7 @@ def test_verify_decides_the_circuit_on_the_enhanced_field_and_walks_the_raw_one(
         walked.append(closed.copy()) or real_fill(walks, closed)))
     records = montecarlo._verify_samples((p, n, seed, extent, g, D, range(N)))
     reads = _circuit_static(extent, n)[0].sites
-    drawn = montecarlo._verify_static(extent, n, g, 2 * n + 2 * D).drawn
+    _, drawn = montecarlo._verify_static(extent, n, g, 2 * n + 2 * D)
     raw = [sample(p, extent, seed, i).closed for i in range(N)]
     patched = [0, 0]  # samples whose reds change what the circuit, the walk reads
     for field, w in zip(circuits, raw):
@@ -528,6 +522,65 @@ def test_verify_decides_the_circuit_on_the_enhanced_field_and_walks_the_raw_one(
         assert np.array_equal(field[drawn], w[drawn])
         patched[1] += not np.array_equal(field[drawn], enhance_stack(w, g)[drawn])
     assert len(circuits) == N and min(patched) > 0
+
+
+# (circuit, raw, hybrid) -> (closed, contained, hybrid_contained, passed) of
+# _record at n = 102, D = 4: the raw bound is 2n + 2D = 212, the hybrid's 2n = 204
+RECORD_CASES = {
+    "raw at 2n+2D": (True, (True, 212), (True, 10), (True, True, True, True)),
+    "raw at 2n+2D+1": (True, (True, 213), (True, 10), (True, False, True, False)),
+    "hybrid at 2n": (True, (True, 10), (True, 204), (True, True, True, True)),
+    "hybrid at 2n+1": (True, (True, 10), (True, 205), (True, True, False, False)),
+    "raw open": (True, (False, 10), (True, 10), (False, False, True, False)),
+    "hybrid open": (True, (True, 10), (False, 10), (True, True, False, False)),
+    "no circuit": (False, None, None, (None, None, None, True)),
+}
+
+
+@pytest.mark.parametrize("circuit, raw, hybrid_orbit, want", RECORD_CASES.values(),
+                         ids=RECORD_CASES.keys())
+def test_record_decides_at_the_bounds(circuit, raw, hybrid_orbit, want):
+    r = montecarlo._record(7, circuit, raw, hybrid_orbit, 102, 4)
+    assert (r.sample, r.circuit, r.diagnostics) == (7, circuit, "")
+    assert (r.closed, r.contained, r.hybrid_contained, r.passed) == want
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_verify_fast_path_hands_what_record_fails_to_the_reference(monkeypatch, over):
+    # the fast path's hybrid orbits read containment 2n + over: at 2n + 1
+    # _record fails every circuit sample, which the reference then recomputes
+    g = default_pattern()
+    p, n, N, seed = 0.55, 102, 8, 2
+    D = check_detour(g).radius
+    extent = montecarlo.verify_extent(n, g, D)
+    expected = _reference_records(p, n, N, seed, g)
+    circuits = [r.sample for r in expected if r.circuit]
+    recomputed = _shrunk_reach(monkeypatch, 2 * n + 2 * D)
+    real_fill, real_close = tracer.TableWalks.fill, tracer.TableWalks.close
+    real_containment = tracer.TableWalks.containment
+
+    def fill(walks, closed):  # the reference's walks never close reds
+        walks.hybrid = False
+        real_fill(walks, closed)
+
+    def close(walks, sites):
+        walks.hybrid = True
+        real_close(walks, sites)
+
+    monkeypatch.setattr(tracer.TableWalks, "fill", fill)
+    monkeypatch.setattr(tracer.TableWalks, "close", close)
+    monkeypatch.setattr(tracer.TableWalks, "containment", lambda walks, path: (
+        2 * n + over if walks.hybrid else real_containment(walks, path)))
+    assert montecarlo._verify_samples((p, n, seed, extent, g, D, range(N))) == expected
+    assert circuits and recomputed == (circuits if over else [])
+
+
+def test_estimates_reject_scales_below_the_events_least_before_a_run(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_run", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(ValueError, match="Acirc needs n >= 2, got 1"):
+        estimate_event("Acirc", 0.5, 1, 4, 1, workers=2)
+    with pytest.raises(ValueError, match="Acirc needs n >= 2, got 1"):
+        compare_enhanced(0.5, 1, 4, 1, default_pattern(), event="Acirc", workers=2)
 
 
 def _shrunk_reach(monkeypatch, reach):

@@ -559,8 +559,6 @@ def test_table_walks_match_trace_summary():
                     extra = np.unique(np.concatenate([
                         rng.choice(opens, 5),
                         np.intersect1d(opens, sites_on(path, M))[: 2 * (i % 2)]]))
-                    on_path = bool(np.intersect1d(extra, sites_on(path, M)).size)
-                    assert walks.visits(path, extra) == on_path
                     walks.close(extra)
                     field = c.closed.copy()
                     field.ravel()[extra] = True
