@@ -550,8 +550,8 @@ def circuit4_holds(closed, n: int):
     return holds
 
 
-def surrounding_circuit_4rect(c: Configuration, n: int) -> EventResult:
-    """Sufficient condition: all four rectangles crossed in the long direction."""
+def surrounding_circuit_4rect(c: Configuration, n: int, witness: bool = False) -> EventResult:
+    """Sufficient condition: all four rectangles crossed in the long direction (no witness)."""
     holds = bool(circuit4_holds(c.closed[np.newaxis], n)[0])
     return EventResult(holds=holds, event=f"A''_{n}[4rect]")
 
@@ -631,13 +631,12 @@ EVENTS = {
     "A": Event(lambda n: n + 2, radial_closed_path, radial_holds,
                lambda M, n: _radial_static(M, n)[0].sites, _radial_static),
     "Aprime": Event(lambda n: rect_min_extent(n, "T"), rect_crossing, rect_holds,
-                    lambda M, n: _rect_reads(M, n, ("T",)),
+                    lambda M, n: _rect_static(M, n, "T")[0].sites,
                     lambda M, n: _rect_static(M, n, "T")),
     "Acirc": Event(lambda n: 2 * n + 2, surrounding_circuit_exact, circuit_holds,
                    lambda M, n: _circuit_static(M, n)[0].sites, least_n=2),
-    "Acirc4": Event(lambda n: 2 * n + 2,
-                    lambda c, n, witness=False: surrounding_circuit_4rect(c, n),
-                    circuit4_holds, lambda M, n: _rect_reads(M, n, ("T1", "T2", "T3", "T4"))),
+    "Acirc4": Event(lambda n: 2 * n + 2, surrounding_circuit_4rect, circuit4_holds,
+                    lambda M, n: _rect_reads(M, n, ("T1", "T2", "T3", "T4"))),
 }
 
 

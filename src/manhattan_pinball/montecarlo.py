@@ -6,25 +6,25 @@ Every trial draws its own configuration with stream_index equal to the
 sample index, so tallies are identical for any worker count and any
 scheduling.  Estimates and paired comparisons fill a stack of closed fields
 one sample at a time, drawing only the sites the event reads (dilated by the
-pattern when enhancing), and hand each stack to the event's stacked
-detector; plain closure builds no field and traces a worker's samples
-together with ``trace_lockstep``.  A paired comparison of A or Aprime, whose
-detector is one ``sides_joined`` on a primal image, labels each plain stack
-once and decides the enhanced event from those labels: enhancement only
-closes matched reds, and a closed red joins the labels of its edge's two
-ends.  The other events are detected again on the enhanced fields whose read
-sites enhancement changed.  Stack and walk sizes follow from a fixed byte
-budget, and no tally depends on them.  The harness replays the
-localization argument per sample: if the enhanced field carries an exact
-surrounding circuit at scale n, the origin trajectory of the raw field must
-close inside Q_{2n+2D} and the hybrid field (raw core, enhanced exterior)
-must localize inside Q_{2n}.  A verify worker reuses one field and one walk
-table, and a sample draws only the sites its record reads.  The reds it
-closes are ``enhancement.matched_reds`` outside the core Q_100: its enhanced
-circuit is ``circuit_holds`` on that field with them closed, and its hybrid
-walk the raw walk's table with them added.  ``_record`` decides every
-record from the circuit and the two orbits.  A worker keeps only the records
-it passes, whose orbits read exact bits, and hands every other sample to
+pattern when pairing), and hand each stack to the event's stacked detector;
+plain closure builds no field and traces a worker's samples together with
+``trace_lockstep``.  An enhanced estimate is the enhanced half of a paired
+comparison, whose deciders start from the matched reds the event reads
+(enhancement only closes matched reds).  A or Aprime, whose detector is one
+``sides_joined`` on a primal image, labels each plain stack once and merges
+the labels along them; the other events are detected again on the fields
+with such a red, with those reds closed.  No tally depends on the stack or
+walk sizes.  The harness replays the localization argument per sample: if
+the enhanced field carries an exact surrounding circuit at scale n, the
+origin trajectory of the raw field must close inside Q_{2n+2D} and the
+hybrid field (raw core, enhanced exterior) must localize inside Q_{2n}.  A
+verify worker reuses one field and one walk table, and a sample draws only
+the sites its record reads.  The reds it closes are
+``enhancement.matched_reds`` outside the core Q_100: its enhanced circuit is
+``circuit_holds`` on that field with them closed, and its hybrid walk the
+raw walk's table with them added.  ``_record`` decides every record from the
+circuit and the two orbits.  A worker keeps only the records it passes,
+whose orbits read exact bits, and hands every other sample to
 ``_verify_reference``, which recomputes it on whole fields.
 """
 
@@ -52,11 +52,11 @@ from .configuration import (
     stream_base,
 )
 from .enhancement import (Pattern, _copies, _dilated, _red_box, check_detour, enhance,
-                          enhance_stack, matched_reds)
+                          matched_reds)
 from .events import (EVENTS, _require_extent, circuit_holds, joined_labels,
                      surrounding_circuit_exact)
 from .geometry import edge_ends, site_radius
-from .tracer import CLOSED, LOCKSTEP_RAY_BYTES, TableWalks, trace_lockstep, trace_summary
+from .tracer import CLOSED, TableWalks, trace_lockstep, trace_summary
 
 _Z95 = 1.959963984540054
 
@@ -177,9 +177,7 @@ def event_extent(event: str, n: int, pattern: Pattern | None = None) -> int:
 # Bytes of closed fields a sample loop holds at once: it fills and detects
 # stacks of K = max(1, _STACK_BYTES // (2M + 1)^2) fields.  Each field of a
 # stack adds up to 0.18 MB of images and labels to the peak traced memory, so
-# peak RSS sets this: K = 9 at the Aprime extent of n = 64 (M = 101).  Plain
-# closure builds no fields; it walks _STACK_BYTES // LOCKSTEP_RAY_BYTES = 3072
-# rays at once.
+# peak RSS sets this: K = 9 at the Aprime extent of n = 64 (M = 101).
 _STACK_BYTES = 3 << 17
 
 
@@ -221,32 +219,27 @@ def _field_stacks(p, extent, seed, indices, sites):
 
 
 def _eval_samples(args):
-    """Worker body: evaluate one event on a run of sample indices."""
-    event, p, n, seed, extent, pattern, indices = args
-    if event == "closure" and pattern is None:  # no field needed: one walk per chunk
-        K = max(1, _STACK_BYTES // LOCKSTEP_RAY_BYTES)
-        return sum(int(np.count_nonzero(
-            trace_lockstep(p, extent, seed, indices[lo : lo + K], abort_radius=n) == CLOSED))
-            for lo in range(0, len(indices), K))
+    """Worker body: the hits of one event on a run of sample indices."""
+    event, p, n, seed, extent, indices = args
+    if event == "closure":  # no field needed: the tracer walks the rays in lockstep
+        return int(np.count_nonzero(
+            trace_lockstep(p, extent, seed, indices, abort_radius=n) == CLOSED))
     holds = EVENTS[event].holds
-    hits = 0
-    sites = _fill_sites(extent, n, event, pattern)
-    for closed in _field_stacks(p, extent, seed, indices, sites):
-        if pattern is not None:
-            closed = enhance_stack(closed, pattern)
-        hits += int(np.count_nonzero(holds(closed, n)))
-    return hits
+    sites = _fill_sites(extent, n, event, None)
+    return sum(int(np.count_nonzero(holds(closed, n)))
+               for closed in _field_stacks(p, extent, seed, indices, sites))
 
 
 def estimate_event(event: str, p: float, n: int, N: int, seed: int,
                    pattern: Pattern | None = None, workers: int = 1) -> EstimationReport:
-    """Monte Carlo estimate of P_p[event at scale n] over N independent samples,
-    enhanced by ``pattern`` if one is given."""
+    """Monte Carlo estimate of P_p[event at scale n] over N independent samples;
+    with ``pattern``, the enhanced half of ``compare_enhanced`` on them."""
+    if pattern is not None:
+        return compare_enhanced(p, n, N, seed, pattern, event, workers).enhanced
     t0 = time.perf_counter()
-    extent = event_extent(event, n, pattern)
-    hits = sum(_run(_eval_samples, (event, p, n, seed, extent, pattern), N, workers))
-    return _report(event + ("" if pattern is None else "~"), p, n, N, hits, seed,
-                   int(round((time.perf_counter() - t0) * 1000)))
+    extent = event_extent(event, n)
+    hits = sum(_run(_eval_samples, (event, p, n, seed, extent), N, workers))
+    return _report(event, p, n, N, hits, seed, int(round((time.perf_counter() - t0) * 1000)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +311,20 @@ def _paired_merge(closed, n, extent, event, pattern):
 
 def _paired_redetect(closed, n, extent, event, pattern):
     """(plain, enhanced) event bits of the (K, W, W) stack of plain fields
-    ``closed``, for any event.  Only a field where enhancement changed a site
-    of ``_read_mask`` is detected again; that keeps a monotonicity violation
-    visible."""
+    ``closed``, for any event.  A detector reads only the event's sites, and
+    there the enhanced field is the plain one with the reds of ``_read_reds``
+    closed: only a field with such a red is detected again, on a copy with
+    them closed.  That keeps a monotonicity violation visible."""
     holds = EVENTS[event].holds
+    r0, c0, useful = _read_reds(extent, n, event, pattern)
     a = holds(closed, n)
-    enhanced = enhance_stack(closed, pattern)
-    delta = enhanced != closed
-    delta &= _read_mask(extent, n, event)
-    changed = delta.any(axis=(1, 2))
+    ok = _copies(closed, pattern, r0, c0, useful)
+    changed = ok.any(axis=(1, 2))
     b = a.copy()
     if changed.any():
-        b[changed] = holds(enhanced[changed], n)
+        enhanced = closed[changed]
+        enhanced[:, r0 : r0 + useful.shape[0], c0 : c0 + useful.shape[1]] |= ok[changed]
+        b[changed] = holds(enhanced, n)
     return a, b
 
 
@@ -350,9 +345,10 @@ def compare_enhanced(p: float, n: int, N: int, seed: int, g: Pattern,
 
     A and Aprime are decided before and after from one labelling of the plain
     field, merged along the matched reds: closing edges only joins labels, so
-    ``only_plain`` is then 0 by construction.  The other events detect the
-    enhanced field again where enhancement changed a site they read, so a
-    monotonicity violation would show in ``only_plain``.
+    ``only_plain`` is then 0 by construction.  The other events detect a
+    field again where enhancement closes a red they read, so a monotonicity
+    violation would show in ``only_plain``.  ``estimate_event`` with the
+    pattern returns the enhanced report.
 
     The paired gap interval is a normal-approximation interval on the mean
     of the per-sample differences (enhanced minus plain, each in {-1,0,1}).
@@ -423,17 +419,16 @@ def _verify_reference(p, n, seed, extent, g, D, i):
 
 @lru_cache(maxsize=4)
 def _verify_static(extent, n, g, reach):
-    """(reach, drawn) of verify samples at (extent, n, g) whose walks abort
-    beyond Q_reach: ``drawn`` is the read-only (W, W) mask of the sites a
-    record reads.  That is the raw bits of Q_reach for the raw walk, and
-    those of Q_{2n+1}, dilated by the pattern, for the enhanced circuit and
-    the hybrid walk inside Q_2n: a site is the tilted midpoint of its edge,
-    so the usable sites lie in Q_2n."""
+    """The read-only (W, W) mask of the sites a record of a verify sample at
+    (extent, n, g) reads when its walks abort beyond Q_reach.  That is the
+    raw bits of Q_reach for the raw walk, and those of Q_{2n+1}, dilated by
+    the pattern, for the enhanced circuit and the hybrid walk inside Q_2n: a
+    site is the tilted midpoint of its edge, so the usable sites lie in Q_2n."""
     radius = site_radius(extent)
     drawn = _dilated(radius <= 2 * n + 1, g)
     drawn |= radius <= reach
     drawn.flags.writeable = False
-    return reach, drawn
+    return drawn
 
 
 def _verify_samples(args):
@@ -455,12 +450,12 @@ def _verify_samples(args):
     ``_record`` passes on orbits that read exact bits.
     """
     p, n, seed, extent, g, D, indices = args
-    reach, drawn = _verify_static(extent, n, g, 2 * n + 2 * D)
+    walks = TableWalks(extent, 2 * n + 2 * D)
+    drawn = _verify_static(extent, n, g, walks.abort_at)
     W = 2 * extent + 1
     draw = region_sampler(extent, drawn)
     field = np.zeros((W, W), dtype=bool)
     flat = field.ravel()
-    walks = TableWalks(extent, reach)
     records = []
     for i, base in zip(indices, stream_base(seed, indices)):
         draw(base, p, field)

@@ -201,6 +201,8 @@ _START = 5
 # and a compaction's copies), beside tables that depend on M alone and at most
 # _ROW_KEY_BYTES of row keys: tracemalloc measured 98.5 at M = 66.
 LOCKSTEP_RAY_BYTES = 128
+# A lockstep walk takes its rays in chunks of _LOCKSTEP_BYTES // LOCKSTEP_RAY_BYTES = 3072.
+_LOCKSTEP_BYTES = 3 << 17
 # The row-key table holds hash_key(stream base, a) for every padded row a of
 # every live ray, so a step hashes only the entered site's column.  A walk
 # builds it once its live rays' keys fit in this many bytes together with
@@ -252,26 +254,29 @@ def trace_lockstep(p: float, M: int, seed: int, stream_indices,
     ``sample(p, M, seed, i)``, i in ``stream_indices``, traced in lockstep.
 
     Equal to ``trace_summary(sample(p, M, seed, i), abort_radius=abort_radius)``
-    ray by ray.  While more than _LOCKSTEP_MIN_RAYS rays are live, one numpy
-    step moves them all and hashes only the site each enters (from a table
-    of row keys once they fit _ROW_KEY_BYTES), so no field is built; the
-    rays left then finish one by one on one field buffer, drawn by
-    one sampler on the sites a walk can read (those within the abort radius).
+    ray by ray.  While more than _LOCKSTEP_MIN_RAYS rays of a chunk are live,
+    one numpy step moves them all and hashes only the site each enters (from
+    a table of row keys once they fit _ROW_KEY_BYTES), so no field is built;
+    the rays left then finish one by one on one field buffer, drawn by one
+    sampler on the sites a walk can read (those within the abort radius).
     """
     check_probability(p)
     _check_extent(M)
     walks = TableWalks(M, _abort_at(abort_radius, _ORIGIN))
-    K = len(stream_indices)
-    status = np.empty(K, dtype=np.int8)
-    pos, at = np.arange(K), np.full(K, walks.state())
-    if K > _LOCKSTEP_MIN_RAYS:
-        pos, at = _lockstep(p, M, seed, stream_indices, walks, status)
-    far = _abort_codes(M, walks.abort_at)[1]
-    draw, field = region_sampler(M, far == 0), np.zeros(far.shape, dtype=bool)
-    bases = stream_base(seed, [stream_indices[k] for k in pos.tolist()])
-    for k, s, base in zip(pos.tolist(), at.tolist(), bases):
-        walks.fill(draw(base, p, field))
-        status[k] = walks.walk(at=s)[0]
+    status = np.empty(len(stream_indices), dtype=np.int8)
+    chunk = _LOCKSTEP_BYTES // LOCKSTEP_RAY_BYTES
+    for lo in range(0, len(stream_indices), chunk):
+        rays, out = stream_indices[lo : lo + chunk], status[lo : lo + chunk]
+        pos, at = np.arange(len(rays)), np.full(len(rays), walks.state())
+        if len(rays) > _LOCKSTEP_MIN_RAYS:
+            pos, at = _lockstep(p, M, seed, rays, walks, out)
+        # built after the lockstep, which then peaks without it
+        far = _abort_codes(M, walks.abort_at)[1]
+        draw, field = region_sampler(M, far == 0), np.zeros(far.shape, dtype=bool)
+        bases = stream_base(seed, [rays[k] for k in pos.tolist()])
+        for k, s, base in zip(pos.tolist(), at.tolist(), bases):
+            walks.fill(draw(base, p, field))
+            out[k] = walks.walk(at=s)[0]
     return status
 
 

@@ -369,7 +369,7 @@ def test_closure_estimates_match_pinned_digest():
 
 def test_closure_does_not_depend_on_workers_or_walk_size(monkeypatch):
     reference = _closure_run_text(53, 1)  # prime: no walk size divides it
-    monkeypatch.setattr(montecarlo, "_STACK_BYTES", 1000)  # walks of 7 rays
+    monkeypatch.setattr(tracer, "_LOCKSTEP_BYTES", 1000)  # walks of 7 rays
     for min_rays in (32, 2):
         monkeypatch.setattr(tracer, "_LOCKSTEP_MIN_RAYS", min_rays)
         assert _closure_run_text(53, 1) == reference
@@ -377,58 +377,53 @@ def test_closure_does_not_depend_on_workers_or_walk_size(monkeypatch):
 
 
 def test_paired_shortcut_keeps_every_change_of_outcome(monkeypatch):
-    # a non-monotone "enhancement" of Acirc, an event whose enhanced bit is
-    # detected again: fields whose site (1, 6) is open lose every other closed
-    # edge across the cut ray and can lose their circuit, the others gain
-    # every usable edge and with them a circuit.  The paired comparison must
-    # count both changes exactly as a per-sample comparison without the
-    # shortcut does.
-    g = default_pattern()
-    p, n, N, seed = 0.8, 4, 120, 29
-    real = enhance_stack
+    # a non-monotone Acirc, an event whose enhanced bit is detected again: it
+    # is circuit_holds where site (1, 6) is closed and its negation where it
+    # is open.  The red-only pattern closes every open site of even parity,
+    # never (1, 6), so fields with (1, 6) closed can gain the event and the
+    # others lose it.  The paired comparison must count both changes exactly
+    # as a per-sample comparison over ``enhance`` does.
+    g = Pattern(frozenset(), frozenset({(0, 0)}), (0, 0))
+    p, n, N, seed = 0.6, 4, 200, 29
     extent = event_extent("Acirc", n, g)
-    a, b = np.meshgrid(np.arange(-extent, extent + 1), np.arange(-extent, extent + 1),
-                       indexing="ij")
-    cut = (b == 1) & (a >= 2) & (a % 2 == 0)
-    ring = events._usable(n, *geometry.site_edges(extent))
     assert montecarlo._read_mask(extent, n, "Acirc")[extent + 1, extent + 6]
 
-    def fake(closed, pattern):
-        out = real(closed, pattern)
-        selected = closed[:, extent + 1, extent + 6]
-        out[~selected] &= ~cut
-        out[selected] |= ring
-        return out
+    def holds(closed, n):
+        return events.circuit_holds(closed, n) == closed[:, extent + 1, extent + 6]
 
-    monkeypatch.setattr(montecarlo, "enhance_stack", fake)
+    monkeypatch.setitem(EVENTS, "Acirc", EVENTS["Acirc"]._replace(holds=holds))
     pr = compare_enhanced(p, n, N, seed, g, "Acirc")
     only_plain = only_enhanced = 0
     for i in range(N):
         c = sample(p, extent, seed, stream_index=i)
-        e = Configuration(extent=extent, closed=fake(c.closed[np.newaxis], g)[0])
-        before, after = (surrounding_circuit_exact(x, n).holds for x in (c, e))
+        before, after = (holds(x.closed[np.newaxis], n)[0] for x in (c, enhance(c, g)))
         only_plain += before and not after
         only_enhanced += after and not before
     assert pr.only_plain == only_plain > 0
     assert pr.only_enhanced == only_enhanced > 0
-    assert pr.only_plain < pr.plain.hits  # the cut spares some circuits
 
 
 # The events whose enhanced bit a paired comparison decides from the plain
-# labelling, with the scales the merge is checked at.
+# labelling, with the scales the merge is checked at, and those it detects
+# again on the fields where it closes a red the event reads.
 MERGE_CASES = (("A", (2, 5, 12)), ("Aprime", (1, 2, 3, 6, 14)))
+REDETECT_CASES = (("Acirc", (3, 5)), ("Acirc4", (3, 5)), ("closure", (2, 5, 12)))
 
 
-@pytest.mark.parametrize("event, scales", MERGE_CASES, ids=[e for e, _ in MERGE_CASES])
+@pytest.mark.parametrize("event, scales", MERGE_CASES + REDETECT_CASES,
+                         ids=[e for e, _ in MERGE_CASES + REDETECT_CASES])
 def test_paired_merge_matches_detecting_the_enhanced_field(event, scales, monkeypatch):
-    # the merge of the plain labels along the matched reds against detecting
-    # the enhanced field itself, sample by sample, on the same stacks of a few
-    # fields each
+    # the paired decider (the merge of the plain labels along the matched
+    # reds, or detecting again the fields with a matched red closed) against
+    # detecting the enhanced field itself, sample by sample, on the same
+    # stacks of a few fields each
     monkeypatch.setattr(montecarlo, "_STACK_BYTES", 4000)
     calls = []
     label = events._label
     monkeypatch.setattr(events, "_label", lambda *args: calls.append(1) or label(*args))
     holds, N, seed = EVENTS[event].holds, 40, 17
+    merge = EVENTS[event].sides is not None
+    decide = montecarlo._paired_merge if merge else montecarlo._paired_redetect
     only_enhanced = together = 0
     for g in (default_pattern(), SKEWED_PATTERN):
         for n in scales:
@@ -440,7 +435,7 @@ def test_paired_merge_matches_detecting_the_enhanced_field(event, scales, monkey
                     p, extent, seed, range(N), montecarlo._fill_sites(extent, n, event, g))]
                 tally = np.zeros(4, dtype=np.int64)
                 for closed in stacks:
-                    a, b = montecarlo._paired_merge(closed, n, extent, event, g)
+                    a, b = decide(closed, n, extent, event, g)
                     assert np.array_equal(a, holds(closed, n)), (event, g.name, n, p)
                     assert np.array_equal(b, holds(enhance_stack(closed, g), n)), \
                         (event, g.name, n, p)
@@ -450,14 +445,17 @@ def test_paired_merge_matches_detecting_the_enhanced_field(event, scales, monkey
                         alone = np.repeat(field[np.newaxis], len(reds), axis=0)
                         alone.reshape(len(reds), -1)[np.arange(len(reds)), reds] = True
                         together += not holds(alone, n).any()
-                assert tally[1] == 0  # closing edges never breaks a crossing
+                if merge:
+                    assert tally[1] == 0  # closing edges never breaks a crossing
                 only_enhanced += int(tally[2])
                 del calls[:]
                 pr = compare_enhanced(p, n, N, seed, g, event)
-                assert len(calls) == len(stacks)  # one labelling per stack
+                if merge:
+                    assert len(calls) == len(stacks)  # one labelling per stack
                 assert (pr.only_plain, pr.only_enhanced, pr.both) == tuple(tally[1:])
     assert only_enhanced > 0
-    assert together > 0  # some field is joined by two reds or more, none alone
+    if merge:
+        assert together > 0  # some field is joined by two reds or more, none alone
 
 
 VERIFY_CASES = ((0.55, 128, 40, 1, 1), (0.55, 128, 40, 2, 1), (0.55, 128, 40, 3, 1),
@@ -511,7 +509,7 @@ def test_verify_decides_the_circuit_on_the_enhanced_field_and_walks_the_raw_one(
         walked.append(closed.copy()) or real_fill(walks, closed)))
     records = montecarlo._verify_samples((p, n, seed, extent, g, D, range(N)))
     reads = _circuit_static(extent, n)[0].sites
-    _, drawn = montecarlo._verify_static(extent, n, g, 2 * n + 2 * D)
+    drawn = montecarlo._verify_static(extent, n, g, 2 * n + 2 * D)
     raw = [sample(p, extent, seed, i).closed for i in range(N)]
     patched = [0, 0]  # samples whose reds change what the circuit, the walk reads
     for field, w in zip(circuits, raw):
@@ -595,6 +593,7 @@ def _shrunk_reach(monkeypatch, reach):
 
     monkeypatch.setattr(montecarlo, "_verify_static",
                         lambda extent, n, g, _: real_static(extent, n, g, reach))
+    monkeypatch.setattr(montecarlo, "TableWalks", lambda M, _: tracer.TableWalks(M, reach))
     monkeypatch.setattr(montecarlo, "_verify_reference", reference)
     return recomputed
 

@@ -299,6 +299,21 @@ def test_lockstep_guards():
         trace_lockstep(0.5, 10**5, 1, range(3), 2)
 
 
+@MIN_RAYS
+def test_lockstep_statuses_do_not_depend_on_the_chunk(min_rays, monkeypatch):
+    # chunks of 1 ray, of 33 and of the budget's 3,072 on the same 3,100
+    # indices, so each size leaves a short last chunk
+    monkeypatch.setattr(tracer, "_LOCKSTEP_MIN_RAYS", min_rays)
+    assert tracer._LOCKSTEP_BYTES // LOCKSTEP_RAY_BYTES == 3072
+    indices = range(5, 3105)
+    statuses = []
+    for rays in (1, 33, 3072):
+        monkeypatch.setattr(tracer, "_LOCKSTEP_BYTES", rays * LOCKSTEP_RAY_BYTES)
+        statuses.append(trace_lockstep(0.5, 4, 7, indices, abort_radius=2))
+    assert 0 < np.count_nonzero(statuses[0] == tracer.CLOSED) < len(indices)
+    assert all(np.array_equal(statuses[0], x) for x in statuses[1:])
+
+
 def test_lockstep_memory_per_ray_within_declared_bytes(monkeypatch):
     monkeypatch.setattr(tracer, "_LOCKSTEP_MIN_RAYS", 0)  # no per-field tail
     peaks = []
