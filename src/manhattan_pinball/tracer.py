@@ -6,18 +6,19 @@ is either a closed orbit or leaves the extent, within 4W^2 steps: the
 extent has 4W^2 ray states, W = 2M + 1, and a walk visits each at most
 once.  So a walk has no step budget and marks no state: it ends when the
 ray closes, escapes or aborts, and raises ``DynamicsError`` if still live
-after 4W^2 steps, having repeated a state other than its start.  A walk runs
-one table-driven kernel on a flat byte copy of the field that a
-``TableWalks`` owns, with the kernel's state encoding; a loop over fields
-refills one table.
+after 4W^2 steps, having repeated a state other than its start.
+Every walk reads one encoding of the field: a padded table of cells, each
+16 * code + closed bit, and one turn table indexed at cell + 2 * direction,
+which returns the doubled direction leaving the cell or, where the ray
+closes, escapes or aborts, a sentinel that ends it.  The table of a
+``TableWalks`` is refilled field after field and walked one ray at a time.
 ``trace_lockstep`` walks the origin rays of many sampled fields at once
-without building the fields: each step hashes just the sites the rays enter.
-Once the live rays fit a fixed byte cap, a table holds the hashed key of
-every row of every live ray, and a step hashes the entered column alone.
-Its turn table gives the start site a code of its own, whose row turns a ray
-back at its start state into a sentinel, as escape and abort are, so one
-comparison ends every ray.  A ray parks on its sentinel, which steps nowhere
-and turns into itself, so the walk drops ended rays only now and then.
+without building the fields: each step hashes just the sites the rays enter,
+for the closed bit the table would hold.  Once the live rays fit a fixed
+byte cap, a table holds the hashed key of every row of every live ray, and a
+step hashes the entered column alone.  A ray parks on its sentinel, which
+steps nowhere and turns into itself, so the lockstep drops ended rays only
+now and then.
 """
 
 from __future__ import annotations
@@ -57,65 +58,82 @@ CLOSED, ESCAPED, ABORTED = range(3)
 
 STATUS_NAMES = ("closed", "escaped", "aborted")  # by status code
 
-# The kernel reads the field from a padded (2M+3)^2 byte table with flat index
-# j = (a + M + 1) * P + (b + M + 1), row length P = 2M + 3.  Each byte holds
-# 4 * code: 0 open, 1 NE mirror, 2 NW mirror, 3 outside the extent (the pad
-# ring), 4 beyond the abort radius.  A ray state is 4 * j + direction.
-_OUT, _FAR = 4 * 3, 4 * 4
-# _TURN[4 * code + d]: direction leaving a site of that code entered along d,
-# as plain ints for the kernel's indexing; code 1 + o is a mirror of orientation o
+# Every walk reads the field from a padded (2M+3)^2 table of cells with flat
+# index j = (a + M + 1) * P + (b + M + 1), row length P = 2M + 3.  A cell holds
+# 16 * code + the site's closed bit: code 1 + o for a site whose mirror has
+# orientation o, 3 outside the extent (the pad ring), 4 beyond the abort
+# radius, and _START at the start site while a walk runs.  A ray state is
+# 4 * j + direction.
+# _TURN[4 * code + d]: direction leaving a closed site of that code entered
+# along d, as plain ints; code 0 turns nothing
 _TURN = tuple(range(4)) + tuple(int(reflect(d, o)) for o in Orientation for d in Direction)
+# The turn table's sentinels: a ray that reads one has closed, escaped or
+# aborted, as status (sentinel - _HOME) >> 1.
+_HOME, _ESC, _ABORT = 8, 10, 12
+_START = 5
+
+
+@lru_cache(maxsize=32)
+def _turn_table(start_code, d0, turn):
+    """The turn table of walks that start on a site of mirror code
+    ``start_code`` along ``d0``, built from ``turn`` (callers pass _TURN).
+
+    At cell + e, e = 2d for a ray entering the cell along d, it holds the
+    doubled direction leaving the cell: an open site passes the ray straight
+    on and a closed one turns it as ``turn`` does, while the pad ring and
+    the sites beyond the abort radius end it with _ESC or _ABORT whatever
+    their bit.  Row _START is that of ``start_code`` with _HOME for leaving
+    along ``d0``, so it ends a ray back at its start state.  Every row maps
+    a sentinel to itself, so a parked lockstep ray stays parked.
+    """
+    table = np.empty((_START + 1, 8, 2), dtype=np.intp)  # code, e // 2, closed
+    table[...] = 2 * np.arange(8)[:, np.newaxis]  # open: straight on; sentinels stay
+    table[:3, :4, 1] = 2 * np.reshape(turn, (3, 4))
+    table[3, :4], table[4, :4] = _ESC, _ABORT
+    home = table[_START]
+    home[...] = table[start_code]
+    home[home == 2 * d0] = _HOME
+    return tuple(table.ravel().tolist())
 
 
 @lru_cache(maxsize=4)
 def _abort_codes(M, abort_at):
-    """(mirror, far) codes of extent M (uint8): 4 * the mirror code of each site
-    of radius at most ``abort_at`` (None: of any radius) and 0 beyond, and _FAR
-    beyond and 0 within, so a field's codes are (closed * mirror) | far.  Read-only."""
+    """16 * code of each site of extent M (uint8): its mirror code at radius at
+    most ``abort_at`` (None: at any radius) and 4 beyond.  Read-only."""
     a = np.arange(-M, M + 1, dtype=np.int16)
-    mirror = ((((a[:, None] - a) & 1) + 1) << 2).astype(np.uint8)
-    far = np.zeros(mirror.shape, dtype=bool) if abort_at is None else site_radius(M) > abort_at
-    codes = np.where(far, np.uint8(0), mirror), np.where(far, np.uint8(_FAR), np.uint8(0))
-    for x in codes:
-        x.flags.writeable = False
+    codes = ((((a[:, None] - a) & 1) + 1) << 4).astype(np.uint8)
+    if abort_at is not None:
+        codes[site_radius(M) > abort_at] = 16 * 4
+    codes.flags.writeable = False
     return codes
 
 
 _REPEATED = "non-start state repeated: dynamics not injective"
 
 
-def _trace_kernel(cells: bytes, P: int, s0: int, at: int | None = None):
-    """Walk from state ``s0`` until closure, escape or abort.
+def _trace_kernel(cells: bytes, P: int, at: int, turn: tuple):
+    """Walk from state ``at`` until the turn table ``turn`` returns a
+    sentinel, _HOME where the walk's start cell reads _START.
 
-    Returns (status, path) with path the visited states, start first.  An
+    Returns (status, path) with path the visited states, ``at`` first.  An
     aborted walk ends with the first site beyond the abort radius, recorded
-    with the direction the ray entered it.  With ``at``, the walk resumes
-    from state ``at`` of a walk that started at ``s0``; the path starts at
-    ``at``.  An injective walk from any state of its orbit meets ``s0`` or
-    ends within 4W^2 steps, W = P - 2, so one live after them raises
-    ``DynamicsError``.
+    with the direction the ray entered it.  An injective walk from any state
+    of its orbit returns to its start or ends within 4W^2 steps, W = P - 2,
+    so one live after them raises ``DynamicsError``.
     """
-    step = (P, 1, -P, -1)
-    turn = _TURN
-    if at is None:
-        at = s0
+    step = (P, P, 1, 1, -P, -P, -1, -1)  # by doubled direction
+    home, abort = _HOME, _ABORT
     path = array("q", (at,))
     append = path.append
-    i, d = at >> 2, at & 3
+    j, e = at >> 2, 2 * (at & 3)
     for _ in range(4 * (P - 2) ** 2):
-        j = i + step[d]
-        c = cells[j]
-        if c >= _OUT:
-            if c == _OUT:
-                return ESCAPED, path
-            append(4 * j + d)
-            return ABORTED, path
-        d = turn[c + d]
-        s = 4 * j + d
-        if s == s0:
-            return CLOSED, path
-        append(s)
-        i = j
+        j += step[e]
+        e = turn[cells[j] + e]
+        if e >= home:
+            if e == abort:
+                append(4 * j + (path[-1] & 3))
+            return (e - home) >> 1, path
+        append(4 * j + (e >> 1))
     raise DynamicsError(_REPEATED)
 
 
@@ -143,21 +161,20 @@ def _walk(c: Configuration, start: RayState, abort_radius: int):
 
 
 class TableWalks:
-    """Walks on fields of extent M written one after another into one padded
-    code table, so a loop over fields allocates none; sites of radius above
-    ``abort_at`` (None: no site) read as _FAR.  A walk's path is the kernel's:
-    state 4j + direction for the table index j of each site it visits."""
+    """Walks on fields of extent M written one after another into one cell
+    table, so a loop over fields allocates none; sites of radius above
+    ``abort_at`` (None: no site) read code 4.  A walk's path holds state
+    4j + direction for the table index j of each site it visits."""
 
     def __init__(self, M: int, abort_at: int | None):
         self.M, self.abort_at, self.P = M, abort_at, 2 * M + 3
-        self.table = bytearray([_OUT]) * self.P ** 2
+        self.table = bytearray([16 * 3]) * self.P ** 2
         self.cells = np.frombuffer(self.table, dtype=np.uint8)
 
     def fill(self, closed: np.ndarray) -> None:
         """Write the mirror field ``closed`` into the inside of the table."""
         inner = self.cells.reshape(self.P, self.P)[1:-1, 1:-1]
-        mirror, far = _abort_codes(self.M, self.abort_at)
-        np.bitwise_or(np.multiply(closed, mirror, out=inner), far, out=inner)
+        np.add(_abort_codes(self.M, self.abort_at), closed, out=inner)
 
     def state(self, ray: RayState = _ORIGIN) -> int:
         """The kernel state of ``ray``."""
@@ -170,16 +187,22 @@ class TableWalks:
         return a - (self.M + 1), b - (self.M + 1)
 
     def close(self, sites: np.ndarray) -> None:
-        """Put a mirror on each of the flat field ``sites`` that reads open."""
+        """Put a mirror on each of the flat field ``sites``."""
         row, col = np.divmod(sites, 2 * self.M + 1)
-        j = (row + 1) * self.P + col + 1
-        open_ = self.cells[j] == 0
-        self.cells[j[open_]] = _abort_codes(self.M, self.abort_at)[0].ravel()[sites[open_]]
+        self.cells[(row + 1) * self.P + col + 1] |= 1
 
     def walk(self, start: RayState = _ORIGIN, at: int | None = None):
         """(status, path) of ``_trace_kernel`` from ``start``, resumed from
-        state ``at`` when given."""
-        return _trace_kernel(self.table, self.P, self.state(start), at)
+        state ``at`` when given.  The start cell reads _START while it runs."""
+        s0 = self.state(start)
+        j0, table = s0 >> 2, self.table
+        c = table[j0]
+        table[j0] = 16 * _START + (c & 1)
+        try:
+            return _trace_kernel(table, self.P, s0 if at is None else at,
+                                 _turn_table(c >> 4, s0 & 3, _TURN))
+        finally:
+            table[j0] = c
 
     def containment(self, path) -> int:
         """The largest radius of a site on ``path``."""
@@ -187,16 +210,6 @@ class TableWalks:
         return int(tilted_radius(a + b - 1, a - b).max())
 
 
-# The lockstep walk keeps each ray's direction doubled, e = 2d, and reads its
-# next direction from _lockstep_turn() at 16 * code + e + closed: an open site
-# passes the ray straight on, a closed one turns it as _TURN does, and the pad
-# ring and the sites beyond the abort radius end it with the sentinel _ESC or
-# _ABORT whatever their uniform.  The start site reads the code _START, whose
-# row ends a ray back at its start state with _HOME.  Every row maps a
-# sentinel to itself and a sentinel steps 0, so an ended ray parks on its end
-# cell until a compaction drops it.
-_ESC, _ABORT, _HOME = 8, 10, 12
-_START = 5
 # Peak bytes a lockstep walk holds per ray (its state, one step's temporaries
 # and a compaction's copies), beside tables that depend on M alone and at most
 # _ROW_KEY_BYTES of row keys: tracemalloc measured 98.5 at M = 66.
@@ -215,20 +228,6 @@ _ROW_KEY_BLOCK = 1 << 12
 # a walk ends when this many rays are left, and they finish one by one: any
 # end from 16 to 48 rays ran as fast (1000 rays at p = 0.5, n = 64).
 _LOCKSTEP_MIN_RAYS = 32
-
-
-def _lockstep_turn(start_code, d0):
-    """Turn table of the lockstep walk, built from _TURN when it is called;
-    row _START is that of the start site's mirror code ``start_code`` with
-    _HOME for leaving along the start direction ``d0``."""
-    table = np.empty((_START + 1, 8, 2), dtype=np.intp)  # code, e // 2, closed
-    table[...] = 2 * np.arange(8)[:, np.newaxis]  # open: straight on; sentinels stay
-    table[:3, :4, 1] = 2 * np.reshape(_TURN, (3, 4))
-    table[3, :4], table[4, :4] = _ESC, _ABORT
-    home = table[_START]
-    home[...] = table[start_code]
-    home[home == 2 * d0] = _HOME
-    return table.ravel()
 
 
 def _row_keys(base, axis):
@@ -271,8 +270,8 @@ def trace_lockstep(p: float, M: int, seed: int, stream_indices,
         if len(rays) > _LOCKSTEP_MIN_RAYS:
             pos, at = _lockstep(p, M, seed, rays, walks, out)
         # built after the lockstep, which then peaks without it
-        far = _abort_codes(M, walks.abort_at)[1]
-        draw, field = region_sampler(M, far == 0), np.zeros(far.shape, dtype=bool)
+        codes = _abort_codes(M, walks.abort_at)
+        draw, field = region_sampler(M, codes < 16 * 4), np.zeros(codes.shape, dtype=bool)
         bases = stream_base(seed, [rays[k] for k in pos.tolist()])
         for k, s, base in zip(pos.tolist(), at.tolist(), bases):
             walks.fill(draw(base, p, field))
@@ -288,12 +287,12 @@ def _lockstep(p, M, seed, stream_indices, walks, status):
     A ray holds its site, direction, sample position and row source: its
     stream base, which a step hashes with the entered row and then column,
     or, once the row-key table is built, the offset of its rows in the table,
-    so that a step hashes the column alone.  The start site reads the code
-    _START, whose row sends a ray back at its start state to _HOME, so
-    ``e >= _ESC`` decides every end: closure, escape and abort.  An ended ray
-    parks on its sentinel.  The walk counts its live rays every fourth step,
-    and writes the parked rays' statuses and drops them only when a quarter
-    of its arrays has ended, when the live rays first fit in the table (which
+    so that a step hashes the column alone.  It reads the cells of ``walks``
+    filled with an open field, the start cell reading _START, plus the
+    hashed closed bit, so ``e >= _HOME`` decides every end as in
+    _trace_kernel.  An ended ray parks on its sentinel.  The walk counts its
+    live rays every fourth step, and writes the parked rays' statuses and
+    drops them only when a quarter of its arrays has ended, when the live rays first fit in the table (which
     is then built for exactly those rays, and never moved) and when it stops.
     A walk with more than _LOCKSTEP_MIN_RAYS rays live after 4W^2 steps (a
     multiple of four, so the count is exact there) raises ``DynamicsError``,
@@ -302,18 +301,17 @@ def _lockstep(p, M, seed, stream_indices, walks, status):
     """
     P = 2 * M + 3
     bound = 4 * (2 * M + 1) ** 2
-    # 16 * code of every cell of the padded table, and its uint64 coordinates
-    walks.fill(np.ones((2 * M + 1, 2 * M + 1), dtype=bool))
+    # 16 * code of every cell of the padded table (an open field), and its
+    # uint64 coordinates
+    walks.fill(False)
     s0 = walks.state()
-    turn = _lockstep_turn(walks.cells[s0 >> 2] >> 2, s0 & 3)
-    cells = 4 * walks.cells.astype(np.intp)
+    cells = walks.cells.astype(np.intp)
+    turn = np.array(_turn_table(cells[s0 >> 2] >> 4, s0 & 3, _TURN))
     cells[s0 >> 2] = 16 * _START
     axis = _as_uint64(np.arange(-M - 1, M + 2))
     cell_a, cell_b = np.repeat(axis, P), np.tile(axis, P)
     step = np.zeros(16, dtype=np.intp)  # by doubled direction; a sentinel stays
     step[:8] = np.repeat((P, 1, -P, -1), 2)
-    ending = np.full(_HOME + 1, CLOSED, dtype=np.int8)  # status by final e
-    ending[_ESC], ending[_ABORT] = ESCAPED, ABORTED
     closed, limit = closed_test(p)
     fits = _ROW_KEY_BYTES // (8 * P) - max(1, _ROW_KEY_BLOCK // P)  # rays the table takes
 
@@ -324,13 +322,13 @@ def _lockstep(p, M, seed, stream_indices, walks, status):
     pos = np.arange(K)
     keys = None
     scratch = np.empty(K, dtype=np.uint64)
-    esc = np.array(_ESC)  # 0-d: faster ufunc calls
+    home = np.array(_HOME)  # 0-d: faster ufunc calls
     live, steps = K, 0
     while True:
         table_due = keys is None and live <= fits
         if live <= _LOCKSTEP_MIN_RAYS or table_due or 4 * live <= 3 * len(j):
-            ended = e >= esc
-            status[pos[ended]] = ending[e[ended]]
+            ended = e >= home
+            status[pos[ended]] = (e[ended] - home) >> 1
             j, e, row, pos = (x[~ended] for x in (j, e, row, pos))
             if live <= _LOCKSTEP_MIN_RAYS:
                 return pos, (j << 2) + (e >> 1)
@@ -352,7 +350,7 @@ def _lockstep(p, M, seed, stream_indices, walks, status):
         idx += closed(h, limit)
         e = turn[idx]
         if not steps & 3:  # counted every fourth step: a count costs 2 of the ~23 calls
-            live = len(j) - np.count_nonzero(e >= esc)
+            live = len(j) - np.count_nonzero(e >= home)
 
 
 @dataclass(frozen=True)

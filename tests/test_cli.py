@@ -1,6 +1,8 @@
 """Command surface: exit codes, golden byte stability, file plumbing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manhattan_pinball import cli, events
 from manhattan_pinball.cli import main
@@ -380,3 +382,102 @@ def test_closure_below_scale_one_is_usage_error(capsys, n):
     assert run(["estimate", "--event", "closure", "--p", "0.5", "--n", n,
                 "--trials", "3", "--seed", "1"]) == 2
     assert "closure needs n >= 1" in capsys.readouterr().err
+
+
+# Adversarial numbers: not a number, infinite, overflowing, 25 digits,
+# negative, empty, hexadecimal and fractional.  Counts that size a run
+# (extent, n, trials, radius, budget, workers) take the ones that are not
+# integers or are negative, and their valid values stay small, so that every
+# accepted run is quick.
+_NUMBERS = st.sampled_from(("nan", "inf", "-inf", "1e309", "1" * 25, "-7", "", "0x10", "1.5"))
+_NOT_COUNTS = st.sampled_from(("nan", "inf", "-inf", "1e309", "-7", "", "0x10", "1.5"))
+# Paths are "@" and a name under the test's directory, each in the role its
+# option expects or in another: a configuration, a trajectory and a witness
+# file, a directory and a missing file.
+_PATHS = ("@config", "@trajectory", "@witness", "@directory", "@missing")
+_OUTPUTS = ("@out", "@directory", "@missing/out")
+
+
+def _one_of(*values):
+    return st.sampled_from(values)
+
+
+def _path(good, paths=_PATHS):
+    return _one_of(good), _one_of(*(x for x in paths if x != good))
+
+
+def _count(lo, hi):
+    return st.integers(lo, hi).map(str), _NOT_COUNTS
+
+
+_P, _SEED = (_one_of("0", "0.5", "0.7", "1"), _NUMBERS), (_one_of("1", "5"), _NUMBERS)
+_CONFIG, _OUT = _path("@config"), _path("@out", _OUTPUTS)
+_PATTERN = (_one_of("default"), _one_of("@config", "@witness", "@directory", "@missing"))
+_EVENT = (st.sampled_from(tuple(events.EVENTS)), _one_of("nope"))
+# (flag, (values of the kind it expects, values of another kind)) by subcommand;
+# a flag ending in "?" may be left out, and --enhanced takes no value
+_COMMANDS = {
+    "sample": (("--p", _P), ("--extent", _count(0, 20)), ("--seed", _SEED),
+               ("--stream", (_one_of("0", "3"), _NUMBERS)), ("--out", _OUT)),
+    "trace": (("--config", _CONFIG), ("--out", _OUT), ("--svg?", _OUT)),
+    "enhance": (("--config", _CONFIG), ("--pattern", _PATTERN),
+                ("--exclude-core?", (_one_of("0", "3"), _NUMBERS)), ("--out", _OUT),
+                ("--diff?", _OUT)),
+    "event": (("--config", _CONFIG), ("--event", _EVENT), ("--n", _count(0, 6)),
+              ("--witness?", _OUT)),
+    "estimate": (("--event", _EVENT), ("--p", _P), ("--n", _count(0, 20)),
+                 ("--trials", _count(1, 20)), ("--seed", _SEED), ("--enhanced?", None),
+                 ("--csv?", _OUT), ("--workers", _count(1, 1))),
+    "verify": (("--p", _P), ("--n", _count(0, 20)), ("--trials", _count(1, 20)),
+               ("--seed", _SEED), ("--pattern", _PATTERN), ("--csv?", _OUT),
+               ("--workers", _count(1, 1))),
+    "pattern check": (("--pattern", _PATTERN), ("--budget", _count(0, 1))),
+    "pattern search": (("--radius", _count(0, 3)), ("--budget", _count(0, 1)),
+                       ("--out?", _OUT)),
+    "render": (("--config", _CONFIG), ("--trajectory?", _path("@trajectory")),
+               ("--witness?", _path("@witness")),
+               ("--layers", (_one_of("lattice,mirrors", "lattice,mirrors,trajectory",
+                                     "circuit_witness"), _one_of("", "nope"))),
+               ("--scale", (_one_of("1", "3"), _NUMBERS)), ("--out", _OUT)),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A command line of one subcommand, at most two of whose options take a
+    value of another kind."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    options = _COMMANDS[command]
+    bad = draw(st.sets(st.integers(0, len(options) - 1), max_size=2))
+    argv = command.split()
+    for k, (flag, values) in enumerate(options):
+        if flag.endswith("?") and draw(st.booleans()):
+            continue
+        argv.append(flag.rstrip("?"))
+        if values is not None:
+            argv.append(draw(values[k in bad]))
+    return argv
+
+
+def test_fuzzed_command_lines_exit_with_a_documented_code(tmp_path, capsys):
+    config = str(tmp_path / "config")
+    assert run(["sample", "--p", "0.6", "--extent", "8", "--seed", "1", "--out", config]) == 0
+    assert run(["trace", "--config", config, "--out", str(tmp_path / "trajectory")]) == 0
+    assert run(["event", "--config", config, "--event", "Acirc", "--n", "2",
+                "--witness", str(tmp_path / "witness")]) == 0
+    (tmp_path / "directory").mkdir()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_argv())
+    def exits(argv):
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        capsys.readouterr()
+        try:
+            code = run(argv)
+        except SystemExit as e:  # argparse refuses the command line
+            code = e.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+
+    exits()

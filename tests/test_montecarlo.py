@@ -336,6 +336,20 @@ def test_paired_changes_of_outcome_match_pinned_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == PAIRED_SKEWED_DIGEST
 
 
+# sha256 of the concatenated _paired_text of compare_enhanced(p, 5, 200, 17,
+# SKEWED_PATTERN, event) for Acirc at p = 0.6, Acirc4 at 0.7 and closure at
+# 0.5, computed when the tracer kernel and lockstep read separate encodings
+PAIRED_REDETECT_DIGEST = "c9195986ce509166e36c8167f2b3836eb4c8e8e0d0b5b576a1034e4380f43c85"
+
+
+def test_paired_redetected_changes_of_outcome_match_pinned_digest():
+    reports = [compare_enhanced(p, 5, 200, 17, SKEWED_PATTERN, event)
+               for event, p in (("Acirc", 0.6), ("Acirc4", 0.7), ("closure", 0.5))]
+    assert all(pr.only_enhanced > 0 for pr in reports)  # re-detection changes outcomes
+    text = "".join(_paired_text(pr) for pr in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == PAIRED_REDETECT_DIGEST
+
+
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.55, 0.6, 0.7, 1.0])
 def test_closure_estimate_matches_per_sample_closure(p):
     # the lockstep walk of plain closure against the field-by-field detector
