@@ -111,9 +111,10 @@ def _abort_codes(M, abort_at):
 _REPEATED = "non-start state repeated: dynamics not injective"
 
 
-def _trace_kernel(cells: bytes, P: int, at: int, turn: tuple):
+def _trace_kernel(cells: bytes, step: tuple, at: int, turn: tuple):
     """Walk from state ``at`` until the turn table ``turn`` returns a
-    sentinel, _HOME where the walk's start cell reads _START.
+    sentinel, _HOME where the walk's start cell reads _START; ``step`` is
+    the index offset of a step by doubled direction, P first.
 
     Returns (status, path) with path the visited states, ``at`` first.  An
     aborted walk ends with the first site beyond the abort radius, recorded
@@ -121,12 +122,11 @@ def _trace_kernel(cells: bytes, P: int, at: int, turn: tuple):
     of its orbit returns to its start or ends within 4W^2 steps, W = P - 2,
     so one live after them raises ``DynamicsError``.
     """
-    step = (P, P, 1, 1, -P, -P, -1, -1)  # by doubled direction
     home, abort = _HOME, _ABORT
     path = array("q", (at,))
     append = path.append
     j, e = at >> 2, 2 * (at & 3)
-    for _ in range(4 * (P - 2) ** 2):
+    for _ in range(4 * (step[0] - 2) ** 2):
         j += step[e]
         e = turn[cells[j] + e]
         if e >= home:
@@ -167,8 +167,9 @@ class TableWalks:
     4j + direction for the table index j of each site it visits."""
 
     def __init__(self, M: int, abort_at: int | None):
-        self.M, self.abort_at, self.P = M, abort_at, 2 * M + 3
-        self.table = bytearray([16 * 3]) * self.P ** 2
+        self.M, self.abort_at, P = M, abort_at, 2 * M + 3
+        self.P, self.step = P, (P, P, 1, 1, -P, -P, -1, -1)
+        self.table = bytearray([16 * 3]) * P ** 2
         self.cells = np.frombuffer(self.table, dtype=np.uint8)
 
     def fill(self, closed: np.ndarray) -> None:
@@ -199,7 +200,7 @@ class TableWalks:
         c = table[j0]
         table[j0] = 16 * _START + (c & 1)
         try:
-            return _trace_kernel(table, self.P, s0 if at is None else at,
+            return _trace_kernel(table, self.step, s0 if at is None else at,
                                  _turn_table(c >> 4, s0 & 3, _TURN))
         finally:
             table[j0] = c
@@ -311,7 +312,7 @@ def _lockstep(p, M, seed, stream_indices, walks, status):
     axis = _as_uint64(np.arange(-M - 1, M + 2))
     cell_a, cell_b = np.repeat(axis, P), np.tile(axis, P)
     step = np.zeros(16, dtype=np.intp)  # by doubled direction; a sentinel stays
-    step[:8] = np.repeat((P, 1, -P, -1), 2)
+    step[:8] = walks.step
     closed, limit = closed_test(p)
     fits = _ROW_KEY_BYTES // (8 * P) - max(1, _ROW_KEY_BLOCK // P)  # rays the table takes
 
