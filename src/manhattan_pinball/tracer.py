@@ -75,7 +75,7 @@ _START = 5
 
 @lru_cache(maxsize=32)
 def _turn_table(start_code, d0, turn):
-    """The turn table of walks that start on a site of mirror code
+    """The turn table of walks that start on a site of code
     ``start_code`` along ``d0``, built from ``turn`` (callers pass _TURN).
 
     At cell + e, e = 2d for a ray entering the cell along d, it holds the
