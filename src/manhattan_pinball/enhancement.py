@@ -115,11 +115,13 @@ class PatternReport:
 
 
 @lru_cache(maxsize=16)
-def _red_box(M, g, excluded_core):
-    """(r0, c0, allowed): the copies of ``g`` inside extent M have their red
-    sites at field indices (r0 + i, c0 + j), and ``allowed[i, j]`` says that
-    copy's offset is parity-valid and, with ``excluded_core = k``, its red
-    edge is not inside Q_k.  Cached per (M, pattern, core), read-only."""
+def _red_box(M, g, excluded_core, reads=None):
+    """(r0, c0, allowed): the copies of ``g`` inside extent M whose red sites
+    may match lie at field indices (r0 + i, c0 + j) with ``allowed[i, j]``:
+    the copy's offset is parity-valid, with ``excluded_core = k`` its red edge
+    is not inside Q_k, and with ``reads = (n, event)`` that event reads its
+    red site.  The box bounds the allowed sites.  Cached per (M, pattern,
+    core, reads), read-only."""
     if M < g.radius:
         raise ValueError("extent smaller than pattern radius")
     a, b = zip(*g.sites)
@@ -131,33 +133,34 @@ def _red_box(M, g, excluded_core):
     allowed = (r + ra) % 2 == (c + rb) % 2
     if excluded_core is not None:
         allowed &= ~edge_inside_q_mask(M, excluded_core)[rows, cols]
+    if reads is not None:
+        read = np.zeros(W * W, dtype=bool)
+        read[_ev.EVENTS[reads[1]].reads(M, reads[0])] = True
+        allowed &= read.reshape(W, W)[rows, cols]
+    i, j = np.nonzero(allowed)
+    i0, i1, j0, j1 = (i.min(), i.max() + 1, j.min(), j.max() + 1) if i.size else (0, 0, 0, 0)
+    allowed = allowed[i0:i1, j0:j1]
     allowed.flags.writeable = False
-    return rows.start, cols.start, allowed
+    return rows.start + int(i0), cols.start + int(j0), allowed
 
 
-def _match_mask(closed, g, excluded_core=None):
-    """Where copies of ``g`` appear in fields of shape (..., 2M+1, 2M+1).
-
-    Returns (r0, c0, ok): ``ok[..., i, j]`` says the copy whose red site is
-    at field index (r0 + i, c0 + j) appears in that field, inside the extent,
-    at a parity-valid offset and, with ``excluded_core = k``, with its red
-    edge outside Q_k.
-    """
-    r0, c0, allowed = _red_box(closed.shape[-1] // 2, g, excluded_core)
-    return r0, c0, _copies(closed, g, r0, c0, allowed)
-
-
-def _copies(closed, g, r0, c0, allowed):
-    """``ok[..., i, j]``: ``allowed[i, j]`` and the copy of ``g`` whose red
-    site is at field index (r0 + i, c0 + j), which must lie inside the
-    extent, appears in the fields of shape (..., 2M+1, 2M+1) ``closed``."""
+def _matches(closed, g, excluded_core=None, reads=None):
+    """The matched reds of ``g`` in the (K, W, W) stack ``closed``, as flat
+    index pairs (k, site), in field order and then site order: the copy of
+    ``g`` whose red site is at flat index ``site`` of field k appears in that
+    field, inside the extent, at an offset that ``_red_box`` allows with
+    ``excluded_core`` and ``reads``."""
+    W = closed.shape[-1]
+    r0, c0, allowed = _red_box(W // 2, g, excluded_core, reads)
     (h, w), (ra, rb) = allowed.shape, g.red_site
-    ok = np.broadcast_to(allowed, closed.shape[:-2] + allowed.shape).copy()
+    ok = np.broadcast_to(allowed, (len(closed), h, w)).copy()
     for sites, require in ((g.closed_sites, np.logical_and), (g.open_sites, np.greater)):
         for (a, b) in sorted(sites):  # ok & s, or ok & ~s as ok > s, in place
             i, j = r0 + a - ra, c0 + b - rb
-            require(ok, closed[..., i : i + h, j : j + w], out=ok)
-    return ok
+            require(ok, closed[:, i : i + h, j : j + w], out=ok)
+    k, at = np.divmod(np.flatnonzero(ok), h * w)
+    row, col = np.divmod(at, w)
+    return k, (row + r0) * W + col + c0
 
 
 def match_pattern(c: Configuration, g: Pattern, excluded_core=None) -> MatchSet:
@@ -166,26 +169,25 @@ def match_pattern(c: Configuration, g: Pattern, excluded_core=None) -> MatchSet:
     Copies must lie fully inside the extent.  With ``excluded_core = k``,
     offsets whose red edge is inside Q_k are dropped.
     """
-    r0, c0, ok = _match_mask(c.closed, g, excluded_core)
-    t1, t2 = r0 - g.red_site[0] - c.extent, c0 - g.red_site[1] - c.extent
-    return MatchSet(offsets=tuple((int(i + t1), int(j + t2)) for i, j in np.argwhere(ok)))
+    row, col = np.divmod(matched_reds(c.closed, g, excluded_core), len(c.closed))
+    t1, t2 = row - c.extent - g.red_site[0], col - c.extent - g.red_site[1]
+    return MatchSet(offsets=tuple(zip(t1.tolist(), t2.tolist())))
 
 
 def enhance_stack(closed, g: Pattern, excluded_core=None):
-    """``enhance`` on fields of shape (..., 2M+1, 2M+1): a new array in
-    which the red edge of every copy matched in a field is closed."""
-    r0, c0, ok = _match_mask(closed, g, excluded_core)
+    """``enhance`` on fields of shape (..., W, W): a new array in which the
+    red edge of every copy matched in a field is closed."""
+    W = closed.shape[-1]
+    k, site = _matches(closed.reshape(-1, W, W), g, excluded_core)
     out = closed.copy()
-    out[..., r0 : r0 + ok.shape[-2], c0 : c0 + ok.shape[-1]] |= ok
+    out.reshape(-1, W * W)[k, site] = True
     return out
 
 
 def matched_reds(closed, g: Pattern, excluded_core):
     """Flat indices, ascending, of the red sites that ``enhance`` with
-    ``excluded_core`` closes in the (2M+1, 2M+1) field ``closed``."""
-    r0, c0, ok = _match_mask(closed, g, excluded_core)
-    row, col = np.divmod(np.flatnonzero(ok), ok.shape[1])
-    return (row + r0) * len(closed) + col + c0
+    ``excluded_core`` closes in the (W, W) field ``closed``."""
+    return _matches(closed[np.newaxis], g, excluded_core)[1]
 
 
 def _dilated(mask, pattern):
@@ -318,10 +320,11 @@ def _essential_witnesses(closed, g: Pattern):
     """Per field of a (K, W, W) window stack: the copy of ``g`` at offset
     (0, 0) matches, and closing the matched red edges makes a crossing that
     was not there."""
-    r0, c0, ok = _match_mask(closed, g)
+    k, site = _matches(closed, g)
     M = closed.shape[-1] // 2
-    return (ok[:, g.red_site[0] + M - r0, g.red_site[1] + M - c0] & ~_window_crossing(closed)
-            & _window_crossing(enhance_stack(closed, g)))
+    at_origin = np.zeros(len(closed), dtype=bool)
+    at_origin[k[site == (g.red_site[0] + M) * (2 * M + 1) + g.red_site[1] + M]] = True
+    return at_origin & ~_window_crossing(closed) & _window_crossing(enhance_stack(closed, g))
 
 
 def _chain_to_boundary(g, extent, start_vertex, westward, blocked_vertices):

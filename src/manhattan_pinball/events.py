@@ -611,18 +611,6 @@ class Event(NamedTuple):
     least_n: int = 1  # the least scale at which the event is defined
 
 
-@lru_cache(maxsize=64)
-def _rect_reads(M, n, kinds):
-    """Flat indices of the sites the rectangles ``kinds`` read, each once and
-    sorted; cached, read-only."""
-    read = np.zeros((2 * M + 1) ** 2, dtype=bool)
-    for kind in kinds:
-        read[_rect_static(M, n, kind)[0].sites] = True
-    sites = np.flatnonzero(read)
-    sites.flags.writeable = False
-    return sites
-
-
 # The events by name, for the CLI and the Monte Carlo harness alike.  Closure's
 # walk reads every site beyond Q_n as the abort, whatever its bit.
 EVENTS = {
@@ -636,7 +624,8 @@ EVENTS = {
     "Acirc": Event(lambda n: 2 * n + 2, surrounding_circuit_exact, circuit_holds,
                    lambda M, n: _circuit_static(M, n)[0].sites, least_n=2),
     "Acirc4": Event(lambda n: 2 * n + 2, surrounding_circuit_4rect, circuit4_holds,
-                    lambda M, n: _rect_reads(M, n, ("T1", "T2", "T3", "T4"))),
+                    lambda M, n: np.unique(np.concatenate(
+                        [_rect_static(M, n, f"T{i}")[0].sites for i in range(1, 5)]))),
 }
 
 

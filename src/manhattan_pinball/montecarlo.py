@@ -51,8 +51,7 @@ from .configuration import (
     site_sampler,
     stream_base,
 )
-from .enhancement import (Pattern, _copies, _dilated, _red_box, check_detour, enhance,
-                          matched_reds)
+from .enhancement import Pattern, _dilated, _matches, check_detour, enhance, matched_reds
 from .events import (EVENTS, _require_extent, circuit_holds, joined_labels,
                      surrounding_circuit_exact)
 from .geometry import edge_ends, site_radius
@@ -247,23 +246,6 @@ def estimate_event(event: str, p: float, n: int, N: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _read_reds(extent, n, event, pattern):
-    """(r0, c0, useful): ``useful[i, j]`` says the site at field index
-    (r0 + i, c0 + j) is the red site of a copy of ``pattern`` inside the
-    extent at a parity-valid offset, and ``event`` reads it.  The box is the
-    bounding box of those sites, cut from ``enhancement._red_box``.  Cached,
-    read-only."""
-    r0, c0, allowed = _red_box(extent, pattern, None)
-    h, w = allowed.shape
-    useful = allowed & _read_mask(extent, n, event)[r0 : r0 + h, c0 : c0 + w]
-    i, j = np.nonzero(useful)
-    i0, i1, j0, j1 = (i.min(), i.max() + 1, j.min(), j.max() + 1) if i.size else (0, 0, 0, 0)
-    useful = useful[i0:i1, j0:j1]
-    useful.flags.writeable = False
-    return int(r0 + i0), int(c0 + j0), useful
-
-
 def _joins(x, y, on_a, on_b):
     """For the edges x[i] - y[i] between labels: does the component of x[i]
     in their graph hold a label of ``on_a`` and one of ``on_b``?"""
@@ -290,17 +272,17 @@ def _paired_merge(closed, n, extent, event, pattern):
     Enhancement only closes matched reds, which are open in the plain field,
     and a closed red joins the pixels of its edge's two ends.  So where the
     plain event fails it holds enhanced iff the plain labels, merged along
-    the matched reds whose sites the raster reads, join the two sides."""
+    the matched reds that the raster reads, join the two sides: the (k, site)
+    pairs of the fields k where the plain event fails."""
     raster, side_a, side_b = EVENTS[event].sides(extent, n)
-    r0, c0, useful = _read_reds(extent, n, event, pattern)
     a, labels, on_a = joined_labels(closed, raster, side_a, side_b)
-    ok = _copies(closed, pattern, r0, c0, useful)
-    ok[a] = False  # a broadcast ``&=`` of ~a costs as much as half the matching
-    k, at = np.divmod(np.flatnonzero(ok), useful.size)
+    k, site = _matches(closed, pattern, reads=(n, event))
+    unmet = ~a[k]
+    k, site = k[unmet], site[unmet]
     b = a.copy()
     if k.size:
-        row, col = np.divmod(at, useful.shape[1])
-        i1, j1, i2, j2 = edge_ends(row + r0 - extent, col + c0 - extent)
+        row, col = np.divmod(site, 2 * extent + 1)
+        i1, j1, i2, j2 = edge_ends(row - extent, col - extent)
         x = labels[k, raster.pixel(i1 + j1, i1 - j1)]
         y = labels[k, raster.pixel(i2 + j2, i2 - j2)]
         on_b = np.zeros_like(on_a)
@@ -312,18 +294,18 @@ def _paired_merge(closed, n, extent, event, pattern):
 def _paired_redetect(closed, n, extent, event, pattern):
     """(plain, enhanced) event bits of the (K, W, W) stack of plain fields
     ``closed``, for any event.  A detector reads only the event's sites, and
-    there the enhanced field is the plain one with the reds of ``_read_reds``
-    closed: only a field with such a red is detected again, on a copy with
-    them closed.  That keeps a monotonicity violation visible."""
+    there the enhanced field is the plain one with the matched reds (k, site)
+    that the event reads closed: only a field k with such a red is detected
+    again, on a copy with them closed.  That keeps a monotonicity violation
+    visible."""
     holds = EVENTS[event].holds
-    r0, c0, useful = _read_reds(extent, n, event, pattern)
     a = holds(closed, n)
-    ok = _copies(closed, pattern, r0, c0, useful)
-    changed = ok.any(axis=(1, 2))
+    k, site = _matches(closed, pattern, reads=(n, event))
     b = a.copy()
-    if changed.any():
+    if k.size:
+        changed, k = np.unique(k, return_inverse=True)
         enhanced = closed[changed]
-        enhanced[:, r0 : r0 + useful.shape[0], c0 : c0 + useful.shape[1]] |= ok[changed]
+        enhanced.reshape(len(changed), -1)[k, site] = True
         b[changed] = holds(enhanced, n)
     return a, b
 

@@ -472,6 +472,21 @@ def test_paired_merge_matches_detecting_the_enhanced_field(event, scales, monkey
         assert together > 0  # some field is joined by two reds or more, none alone
 
 
+def test_paired_merge_maps_only_the_reds_of_fields_where_the_plain_event_fails(monkeypatch):
+    # a red closed in a field that already crosses changes no bit, so the
+    # merge maps to pixels only the reds of the fields where the event fails
+    mapped = []
+    monkeypatch.setattr(montecarlo, "edge_ends",
+                        lambda row, col: mapped.extend(row.tolist()) or geometry.edge_ends(row, col))
+    g, event, n = SKEWED_PATTERN, "A", 2
+    extent = event_extent(event, n, g)
+    closed = next(montecarlo._field_stacks(
+        0.5, extent, 17, range(40), montecarlo._fill_sites(extent, n, event, g)))
+    a, _ = montecarlo._paired_merge(closed, n, extent, event, g)
+    k, _ = enhancement._matches(closed, g, reads=(n, event))
+    assert a[k].any() and len(mapped) == np.count_nonzero(~a[k]) > 0
+
+
 VERIFY_CASES = ((0.55, 128, 40, 1, 1), (0.55, 128, 40, 2, 1), (0.55, 128, 40, 3, 1),
                 (0.6, 104, 12, 8, 2))
 
@@ -706,8 +721,15 @@ def test_verify_walks_the_hybrid_again_when_the_raw_orbit_meets_its_red(monkeypa
     monkeypatch.setattr(montecarlo, "region_sampler",
                         lambda M, mask: lambda base, p, out: np.copyto(out, field.closed))
     monkeypatch.setattr(montecarlo, "sample", lambda p, M, seed, stream_index: field)
+    # the (circuit, raw, hybrid) each path hands to _record: a record passes on
+    # a hybrid orbit it walked wrongly, but that orbit then reads differently
+    decided = []
+    real_record = montecarlo._record
+    monkeypatch.setattr(montecarlo, "_record",
+                        lambda i, *args: decided.append(args[:3]) or real_record(i, *args))
     fast = montecarlo._verify_samples((0.7, n, seed, extent, g, D, range(1)))
     assert fast == [montecarlo._verify_reference(0.7, n, seed, extent, g, D, 0)]
+    assert len(decided) == 2 and decided[0] == decided[1]
     assert fast[0].circuit and len(closes) == 1
     W = 2 * extent + 1
     assert (red[0] + extent) * W + red[1] + extent in closes[0]
