@@ -77,6 +77,14 @@ def hash_key(key, x, out=None, tmp=None):
     return _fmix(np.bitwise_xor(x, key, out=out), tmp)
 
 
+def _hash_grid(keys, x, out, tmp):
+    """hash_key(keys[i], x[j]) at out[i, j], in place in the (len(keys), len(x))
+    uint64 buffers ``out`` and ``tmp``, filled first: a broadcast would be buffered."""
+    np.copyto(out, x)
+    np.copyto(tmp, keys[:, np.newaxis])
+    return hash_key(tmp, out, out=out, tmp=tmp)
+
+
 def stream_base(seed, stream_index):
     """Hash key fmix(i ^ fmix(seed ^ golden)) of each sample stream i in
     ``stream_index`` (uint64, shaped like it)."""
@@ -154,8 +162,8 @@ def _hash_blocks(M, mask):
         for r, c in spans:
             shape = (r.stop - r.start, c.stop - c.start)
             k = shape[0] * shape[1]
-            yield r, c, hash_key(rows[r, np.newaxis], coords[c], out=h[:k].reshape(shape),
-                                 tmp=tmp[:k].reshape(shape))
+            yield r, c, _hash_grid(rows[r], coords[c], h[:k].reshape(shape),
+                                   tmp[:k].reshape(shape))
     return blocks
 
 

@@ -134,9 +134,7 @@ def _red_box(M, g, excluded_core, reads=None):
     if excluded_core is not None:
         allowed &= ~edge_inside_q_mask(M, excluded_core)[rows, cols]
     if reads is not None:
-        read = np.zeros(W * W, dtype=bool)
-        read[_ev.EVENTS[reads[1]].reads(M, reads[0])] = True
-        allowed &= read.reshape(W, W)[rows, cols]
+        allowed &= _ev.read_mask(M, *reads)[rows, cols]
     i, j = np.nonzero(allowed)
     i0, i1, j0, j1 = (i.min(), i.max() + 1, j.min(), j.max() + 1) if i.size else (0, 0, 0, 0)
     allowed = allowed[i0:i1, j0:j1]
@@ -306,14 +304,18 @@ def check_detour(g: Pattern) -> DetourReport:
     )
 
 
-def _window_crossing(closed):
-    """Closed path joining the west (i <= 1 - M) and east (i >= M - 1) bands,
-    per field of a (K, W, W) window stack of extent M; a vertex has
-    i = (u + v) / 2."""
-    M = closed.shape[-1] // 2
+@lru_cache(maxsize=4)
+def _window_sides(M):
+    """The raster of every edge of a window of extent M, and its west
+    (i <= 1 - M) and east (i >= M - 1) bands; a vertex has i = (u + v) / 2."""
     raster = _ev.edge_raster(M, np.ones((2 * M + 1) ** 2, dtype=bool))
-    return _ev.sides_joined(closed, raster, raster.where(lambda u, v: u + v <= 2 - 2 * M),
-                            raster.where(lambda u, v: u + v >= 2 * M - 2))
+    return (raster, raster.where(lambda u, v: u + v <= 2 - 2 * M),
+            raster.where(lambda u, v: u + v >= 2 * M - 2))
+
+
+def _window_crossing(closed):
+    """A closed west-east crossing, per field of a (K, W, W) window stack."""
+    return _ev.sides_joined(closed, *_window_sides(closed.shape[-1] // 2))
 
 
 def _essential_witnesses(closed, g: Pattern):
@@ -324,7 +326,8 @@ def _essential_witnesses(closed, g: Pattern):
     M = closed.shape[-1] // 2
     at_origin = np.zeros(len(closed), dtype=bool)
     at_origin[k[site == (g.red_site[0] + M) * (2 * M + 1) + g.red_site[1] + M]] = True
-    return at_origin & ~_window_crossing(closed) & _window_crossing(enhance_stack(closed, g))
+    before, after = _ev.joined_closing(closed, *_window_sides(M), k, site)
+    return at_origin & ~before & after
 
 
 def _chain_to_boundary(g, extent, start_vertex, westward, blocked_vertices):

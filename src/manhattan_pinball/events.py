@@ -34,12 +34,15 @@ those of its dual.  Each event builds a ``Raster`` once per (extent, n) on
 the box of its region.  A ``*_holds`` function gathers a (K, W, W) stack of
 closed fields into a (K, H, W') image and labels it with one call of
 scipy's labelling kernel, the C routine behind ``scipy.ndimage.label``, that
-links nothing across the stack; one configuration is a stack of one.  An
-event decided by one ``sides_joined`` names its raster and sides in
-``EVENTS``, so that a caller can read its labels too (``joined_labels``).
-Witnesses come from ``breadth_first``, one deterministic FIFO search that
-the enhancement module shares; the circuit witness searches the
-parity-doubled cover of the closed graph.
+links nothing across the stack; one configuration is a stack of one.
+``holds_closing`` decides an event before and after closing open sites it
+reads (``read_mask``).  An event decided by one ``sides_joined`` names its
+raster and sides in ``EVENTS``, and ``joined_closing`` labels the stack
+once and merges the labels along the closed edges, whose end pixels
+``Raster.ends`` gives; any other event is detected again on the fields
+with a site to close.  Witnesses come from ``breadth_first``, one
+deterministic FIFO search that the enhancement module shares; the circuit
+witness searches the parity-doubled cover of the closed graph.
 """
 
 from __future__ import annotations
@@ -79,9 +82,11 @@ __all__ = [
     "closed_orbit",
     "closure_holds",
     "first_path",
-    "joined_labels",
+    "holds_closing",
+    "joined_closing",
     "radial_closed_path",
     "radial_holds",
+    "read_mask",
     "rect_crossing",
     "rect_holds",
     "sides_joined",
@@ -144,6 +149,13 @@ class Raster(NamedTuple):
         open grids U, V of the rows' and columns' coordinates."""
         (H, W), (u0, v0) = self.base.shape, self.origin
         return np.flatnonzero(self.base & mask(*np.ogrid[u0 : u0 + H, v0 : v0 + W]))
+
+    def ends(self, M, sites):
+        """Flat image indices of the two ends of the edges at the flat field
+        indices ``sites`` of extent M, west end first."""
+        row, col = np.divmod(sites, 2 * M + 1)
+        i1, j1, i2, j2 = edge_ends(row - M, col - M)
+        return self.pixel(i1 + j1, i1 - j1), self.pixel(i2 + j2, i2 - j2)
 
 
 def _coords(M, keep):
@@ -223,21 +235,50 @@ def _label(bits, raster):
     return labels.reshape(K, -1), count
 
 
-def joined_labels(closed, raster, side_a, side_b):
-    """``sides_joined`` and the labelling it reads: (holds, labels, on_a), with
-    the (K, H * W) labels of ``_label`` and ``on_a[l]`` true iff label l is on
-    a pixel of ``side_a``."""
+def _joins(x, y, on_a, on_b):
+    """For the edges x[i] - y[i] between labels: does the component of x[i]
+    in their graph hold a label of ``on_a`` and one of ``on_b``?"""
+    parent = {}
+
+    def root(v):
+        while v in parent:
+            v = parent[v]
+        return v
+
+    for u, v in zip(x, y):
+        if root(u) != root(v):
+            parent[root(u)] = root(v)
+    sides = {}
+    for v, side in zip(x + y, (on_a[x + y] + 2 * on_b[x + y]).tolist()):
+        sides[root(v)] = sides.get(root(v), 0) | side
+    return [sides[root(v)] == 3 for v in x]
+
+
+def joined_closing(closed, raster, side_a, side_b, k, site):
+    """``sides_joined`` on the (K, W, W) stack ``closed`` before and after
+    closing the open sites, read by ``raster``, at the flat index pairs
+    (k, site): (before, after), from one labelling.  A closed site joins its
+    edge's two ends, so the labels merged along a field's sites decide it."""
     labels, count = _label(closed, raster)
     on_a = np.zeros(count + 1, dtype=bool)
     on_a[labels[:, side_a]] = True
-    return on_a[labels[:, side_b]].any(axis=1), labels, on_a
+    before = on_a[labels[:, side_b]].any(axis=1)
+    after = before.copy()
+    unmet = ~before[k]
+    k, site = k[unmet], site[unmet]
+    if k.size:
+        x, y = (labels[k, end] for end in raster.ends(_extent(closed), site))
+        on_b = np.zeros_like(on_a)
+        on_b[labels[:, side_b]] = True
+        after[k[_joins(x.tolist(), y.tolist(), on_a, on_b)]] = True
+    return before, after
 
 
 def sides_joined(closed, raster, side_a, side_b):
     """For each field of the (K, W, W) stack ``closed``: does its image of
     ``raster`` join a pixel of ``side_a`` to one of ``side_b``?  A bool array
     of length K; the sides are flat indices of base pixels."""
-    return joined_labels(closed, raster, side_a, side_b)[0]
+    return joined_closing(closed, raster, side_a, side_b, *np.empty((2, 0), dtype=np.intp))[0]
 
 
 _RECT_KINDS = ("T", "T1", "T2", "T3", "T4")
@@ -293,12 +334,10 @@ def _cycle_static(M, n):
     the cut ray; the sites of the usable edges that do and their ends' pixels."""
     keep = _usable(n, *site_edges(M)).ravel()
     raster = edge_raster(M, keep)
-    A, B = _coords(M, keep)
-    cut = _crosses_cut(A, B)
+    cut = _crosses_cut(*_coords(M, keep))
     bridges = raster.sites[cut]
-    i1, j1, i2, j2 = edge_ends(A[cut], B[cut])
-    ends = [raster.pixel(i1 + j1, i1 - j1), raster.pixel(i2 + j2, i2 - j2)]
-    return raster._replace(pixels=raster.pixels[~cut], sites=raster.sites[~cut]), bridges, ends
+    return (raster._replace(pixels=raster.pixels[~cut], sites=raster.sites[~cut]), bridges,
+            raster.ends(M, bridges))
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +645,7 @@ class Event(NamedTuple):
     reads: Callable  # (extent, n) -> flat field indices of every site holds reads
     # (extent, n) -> (raster, side_a, side_b) when holds is ``sides_joined`` of
     # the closed bits on them, an image in which a closed site joins its edge's
-    # two ends; None for the other events
+    # two ends, so that ``holds_closing`` merges one labelling; None otherwise
     sides: Callable | None = None
     least_n: int = 1  # the least scale at which the event is defined
 
@@ -627,6 +666,35 @@ EVENTS = {
                     lambda M, n: np.unique(np.concatenate(
                         [_rect_static(M, n, f"T{i}")[0].sites for i in range(1, 5)]))),
 }
+
+
+@lru_cache(maxsize=16)
+def read_mask(M, n, event):
+    """(W, W) bool mask of the sites the event reads.  Cached, read-only."""
+    W = 2 * M + 1
+    reads = np.zeros((W, W), dtype=bool)
+    reads.ravel()[EVENTS[event].reads(M, n)] = True
+    reads.flags.writeable = False
+    return reads
+
+
+def holds_closing(event, closed, n, k, site):
+    """The event's bits on the (K, W, W) stack ``closed`` before and after
+    closing the open sites it reads at the flat index pairs (k, site):
+    (before, after).  An event with ``sides`` takes both from one labelling;
+    any other is detected again on the fields k, on a copy with their sites
+    closed, so a monotonicity violation stays visible."""
+    sides, holds = EVENTS[event].sides, EVENTS[event].holds
+    if sides is not None:
+        return joined_closing(closed, *sides(_extent(closed), n), k, site)
+    before = holds(closed, n)
+    after = before.copy()
+    if k.size:
+        changed, k = np.unique(k, return_inverse=True)
+        closing = closed[changed]
+        closing.reshape(len(changed), -1)[k, site] = True
+        after[changed] = holds(closing, n)
+    return before, after
 
 
 WITNESS_FORMAT_VERSION = 1

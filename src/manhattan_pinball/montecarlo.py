@@ -9,12 +9,10 @@ one sample at a time, drawing only the sites the event reads (dilated by the
 pattern when pairing), and hand each stack to the event's stacked detector;
 plain closure builds no field and traces a worker's samples together with
 ``trace_lockstep``.  An enhanced estimate is the enhanced half of a paired
-comparison, whose deciders start from the matched reds the event reads
-(enhancement only closes matched reds).  A or Aprime, whose detector is one
-``sides_joined`` on a primal image, labels each plain stack once and merges
-the labels along them; the other events are detected again on the fields
-with such a red, with those reds closed.  No tally depends on the stack or
-walk sizes.  The harness replays the localization argument per sample: if
+comparison, which draws, matches and tallies: enhancement only closes
+matched reds, so ``events.holds_closing`` decides both bits of a stack from
+the matched reds the event reads.  No tally depends on the stack or walk
+sizes.  The harness replays the localization argument per sample: if
 the enhanced field carries an exact surrounding circuit at scale n, the
 origin trajectory of the raw field must close inside Q_{2n+2D} and the
 hybrid field (raw core, enhanced exterior) must localize inside Q_{2n}.  A
@@ -52,9 +50,9 @@ from .configuration import (
     stream_base,
 )
 from .enhancement import Pattern, _dilated, _matches, check_detour, enhance, matched_reds
-from .events import (EVENTS, _require_extent, circuit_holds, joined_labels,
+from .events import (EVENTS, _require_extent, circuit_holds, holds_closing, read_mask,
                      surrounding_circuit_exact)
-from .geometry import edge_ends, site_radius
+from .geometry import site_radius
 from .tracer import CLOSED, TableWalks, trace_lockstep, trace_summary
 
 _Z95 = 1.959963984540054
@@ -181,21 +179,11 @@ _STACK_BYTES = 3 << 17
 
 
 @lru_cache(maxsize=16)
-def _read_mask(extent, n, event):
-    """(W, W) bool mask of the sites the event reads.  Cached, read-only."""
-    W = 2 * extent + 1
-    reads = np.zeros((W, W), dtype=bool)
-    reads.ravel()[EVENTS[event].reads(extent, n)] = True
-    reads.flags.writeable = False
-    return reads
-
-
-@lru_cache(maxsize=16)
 def _fill_sites(extent, n, event, pattern):
     """Flat indices of the sites a sample loop draws: those the event reads,
     dilated by the pattern's copies.  The enhanced field is then exact on
     every read site.  Cached, read-only."""
-    sites = np.flatnonzero(_dilated(_read_mask(extent, n, event), pattern))
+    sites = np.flatnonzero(_dilated(read_mask(extent, n, event), pattern))
     sites.flags.writeable = False
     return sites
 
@@ -246,77 +234,12 @@ def estimate_event(event: str, p: float, n: int, N: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def _joins(x, y, on_a, on_b):
-    """For the edges x[i] - y[i] between labels: does the component of x[i]
-    in their graph hold a label of ``on_a`` and one of ``on_b``?"""
-    parent = {}
-
-    def root(v):
-        while v in parent:
-            v = parent[v]
-        return v
-
-    for u, v in zip(x, y):
-        if root(u) != root(v):
-            parent[root(u)] = root(v)
-    sides = {}
-    for v, side in zip(x + y, (on_a[x + y] + 2 * on_b[x + y]).tolist()):
-        sides[root(v)] = sides.get(root(v), 0) | side
-    return [sides[root(v)] == 3 for v in x]
-
-
-def _paired_merge(closed, n, extent, event, pattern):
-    """(plain, enhanced) event bits of the (K, W, W) stack of plain fields
-    ``closed``, for an event with ``sides``, from one labelling.
-
-    Enhancement only closes matched reds, which are open in the plain field,
-    and a closed red joins the pixels of its edge's two ends.  So where the
-    plain event fails it holds enhanced iff the plain labels, merged along
-    the matched reds that the raster reads, join the two sides: the (k, site)
-    pairs of the fields k where the plain event fails."""
-    raster, side_a, side_b = EVENTS[event].sides(extent, n)
-    a, labels, on_a = joined_labels(closed, raster, side_a, side_b)
-    k, site = _matches(closed, pattern, reads=(n, event))
-    unmet = ~a[k]
-    k, site = k[unmet], site[unmet]
-    b = a.copy()
-    if k.size:
-        row, col = np.divmod(site, 2 * extent + 1)
-        i1, j1, i2, j2 = edge_ends(row - extent, col - extent)
-        x = labels[k, raster.pixel(i1 + j1, i1 - j1)]
-        y = labels[k, raster.pixel(i2 + j2, i2 - j2)]
-        on_b = np.zeros_like(on_a)
-        on_b[labels[:, side_b]] = True
-        b[k[_joins(x.tolist(), y.tolist(), on_a, on_b)]] = True
-    return a, b
-
-
-def _paired_redetect(closed, n, extent, event, pattern):
-    """(plain, enhanced) event bits of the (K, W, W) stack of plain fields
-    ``closed``, for any event.  A detector reads only the event's sites, and
-    there the enhanced field is the plain one with the matched reds (k, site)
-    that the event reads closed: only a field k with such a red is detected
-    again, on a copy with them closed.  That keeps a monotonicity violation
-    visible."""
-    holds = EVENTS[event].holds
-    a = holds(closed, n)
-    k, site = _matches(closed, pattern, reads=(n, event))
-    b = a.copy()
-    if k.size:
-        changed, k = np.unique(k, return_inverse=True)
-        enhanced = closed[changed]
-        enhanced.reshape(len(changed), -1)[k, site] = True
-        b[changed] = holds(enhanced, n)
-    return a, b
-
-
 def _paired_samples(args):
     event, p, n, seed, extent, pattern, indices = args
-    decide = _paired_redetect if EVENTS[event].sides is None else _paired_merge
     tally = np.zeros(4, dtype=np.int64)  # [neither, only plain, only enhanced, both]
     sites = _fill_sites(extent, n, event, pattern)
     for closed in _field_stacks(p, extent, seed, indices, sites):
-        a, b = decide(closed, n, extent, event, pattern)
+        a, b = holds_closing(event, closed, n, *_matches(closed, pattern, reads=(n, event)))
         tally += np.bincount(a + 2 * b, minlength=4)
     return tally
 
@@ -325,12 +248,12 @@ def compare_enhanced(p: float, n: int, N: int, seed: int, g: Pattern,
                      event: str = "Aprime", workers: int = 1) -> PairedReport:
     """Evaluate an event on identical samples before and after enhancement.
 
-    A and Aprime are decided before and after from one labelling of the plain
-    field, merged along the matched reds: closing edges only joins labels, so
-    ``only_plain`` is then 0 by construction.  The other events detect a
-    field again where enhancement closes a red they read, so a monotonicity
-    violation would show in ``only_plain``.  ``estimate_event`` with the
-    pattern returns the enhanced report.
+    ``events.holds_closing`` decides A and Aprime before and after from one
+    labelling of the plain field, merged along the matched reds: closing
+    edges only joins labels, so ``only_plain`` is then 0 by construction.
+    The other events detect a field again where enhancement closes a red
+    they read, so a monotonicity violation would show in ``only_plain``.
+    ``estimate_event`` with the pattern returns the enhanced report.
 
     The paired gap interval is a normal-approximation interval on the mean
     of the per-sample differences (enhanced minus plain, each in {-1,0,1}).

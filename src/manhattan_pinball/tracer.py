@@ -34,6 +34,7 @@ from .configuration import (
     Configuration,
     _as_uint64,
     _check_extent,
+    _hash_grid,
     check_probability,
     closed_test,
     hash_key,
@@ -74,13 +75,13 @@ _START = 5
 
 
 @lru_cache(maxsize=32)
-def _turn_table(start_code, d0, turn):
+def _turn_table(start_code, d0):
     """The turn table of walks that start on a site of code
-    ``start_code`` along ``d0``, built from ``turn`` (callers pass _TURN).
+    ``start_code`` along ``d0``, built from _TURN.
 
     At cell + e, e = 2d for a ray entering the cell along d, it holds the
     doubled direction leaving the cell: an open site passes the ray straight
-    on and a closed one turns it as ``turn`` does, while the pad ring and
+    on and a closed one turns it as _TURN does, while the pad ring and
     the sites beyond the abort radius end it with _ESC or _ABORT whatever
     their bit.  Row _START is that of ``start_code`` with _HOME for leaving
     along ``d0``, so it ends a ray back at its start state.  Every row maps
@@ -88,7 +89,7 @@ def _turn_table(start_code, d0, turn):
     """
     table = np.empty((_START + 1, 8, 2), dtype=np.intp)  # code, e // 2, closed
     table[...] = 2 * np.arange(8)[:, np.newaxis]  # open: straight on; sentinels stay
-    table[:3, :4, 1] = 2 * np.reshape(turn, (3, 4))
+    table[:3, :4, 1] = 2 * np.reshape(_TURN, (3, 4))
     table[3, :4], table[4, :4] = _ESC, _ABORT
     home = table[_START]
     home[...] = table[start_code]
@@ -201,7 +202,7 @@ class TableWalks:
         table[j0] = 16 * _START + (c & 1)
         try:
             return _trace_kernel(table, self.step, s0 if at is None else at,
-                                 _turn_table(c >> 4, s0 & 3, _TURN))
+                                 _turn_table(c >> 4, s0 & 3))
         finally:
             table[j0] = c
 
@@ -233,18 +234,14 @@ _LOCKSTEP_MIN_RAYS = 32
 
 def _row_keys(base, axis):
     """The row-key table of the rays with stream bases ``base``: hash_key(base[k],
-    axis[a]) at k * len(axis) + a, hashed a block of rays at a time in one
-    block-sized buffer, which holds the block's bases and then the hash's
-    scratch (a ufunc that broadcasts the bases buffers about twice the block)."""
+    axis[a]) at k * len(axis) + a, hashed a block of rays at a time with one
+    block-sized scratch buffer."""
     P = len(axis)
     keys = np.empty((len(base), P), dtype=np.uint64)
     buf = np.empty((max(1, _ROW_KEY_BLOCK // P), P), dtype=np.uint64)
     for lo in range(0, len(base), len(buf)):
         block = keys[lo : lo + len(buf)]
-        np.copyto(block, axis)
-        tmp = buf[: len(block)]
-        np.copyto(tmp, base[lo : lo + len(buf), np.newaxis])
-        hash_key(tmp, block, out=block, tmp=tmp)
+        _hash_grid(base[lo : lo + len(buf)], axis, block, buf[: len(block)])
     return keys.ravel()
 
 
@@ -307,7 +304,7 @@ def _lockstep(p, M, seed, stream_indices, walks, status):
     walks.fill(False)
     s0 = walks.state()
     cells = walks.cells.astype(np.intp)
-    turn = np.array(_turn_table(cells[s0 >> 2] >> 4, s0 & 3, _TURN))
+    turn = np.array(_turn_table(cells[s0 >> 2] >> 4, s0 & 3))
     cells[s0 >> 2] = 16 * _START
     axis = _as_uint64(np.arange(-M - 1, M + 2))
     cell_a, cell_b = np.repeat(axis, P), np.tile(axis, P)

@@ -1,12 +1,18 @@
 """Command surface: exit codes, golden byte stability, file plumbing."""
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manhattan_pinball import cli, events
+from manhattan_pinball import cli, events, montecarlo
 from manhattan_pinball.cli import main
+from manhattan_pinball.configuration import Configuration
 from manhattan_pinball.montecarlo import MAX_TRIALS
+
+from test_montecarlo import _shrunk_reach
 
 
 def run(args):
@@ -196,6 +202,25 @@ def test_verify_exit_codes(tmp_path, capsys):
     # n <= 100 is a usage error
     assert run(["verify", "--p", "1", "--n", "50", "--trials", "2",
                 "--seed", "1"]) == 2
+
+
+def test_verify_exits_1_and_names_each_failed_sample(tmp_path, monkeypatch, capsys):
+    # a hybrid field with no mirror lets its ray escape, so every circuit
+    # sample fails (as in test_verify_fallback_keeps_failures_and_their_diagnostics)
+    _shrunk_reach(monkeypatch, 0)
+    monkeypatch.setattr(montecarlo, "hybrid", lambda w, w_t, k: Configuration(
+        extent=w.extent, closed=np.zeros_like(w.closed)))
+    csv = tmp_path / "v.csv"
+    assert run(["verify", "--p", "0.6", "--n", "102", "--trials", "6",
+                "--seed", "8", "--csv", str(csv)]) == 1
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    circuits = [int(row[0]) for row in rows if row[1] == "1"]
+    assert circuits and all(row[5] == "0" for row in rows if row[1] == "1")
+    fails = [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == len(circuits)
+    for i, line in zip(circuits, fails):
+        assert re.fullmatch(rf"FAIL sample {i}: seed=8 stream={i} .* hybrid_status=escaped .*",
+                            line), line
 
 
 def test_verify_marks_vacuous_runs(tmp_path, capsys):

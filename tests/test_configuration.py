@@ -2,6 +2,7 @@
 
 import hashlib
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,25 @@ def test_site_by_site_hash_matches_uniforms():
 
 ORACLE_PROBABILITIES = (0.0, 1.0, 0.1 + 0.2, 0.5, np.nextafter(0.5, 0), np.nextafter(0.5, 1),
                         2.0 ** -60, 1 - 2.0 ** -53)
+
+
+def test_sample_peaks_within_its_field_and_two_hash_blocks():
+    # a block hashes in its two uint64 buffers alone: a ufunc that broadcast
+    # the row keys against the columns would buffer another 130 KB at M = 267
+    M = 267
+    W = 2 * M + 1
+    sample(0.5, M, 1, 0)  # first-use caches are not the sampler's
+    tracemalloc.start()
+    try:
+        closed = sample(0.5, M, 1, 3).closed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 8 * (_HASH_BLOCK // W) * W
+    assert closed.nbytes == W * W
+    # the field (or the all-sites mask before it), two hash blocks, the uint64
+    # coordinates and row keys, and a few KB
+    assert W * W + 2 * block <= peak <= W * W + 2 * block + 16 * W + 16384, peak
 
 
 def test_raw_hash_rule_matches_thresholded_uniforms():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manhattan_pinball import events
 from manhattan_pinball.cli import main as cli_main
 from manhattan_pinball.configuration import Configuration, constant, from_closed_sites, sample
 from manhattan_pinball.enhancement import (
@@ -192,6 +193,42 @@ def test_essential_witness_is_pivotal():
     from manhattan_pinball.enhancement import _window_crossing
     assert not _window_crossing(w.closed[np.newaxis])[0]
     assert _window_crossing(enhance(w, g).closed[np.newaxis])[0]
+
+
+def test_essential_witnesses_match_detecting_the_enhanced_window(monkeypatch):
+    # the merge of one labelling along the matched reds against detecting the
+    # window before and after enhance_stack, on fills of density q in
+    # [0.2, 0.7], with the copy at the origin planted and without it
+    from manhattan_pinball.enhancement import _essential_witnesses, _window_crossing, enhance_stack
+
+    calls = []
+    label = events._label
+    monkeypatch.setattr(events, "_label", lambda *args: calls.append(1) or label(*args))
+    rng = np.random.default_rng(5)
+    for g in (default_pattern(), SKEWED_PATTERN):
+        M = 2 * g.radius + 6
+        planted = from_closed_sites(M, g.closed_sites).closed
+        free = np.flatnonzero(~from_closed_sites(M, g.sites).closed)
+        seen = set()
+        for plant, K in ((True, 1000), (False, 200)):  # 0.5 % of planted fields are witnesses
+            stack = np.zeros((K, 2 * M + 1, 2 * M + 1), dtype=bool)
+            for field in stack.reshape(len(stack), -1):
+                q = rng.uniform(0.2, 0.7)
+                if plant:
+                    field[:] = planted.ravel()
+                    field[free[rng.random(len(free)) < q]] = True
+                else:
+                    field[:] = rng.random(len(field)) < q
+            at_origin = np.array([all(f[a + M, b + M] for a, b in g.closed_sites)
+                                  and not any(f[a + M, b + M] for a, b in g.open_sites)
+                                  for f in stack])
+            want = at_origin & ~_window_crossing(stack) & _window_crossing(enhance_stack(stack, g))
+            del calls[:]
+            got = _essential_witnesses(stack, g)
+            assert len(calls) == 1  # one labelling per window stack
+            assert got.tolist() == want.tolist(), (g.name, plant)
+            seen.update((plant, x) for x in got.tolist())
+        assert {(True, True), (True, False), (False, False)} <= seen, g.name
 
 
 def test_essential_absent_when_red_is_sealed_off():

@@ -400,7 +400,7 @@ def test_paired_shortcut_keeps_every_change_of_outcome(monkeypatch):
     g = Pattern(frozenset(), frozenset({(0, 0)}), (0, 0))
     p, n, N, seed = 0.6, 4, 200, 29
     extent = event_extent("Acirc", n, g)
-    assert montecarlo._read_mask(extent, n, "Acirc")[extent + 1, extent + 6]
+    assert events.read_mask(extent, n, "Acirc")[extent + 1, extent + 6]
 
     def holds(closed, n):
         return events.circuit_holds(closed, n) == closed[:, extent + 1, extent + 6]
@@ -437,7 +437,10 @@ def test_paired_merge_matches_detecting_the_enhanced_field(event, scales, monkey
     monkeypatch.setattr(events, "_label", lambda *args: calls.append(1) or label(*args))
     holds, N, seed = EVENTS[event].holds, 40, 17
     merge = EVENTS[event].sides is not None
-    decide = montecarlo._paired_merge if merge else montecarlo._paired_redetect
+
+    def decide(closed, n, extent, event, g):
+        k, site = enhancement._matches(closed, g, reads=(n, event))
+        return events.holds_closing(event, closed, n, k, site)
     only_enhanced = together = 0
     for g in (default_pattern(), SKEWED_PATTERN):
         for n in scales:
@@ -475,15 +478,15 @@ def test_paired_merge_matches_detecting_the_enhanced_field(event, scales, monkey
 def test_paired_merge_maps_only_the_reds_of_fields_where_the_plain_event_fails(monkeypatch):
     # a red closed in a field that already crosses changes no bit, so the
     # merge maps to pixels only the reds of the fields where the event fails
-    mapped = []
-    monkeypatch.setattr(montecarlo, "edge_ends",
-                        lambda row, col: mapped.extend(row.tolist()) or geometry.edge_ends(row, col))
+    mapped, ends = [], events.Raster.ends
+    monkeypatch.setattr(events.Raster, "ends",
+                        lambda raster, M, sites: mapped.extend(sites.tolist()) or ends(raster, M, sites))
     g, event, n = SKEWED_PATTERN, "A", 2
     extent = event_extent(event, n, g)
     closed = next(montecarlo._field_stacks(
         0.5, extent, 17, range(40), montecarlo._fill_sites(extent, n, event, g)))
-    a, _ = montecarlo._paired_merge(closed, n, extent, event, g)
-    k, _ = enhancement._matches(closed, g, reads=(n, event))
+    k, site = enhancement._matches(closed, g, reads=(n, event))
+    a, _ = events.holds_closing(event, closed, n, k, site)
     assert a[k].any() and len(mapped) == np.count_nonzero(~a[k]) > 0
 
 

@@ -1,5 +1,6 @@
 """Light dynamics: hand-trace oracles, bijectivity, the ``step`` oracle."""
 
+import contextlib
 import hashlib
 import os
 import random
@@ -349,8 +350,27 @@ def test_row_key_table_adds_at_most_its_cap_to_a_walks_peak(monkeypatch):
 _NON_INJECTIVE_TURN = (0, 1, 2, 3, 1, 0, 3, 3, 3, 2, 1, 0)
 
 
-def test_non_injective_dynamics_raise_on_the_same_samples(monkeypatch, capsys):
-    monkeypatch.setattr(tracer, "_TURN", _NON_INJECTIVE_TURN)
+@contextlib.contextmanager
+def _non_injective_turn(monkeypatch):
+    """_TURN patched to _NON_INJECTIVE_TURN.  The cached turn tables are built
+    from _TURN, so they are dropped after patching and again on the way out,
+    lest a non-injective table reach later walks."""
+    with monkeypatch.context() as patched:
+        patched.setattr(tracer, "_TURN", _NON_INJECTIVE_TURN)
+        tracer._turn_table.cache_clear()
+        try:
+            yield
+        finally:
+            tracer._turn_table.cache_clear()
+
+
+@pytest.fixture
+def non_injective_turn(monkeypatch):
+    with _non_injective_turn(monkeypatch):
+        yield
+
+
+def test_non_injective_dynamics_raise_on_the_same_samples(non_injective_turn, monkeypatch, capsys):
     p, n, seed = 0.5, 8, 5
 
     def raises(fn, *args, **kwargs):
@@ -395,8 +415,7 @@ print(hashlib.sha256(text.encode()).hexdigest())
 def test_walks_after_a_raise_equal_a_fresh_interpreters(monkeypatch):
     # a walk that raises leaves nothing behind that later walks read
     fields = [sample(0.5, 10, 5, i) for i in range(40)]
-    with monkeypatch.context() as patched:
-        patched.setattr(tracer, "_TURN", _NON_INJECTIVE_TURN)
+    with _non_injective_turn(monkeypatch):
         with pytest.raises(DynamicsError):
             for c in fields:
                 trace(c)
@@ -429,10 +448,9 @@ def test_walks_in_threads_equal_the_serial_walks():
     assert all(results[k] == want for k in range(len(threads)))
 
 
-def test_walks_raise_once_live_past_the_extents_ray_states(monkeypatch):
+def test_walks_raise_once_live_past_the_extents_ray_states(non_injective_turn, monkeypatch):
     # an injective walk ends within the extent's 4W^2 ray states, so one still
     # live after 4W^2 steps raises, whether it walks alone or in lockstep
-    monkeypatch.setattr(tracer, "_TURN", _NON_INJECTIVE_TURN)
     monkeypatch.setattr(tracer, "_LOCKSTEP_MIN_RAYS", 0)
     M, seed = 10, 5
     for i in range(60):
