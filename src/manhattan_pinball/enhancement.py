@@ -313,11 +313,6 @@ def _window_sides(M):
             raster.where(lambda u, v: u + v >= 2 * M - 2))
 
 
-def _window_crossing(closed):
-    """A closed west-east crossing, per field of a (K, W, W) window stack."""
-    return _ev.sides_joined(closed, *_window_sides(closed.shape[-1] // 2))
-
-
 def _essential_witnesses(closed, g: Pattern):
     """Per field of a (K, W, W) window stack: the copy of ``g`` at offset
     (0, 0) matches, and closing the matched red edges makes a crossing that

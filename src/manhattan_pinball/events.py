@@ -51,6 +51,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -191,6 +192,11 @@ _PLANE = np.zeros((3, 3, 3), dtype=bool)
 _PLANE[1, 1, :] = _PLANE[1, :, 1] = True
 
 
+# Held while the labelling kernel loads: its module is in ``sys.modules``
+# before it has run, and ``lru_cache`` does not keep a second thread out.
+_KERNEL_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=1)
 def _label_kernel():
     """``scipy.ndimage._ni_label._label(image, structure, labels)``, which
@@ -198,21 +204,23 @@ def _label_kernel():
     run the package's ``__init__``, whose array-API imports are most of a
     graph run's set-up, so the extension is loaded from its own file.  It is
     registered under its name first: a later ``import scipy.ndimage`` then
-    takes this module and does not load the extension again."""
+    takes this module and does not load the extension again.  One thread
+    loads it; another that asks meanwhile waits for the loaded module."""
     name = "scipy.ndimage._ni_label"
-    module = sys.modules.get(name)
-    if module is None:
-        import scipy  # imported on first use: closure runs need no scipy
+    with _KERNEL_LOCK:
+        module = sys.modules.get(name)
+        if module is None:
+            import scipy  # imported on first use: closure runs need no scipy
 
-        spec = importlib.machinery.PathFinder.find_spec(
-            name, [os.path.join(scipy.__path__[0], "ndimage")])
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        try:
-            spec.loader.exec_module(module)
-        except BaseException:
-            del sys.modules[name]
-            raise
+            spec = importlib.machinery.PathFinder.find_spec(
+                name, [os.path.join(scipy.__path__[0], "ndimage")])
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            try:
+                spec.loader.exec_module(module)
+            except BaseException:
+                del sys.modules[name]
+                raise
     return module._label
 
 

@@ -16,7 +16,7 @@ sizes.  The harness replays the localization argument per sample: if
 the enhanced field carries an exact surrounding circuit at scale n, the
 origin trajectory of the raw field must close inside Q_{2n+2D} and the
 hybrid field (raw core, enhanced exterior) must localize inside Q_{2n}.  A
-verify worker reuses one field and one walk table, and a sample draws only
+verify worker reuses two fields and one walk table, and a sample draws only
 the sites its record reads.  The reds it closes are
 ``enhancement.matched_reds`` outside the core Q_100: its enhanced circuit is
 ``circuit_holds`` on that field with them closed, and its hybrid walk the
@@ -24,6 +24,16 @@ raw walk's table with them added.  ``_record`` decides every record from the
 circuit and the two orbits.  A worker keeps only the records it passes,
 whose orbits read exact bits, and hands every other sample to
 ``_verify_reference``, which recomputes it on whole fields.
+
+The loops that label overlap two samples (``_Helper``).  scipy's labelling
+kernel releases the GIL, so while one helper thread decides stack k (verify:
+the circuit of sample k), the calling thread draws and matches stack k + 1
+(verify: draws sample k + 1, then walks sample k).  Stacks and verify's
+fields alternate between two buffers, so a buffer is drawn again only after
+its decision is taken, and decisions are taken in sample order: every
+tally and record is that of the in-order loop.  Each worker process runs
+one helper thread, and only when it has a core to spare; otherwise it
+decides inline, in the same loop.
 """
 
 from __future__ import annotations
@@ -32,9 +42,10 @@ import csv
 import io
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -134,24 +145,113 @@ class PairedReport:
 MAX_TRIALS = sys.maxsize
 
 
+def _cores():
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 def _run(worker, args, N, workers):
-    """``worker((*args, indices))`` for one chunk of range(N) per worker, in
-    this process, or in a pool when there is more than one chunk; the results
-    in chunk order."""
+    """``worker((*args, indices), threaded)`` for one chunk of range(N) per
+    worker, in this process, or in a pool when there is more than one chunk;
+    the results in chunk order.  ``threaded`` is whether each worker process
+    has a second core for its ``_Helper`` thread."""
     if not 1 <= N <= MAX_TRIALS:
         raise ValueError(f"need 1 to {MAX_TRIALS} trials, got {N}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     size = (N + workers - 1) // workers
     jobs = [(*args, range(lo, min(lo + size, N))) for lo in range(0, N, size)]
+    processes = min(os.cpu_count() or 1, len(jobs))
+    worker = partial(worker, threaded=_cores() >= 2 * processes)
     if len(jobs) == 1:
         return [worker(jobs[0])]
     # imported here: it loads multiprocessing and logging, which a run in one
     # process never needs
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(jobs))) as ex:
+    with ProcessPoolExecutor(max_workers=processes) as ex:
         return list(ex.map(worker, jobs))
+
+
+class _Helper:
+    """Decides a sample loop's items in order (``overlap``), each after the
+    first on one helper thread when ``threaded``, else on the calling thread.
+    Used as a context manager, which joins the thread however the loop ends,
+    so that no thread outlives it."""
+
+    def __init__(self, threaded):
+        self._threaded = threaded
+        self._thread = self._call = self._outcome = None
+        # held locked: _submit releases _go for the thread, which releases
+        # _done for _result; _call is not None while a call is in flight
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._thread is not None:
+            if self._call is not None:
+                self._done.acquire()
+            self._call = None
+            self._go.release()
+            self._thread.join()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            if self._call is None:
+                return
+            decide, item = self._call
+            try:
+                self._outcome = decide(item), None
+            except BaseException as error:  # raised again by _result, on the calling thread
+                self._outcome = None, error
+            self._done.release()
+
+    def _submit(self, decide, item):
+        if not self._threaded:
+            self._outcome = decide(item), None
+            return
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._serve, daemon=True)
+            self._thread.start()
+        self._call = decide, item
+        self._go.release()
+
+    def _result(self):
+        if self._call is not None:
+            self._done.acquire()
+            self._call = None
+        (value, error), self._outcome = self._outcome, None
+        if error is not None:
+            raise error
+        return value
+
+    def overlap(self, decide, items):
+        """(item, decide(item)) for each of ``items``, in order.  Item k + 1
+        is made (the next of ``items``) while item k is decided, and item k
+        is used (the caller's loop body) while item k + 1 is, so an item
+        must stay intact until the item after the next one is made.  The
+        first item is decided on the calling thread: that loads the
+        labelling kernel and fills the event's caches there, not in the
+        helper's malloc arena, and a loop of one item starts no thread."""
+        items = iter(items)
+        pending = next(items, None)
+        if pending is None:
+            return
+        self._outcome = decide(pending), None
+        for item in items:
+            decision = self._result()
+            self._submit(decide, item)
+            yield pending, decision
+            pending = item
+        yield pending, self._result()
 
 
 def _report(event, p, n, N, hits, seed, walltime_ms):
@@ -191,30 +291,33 @@ def _fill_sites(extent, n, event, pattern):
 def _field_stacks(p, extent, seed, indices, sites):
     """The closed fields of the samples in ``indices`` at probability ``p``, as
     (K, W, W) stacks in sample order, drawn on the flat ``sites`` only (the
-    rest open); each is a view of one buffer that the next overwrites."""
+    rest open).  They alternate between two buffers: a stack is a view that
+    the next stack but one overwrites, so it stays intact while the next is
+    drawn (``_Helper.overlap``)."""
     check_probability(p)
     W = 2 * extent + 1
     K = max(1, min(len(indices), _STACK_BYTES // (W * W)))
-    stack = np.zeros((K, W, W), dtype=bool)
-    flat = stack.reshape(K, -1)
+    stacks = np.zeros((2, K, W, W), dtype=bool)
+    flats = stacks.reshape(2, K, -1)
     closed = site_sampler(extent, sites)
-    for lo in range(0, len(indices), K):
+    for j, lo in enumerate(range(0, len(indices), K)):
         chunk = indices[lo : lo + K]
-        for k, base in enumerate(stream_base(seed, chunk)):
-            flat[k][sites] = closed(base, p)
-        yield stack[: len(chunk)]
+        for field, base in zip(flats[j % 2], stream_base(seed, chunk)):
+            field[sites] = closed(base, p)
+        yield stacks[j % 2, : len(chunk)]
 
 
-def _eval_samples(args):
+def _eval_samples(args, threaded=False):
     """Worker body: the hits of one event on a run of sample indices."""
     event, p, n, seed, extent, indices = args
     if event == "closure":  # no field needed: the tracer walks the rays in lockstep
         return int(np.count_nonzero(
             trace_lockstep(p, extent, seed, indices, abort_radius=n) == CLOSED))
     holds = EVENTS[event].holds
-    sites = _fill_sites(extent, n, event, None)
-    return sum(int(np.count_nonzero(holds(closed, n)))
-               for closed in _field_stacks(p, extent, seed, indices, sites))
+    stacks = _field_stacks(p, extent, seed, indices, _fill_sites(extent, n, event, None))
+    with _Helper(threaded) as helper:
+        return sum(int(np.count_nonzero(hits))
+                   for _, hits in helper.overlap(lambda closed: holds(closed, n), stacks))
 
 
 def estimate_event(event: str, p: float, n: int, N: int, seed: int,
@@ -234,13 +337,18 @@ def estimate_event(event: str, p: float, n: int, N: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def _paired_samples(args):
+def _paired_samples(args, threaded=False):
+    """Worker body: the [neither, only plain, only enhanced, both] tally of
+    one event on a run of sample indices."""
     event, p, n, seed, extent, pattern, indices = args
-    tally = np.zeros(4, dtype=np.int64)  # [neither, only plain, only enhanced, both]
+    tally = np.zeros(4, dtype=np.int64)
     sites = _fill_sites(extent, n, event, pattern)
-    for closed in _field_stacks(p, extent, seed, indices, sites):
-        a, b = holds_closing(event, closed, n, *_matches(closed, pattern, reads=(n, event)))
-        tally += np.bincount(a + 2 * b, minlength=4)
+    matched = ((closed, *_matches(closed, pattern, reads=(n, event)))
+               for closed in _field_stacks(p, extent, seed, indices, sites))
+    with _Helper(threaded) as helper:
+        for _, (a, b) in helper.overlap(lambda item: holds_closing(event, item[0], n, *item[1:]),
+                                        matched):
+            tally += np.bincount(a + 2 * b, minlength=4)
     return tally
 
 
@@ -336,10 +444,10 @@ def _verify_static(extent, n, g, reach):
     return drawn
 
 
-def _verify_samples(args):
+def _verify_samples(args, threaded=False):
     """Worker body: the records of a run of sample indices.
 
-    The field and the walk table are allocated once per call, and a sample
+    The fields and the walk table are allocated once per call, and a sample
     draws only the sites its record reads (the rest read open).  The reds are
     those ``enhance`` closes outside the core Q_100, and a matched red is open
     in the raw field, so they are closed for the circuit and opened again for
@@ -352,32 +460,41 @@ def _verify_samples(args):
     on a site of radius reach + 1.  ``_record`` decides every record from
     these walks, and a record it does not pass, as a theorem failure would
     be, is recomputed by ``_verify_reference``: so this path passes only what
-    ``_record`` passes on orbits that read exact bits.
+    ``_record`` passes on orbits that read exact bits.  Samples alternate
+    between two fields: the helper decides one sample's circuit while the
+    next is drawn, and the next one's while this one is walked.
     """
     p, n, seed, extent, g, D, indices = args
     walks = TableWalks(extent, 2 * n + 2 * D)
     drawn = _verify_static(extent, n, g, walks.abort_at)
     W = 2 * extent + 1
     draw = region_sampler(extent, drawn)
-    field = np.zeros((W, W), dtype=bool)
-    flat = field.ravel()
+    fields = np.zeros((2, W, W), dtype=bool)
+
+    def enhanced():
+        """(sample, its field's slot, its reds), the reds closed in the field."""
+        for j, (i, base) in enumerate(zip(indices, stream_base(seed, indices))):
+            draw(base, p, fields[j % 2])
+            reds = matched_reds(fields[j % 2], g, _CORE_RADIUS)
+            fields[j % 2].ravel()[reds] = True
+            yield i, j % 2, reds
+
     records = []
-    for i, base in zip(indices, stream_base(seed, indices)):
-        draw(base, p, field)
-        reds = matched_reds(field, g, _CORE_RADIUS)
-        flat[reds] = True
-        circuit = circuit_holds(field[np.newaxis], n)[0]
-        flat[reds] = False
-        orbits = None, None  # (closed, containment) of the raw and hybrid orbits
-        if circuit:
-            walks.fill(field)
-            raw = walks.walk()
-            walks.close(reds)
-            orbits = [(status == CLOSED, walks.containment(path))
-                      for status, path in (raw, walks.walk())]
-        record = _record(i, circuit, *orbits, n, D)
-        records.append(record if record.passed
-                       else _verify_reference(p, n, seed, extent, g, D, i))
+    with _Helper(threaded) as helper:
+        for (i, slot, reds), circuit in helper.overlap(
+                lambda item: circuit_holds(fields[item[1], np.newaxis], n)[0], enhanced()):
+            field = fields[slot]
+            field.ravel()[reds] = False
+            orbits = None, None  # (closed, containment) of the raw and hybrid orbits
+            if circuit:
+                walks.fill(field)
+                raw = walks.walk()
+                walks.close(reds)
+                orbits = [(status == CLOSED, walks.containment(path))
+                          for status, path in (raw, walks.walk())]
+            record = _record(i, circuit, *orbits, n, D)
+            records.append(record if record.passed
+                           else _verify_reference(p, n, seed, extent, g, D, i))
     return records
 
 

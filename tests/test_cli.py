@@ -1,6 +1,7 @@
 """Command surface: exit codes, golden byte stability, file plumbing."""
 
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from manhattan_pinball import cli, events, montecarlo
 from manhattan_pinball.cli import main
 from manhattan_pinball.configuration import Configuration
+from manhattan_pinball.errors import DynamicsError
 from manhattan_pinball.montecarlo import MAX_TRIALS
 
 from test_montecarlo import _shrunk_reach
@@ -289,6 +291,31 @@ def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
                 "--trials", "1", "--seed", "1", "--csv", str(csv)]) == 2
     assert capsys.readouterr().err.startswith("error: out of memory")
     assert not csv.exists()
+
+
+@pytest.mark.parametrize("error, status", [(DynamicsError("repeated state"), 3),
+                                           (MemoryError(), 2)], ids=["dynamics", "memory"])
+def test_an_error_on_the_helper_thread_exits_with_its_code(error, status, capsys, monkeypatch):
+    # the first stack is labelled on the calling thread, the second on the
+    # helper, which raises: the error reaches the command line, which exits
+    # with its documented code, and no thread is left behind
+    monkeypatch.setattr(montecarlo, "_cores", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_STACK_BYTES", 1)  # a stack a sample
+    label, where = events._label, []
+
+    def failing(*args):
+        where.append(threading.current_thread())
+        if len(where) > 1:
+            raise error
+        return label(*args)
+
+    monkeypatch.setattr(events, "_label", failing)
+    before = threading.active_count()
+    assert run(["estimate", "--event", "Acirc", "--p", "0.6", "--n", "3",
+                "--trials", "3", "--seed", "1"]) == status
+    assert threading.active_count() == before
+    assert where[0] is threading.main_thread() and where[1] is not where[0]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scale", ["0", "-2"])

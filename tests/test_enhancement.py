@@ -190,16 +190,17 @@ def test_essential_witness_is_pivotal():
     # the planted copy matches; only the red edge separates no-crossing from
     # crossing (checked through the public enhancement map)
     assert (0, 0) in match_pattern(w, g).offsets
-    from manhattan_pinball.enhancement import _window_crossing
-    assert not _window_crossing(w.closed[np.newaxis])[0]
-    assert _window_crossing(enhance(w, g).closed[np.newaxis])[0]
+    from manhattan_pinball.enhancement import _window_sides
+    sides = _window_sides(w.extent)
+    assert not events.sides_joined(w.closed[np.newaxis], *sides)[0]
+    assert events.sides_joined(enhance(w, g).closed[np.newaxis], *sides)[0]
 
 
 def test_essential_witnesses_match_detecting_the_enhanced_window(monkeypatch):
     # the merge of one labelling along the matched reds against detecting the
     # window before and after enhance_stack, on fills of density q in
     # [0.2, 0.7], with the copy at the origin planted and without it
-    from manhattan_pinball.enhancement import _essential_witnesses, _window_crossing, enhance_stack
+    from manhattan_pinball.enhancement import _essential_witnesses, _window_sides, enhance_stack
 
     calls = []
     label = events._label
@@ -222,7 +223,9 @@ def test_essential_witnesses_match_detecting_the_enhanced_window(monkeypatch):
             at_origin = np.array([all(f[a + M, b + M] for a, b in g.closed_sites)
                                   and not any(f[a + M, b + M] for a, b in g.open_sites)
                                   for f in stack])
-            want = at_origin & ~_window_crossing(stack) & _window_crossing(enhance_stack(stack, g))
+            sides = _window_sides(M)
+            want = (at_origin & ~events.sides_joined(stack, *sides)
+                    & events.sides_joined(enhance_stack(stack, g), *sides))
             del calls[:]
             got = _essential_witnesses(stack, g)
             assert len(calls) == 1  # one labelling per window stack

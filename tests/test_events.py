@@ -7,10 +7,14 @@ parity, never by the detectors' own machinery.
 """
 
 import hashlib
+import importlib.machinery
+import importlib.util
 import itertools
 import os
 import subprocess
 import sys
+import threading
+import types
 from pathlib import Path
 
 import networkx as nx
@@ -20,10 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import manhattan_pinball
+from manhattan_pinball import events
 from manhattan_pinball.configuration import (Configuration, constant, dumps, from_closed_sites,
                                              sample)
 from manhattan_pinball.enhancement import (
-    _window_crossing,
+    _window_sides,
     check_essential,
     default_pattern,
     dumps_pattern,
@@ -50,6 +55,7 @@ from manhattan_pinball.events import (
     radial_holds,
     rect_crossing,
     rect_holds,
+    sides_joined,
     surrounding_circuit_4rect,
     surrounding_circuit_exact,
     walk_winding,
@@ -187,7 +193,8 @@ def test_stacked_detectors_match_per_sample_oracles(K):
             "circuit4": (lambda f: circuit4_holds(f, n),
                          [all(brute_rect(c, n, k) for k in ("T1", "T2", "T3", "T4"))
                           for c in cfgs]),
-            "window": (_window_crossing, [brute_window(c) for c in cfgs]),
+            "window": (lambda f: sides_joined(f, *_window_sides(f.shape[-1] // 2)),
+                       [brute_window(c) for c in cfgs]),
         }
         for kind in ("T", "T1", "T2", "T3", "T4"):
             answers[kind] = (lambda f, kind=kind: rect_holds(f, n, kind),
@@ -375,6 +382,54 @@ def test_graph_event_runs_leave_scipy_ndimage_out():
         "assert count_again == count and np.array_equal(again, labels)")
     assert "scipy.ndimage._ni_label" in loaded
     assert "scipy.ndimage" not in loaded
+
+
+def test_label_kernel_loads_once_while_another_thread_asks(monkeypatch):
+    # the kernel's module is registered before it has run: a thread asking
+    # meanwhile waits for the loaded kernel instead of taking a module that
+    # has no _label yet
+    name = "scipy.ndimage._ni_label"
+    entered, release, kernel = threading.Event(), threading.Event(), object()
+
+    class SlowLoader:
+        def create_module(self, spec):
+            return None
+
+        def exec_module(self, module):
+            entered.set()
+            release.wait(10)
+            module._label = kernel
+
+    spec = importlib.machinery.ModuleSpec(name, SlowLoader())
+    finder = types.SimpleNamespace(find_spec=lambda name, path: spec)
+    monkeypatch.setattr(events, "importlib", types.SimpleNamespace(
+        machinery=types.SimpleNamespace(PathFinder=finder), util=importlib.util))
+    monkeypatch.delitem(sys.modules, name, raising=False)
+    events._label_kernel.cache_clear()
+    got = {}
+
+    def ask(who):
+        try:
+            got[who] = events._label_kernel()
+        except Exception as e:  # a half-loaded module has no _label
+            got[who] = e
+
+    first = threading.Thread(target=ask, args=("first",))
+    second = threading.Thread(target=ask, args=("second",))
+    try:
+        first.start()
+        assert entered.wait(10)
+        second.start()
+        second.join(0.2)  # time to take the half-loaded module, were it not held
+        release.set()
+        first.join(10)
+        second.join(10)
+    finally:
+        release.set()
+        sys.modules.pop(name, None)  # the real module, if loaded, comes back on teardown
+        events._label_kernel.cache_clear()
+    assert not first.is_alive() and not second.is_alive()
+    assert got == {"first": kernel, "second": kernel}
 
 
 def test_planted_diamond_ring():

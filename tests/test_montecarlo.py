@@ -4,7 +4,10 @@ import hashlib
 import itertools
 import math
 import re
+import sys
+import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from manhattan_pinball.enhancement import (
     enhance,
     enhance_stack,
 )
-from manhattan_pinball.errors import ResourceLimitError
+from manhattan_pinball.errors import DynamicsError, ResourceLimitError
 from manhattan_pinball.events import (EVENTS, _circuit_static, rect_crossing,
                                       surrounding_circuit_exact)
 from manhattan_pinball.montecarlo import (
@@ -736,3 +739,145 @@ def test_verify_walks_the_hybrid_again_when_the_raw_orbit_meets_its_red(monkeypa
     assert fast[0].circuit and len(closes) == 1
     W = 2 * extent + 1
     assert (red[0] + extent) * W + red[1] + extent in closes[0]
+
+
+# ---------------------------------------------------------------------------
+# the helper thread: stack k is decided while stack k + 1 is drawn
+# ---------------------------------------------------------------------------
+
+
+def _stacks_of(K, event, n, monkeypatch, pattern=None):
+    """Stacks of K fields for the event: its extent and the stack size K."""
+    extent = event_extent(event, n, pattern)
+    monkeypatch.setattr(montecarlo, "_STACK_BYTES", K * (2 * extent + 1) ** 2)
+    return extent
+
+
+@pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
+@pytest.mark.parametrize("event, p, n", [("A", 0.55, 3), ("Acirc", 0.8, 3)])
+def test_estimate_pipeline_matches_an_in_order_loop(event, p, n, threaded, monkeypatch):
+    # N = 1, K, K + 1 and 2K + 1 samples: a last stack of one field, drawn
+    # and then decided when the loop drains, and both buffers in turn
+    K, seed = 3, 3
+    extent = _stacks_of(K, event, n, monkeypatch)
+    holds = [bool(EVENTS[event].holds(sample(p, extent, seed, i).closed[np.newaxis], n)[0])
+             for i in range(2 * K + 1)]
+    assert holds[K] and holds[2 * K] and not all(holds)  # the last stacks count
+    for N in (1, K, K + 1, 2 * K + 1):
+        hits = montecarlo._eval_samples((event, p, n, seed, extent, range(N)), threaded)
+        assert hits == sum(holds[:N]), (N, threaded)
+        assert estimate_event(event, p, n, N, seed).hits == hits
+
+
+@pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
+@pytest.mark.parametrize("event, p, n", [("Aprime", 0.5, 4), ("Acirc4", 0.8, 3)])
+def test_paired_pipeline_matches_an_in_order_loop(event, p, n, threaded, monkeypatch):
+    K, seed, g = 3, 6, default_pattern()
+    extent = _stacks_of(K, event, n, monkeypatch, g)
+    holds = EVENTS[event].holds
+    tally = np.zeros((2 * K + 1, 4), dtype=np.int64)
+    for i, row in enumerate(tally):
+        w = sample(p, extent, seed, i).closed[np.newaxis]
+        row[int(holds(w, n)[0]) + 2 * int(holds(enhance_stack(w, g), n)[0])] = 1
+    assert tally[:, 0].any() and tally[:, 3].any()
+    for N in (1, K, K + 1, 2 * K + 1):
+        got = montecarlo._paired_samples((event, p, n, seed, extent, g, range(N)), threaded)
+        assert got.tolist() == tally[:N].sum(axis=0).tolist(), (N, threaded)
+
+
+@pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
+def test_verify_pipeline_matches_an_in_order_loop(threaded, monkeypatch):
+    # what the fast path hands _record, sample by sample, equals what the
+    # reference computes on whole fields: a record finished on the field of
+    # the sample drawn after it would walk another orbit
+    g = default_pattern()
+    p, n, seed = 0.55, 102, 3
+    D = check_detour(g).radius
+    extent = montecarlo.verify_extent(n, g, D)
+    decided, record = [], montecarlo._record
+    monkeypatch.setattr(montecarlo, "_record",
+                        lambda i, *args: decided.append((i, *args[:3])) or record(i, *args))
+    expected = [montecarlo._verify_reference(p, n, seed, extent, g, D, i) for i in range(3)]
+    in_order = decided[:]
+    assert all(r.circuit and r.passed for r in expected)
+    for N in (1, 2, 3):
+        del decided[:]
+        records = montecarlo._verify_samples((p, n, seed, extent, g, D, range(N)), threaded)
+        assert records == expected[:N] and decided == in_order[:N], (N, threaded)
+
+
+def test_helper_hands_back_each_decision_with_its_item_intact_and_in_order():
+    # the hand-off between the calling and the helper thread, with the
+    # interpreter switching threads every microsecond: items alternate
+    # between two buffers, as stacks do, and each comes back intact with its
+    # own decision
+    buffers = np.zeros((2, 4096), dtype=np.int64)
+
+    def items():
+        for k in range(400):
+            buffers[k % 2] = k
+            yield k, buffers[k % 2]
+
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with montecarlo._Helper(True) as helper:
+            got = [(k, decision, int(buffer.min()), int(buffer.max()))
+                   for (k, buffer), decision in helper.overlap(
+                       lambda item: int(item[1].sum()) // len(item[1]), items())]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [(k, k, k, k) for k in range(400)]
+    assert threading.active_count() == before
+
+
+def _threaded(job, threaded):
+    return threaded
+
+
+@pytest.mark.parametrize("cores, workers, threaded",
+                         [(1, 1, False), (2, 1, True), (2, 2, False), (4, 2, True)])
+def test_run_lends_the_helper_a_core_only_when_one_is_spare(cores, workers, threaded,
+                                                            monkeypatch):
+    # each worker process needs a core of its own and one for its helper
+    monkeypatch.setattr(montecarlo, "_cores", lambda: cores)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    assert montecarlo._run(_threaded, (), 5, workers) == [threaded] * workers
+
+
+def test_closure_and_one_item_loops_start_no_thread(monkeypatch):
+    # closure never labels, and a loop of one item has nothing to overlap
+    def thread(**kwargs):
+        pytest.fail("a thread started")
+
+    monkeypatch.setattr(montecarlo, "_cores", lambda: 2)
+    monkeypatch.setattr(montecarlo, "threading",
+                        types.SimpleNamespace(Lock=threading.Lock, Thread=thread))
+    estimate_event("closure", 0.5, 8, 50, 1)
+    estimate_event("Acirc", 0.6, 3, 1, 1)
+    compare_enhanced(0.5, 4, 1, 1, default_pattern(), "Aprime")
+    verify_theorem(0.55, 102, 1, 2, default_pattern())
+
+
+def test_no_thread_outlives_a_public_call(monkeypatch):
+    # with a spare core the helper labels every item but the first, and it is
+    # joined when the call returns or raises: a later fork must see no thread
+    monkeypatch.setattr(montecarlo, "_cores", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_STACK_BYTES", 1)  # a stack a sample
+    label, where = events._label, set()
+    monkeypatch.setattr(events, "_label",
+                        lambda *args: where.add(threading.current_thread()) or label(*args))
+    before, g = threading.active_count(), default_pattern()
+    estimate_event("Acirc", 0.6, 3, 4, 1)
+    compare_enhanced(0.5, 4, 4, 1, g, "Aprime")
+    verify_theorem(0.55, 102, 3, 2, g)
+    assert threading.active_count() == before
+    assert threading.main_thread() in where and len(where) > 1
+
+    def walk(walks, *start):
+        raise DynamicsError("repeated state")
+
+    monkeypatch.setattr(tracer.TableWalks, "walk", walk)  # raises on the calling thread
+    with pytest.raises(DynamicsError):
+        verify_theorem(0.55, 102, 3, 2, g)
+    assert threading.active_count() == before

@@ -90,12 +90,17 @@ MUTANTS = (
            "contained = closed and containment <= 2 * n + 2 * D + 5", (T_MONTECARLO,)),
     Mutant("fast-path-keeps-failed-records", MONTECARLO,
            "records.append(record if record.passed\n"
-           "                       else _verify_reference(p, n, seed, extent, g, D, i))",
+           "                           else _verify_reference(p, n, seed, extent, g, D, i))",
            "records.append(record)", (T_MONTECARLO,)),
     Mutant("enhanced-estimate-reads-plain", MONTECARLO,
            "return compare_enhanced(p, n, N, seed, pattern, event, workers).enhanced",
            "return compare_enhanced(p, n, N, seed, pattern, event, workers).plain",
            (T_MONTECARLO,)),
+    # the helper thread of the sample loops
+    Mutant("pipeline-drops-last", MONTECARLO,
+           "        yield pending, self._result()\n", "        self._result()\n", (T_MONTECARLO,)),
+    Mutant("verify-finishes-wrong-field", MONTECARLO,
+           "field = fields[slot]", "field = fields[1 - slot]", (T_MONTECARLO,)),
     # the walk tables
     Mutant("far-ends-only-open", TRACER,
            "table[3, :4], table[4, :4] = _ESC, _ABORT",
