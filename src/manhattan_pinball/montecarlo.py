@@ -25,15 +25,16 @@ circuit and the two orbits.  A worker keeps only the records it passes,
 whose orbits read exact bits, and hands every other sample to
 ``_verify_reference``, which recomputes it on whole fields.
 
-The loops that label overlap two samples (``_Helper``).  scipy's labelling
-kernel releases the GIL, so while one helper thread decides stack k (verify:
-the circuit of sample k), the calling thread draws and matches stack k + 1
-(verify: draws sample k + 1, then walks sample k).  Stacks and verify's
-fields alternate between two buffers, so a buffer is drawn again only after
-its decision is taken, and decisions are taken in sample order: every
-tally and record is that of the in-order loop.  Each worker process runs
-one helper thread, and only when it has a core to spare; otherwise it
-decides inline, in the same loop.
+The loops that label overlap two samples (``_in_order``).  scipy's
+labelling kernel releases the GIL, so while the one thread of a
+``ThreadPoolExecutor`` decides stack k (verify: the circuit of sample k),
+the calling thread draws and matches stack k + 1 (verify: draws sample
+k + 1, then walks sample k).  Stacks and verify's fields alternate between
+two buffers, so a buffer is drawn again only after its decision is taken,
+and decisions are taken in sample order: every tally and record is that of
+the in-order loop.  Each worker process runs one pool thread, and only when
+it has a core to spare and two items to decide; otherwise it decides
+inline.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ import csv
 import io
 import os
 import sys
-import threading
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -157,15 +158,16 @@ def _run(worker, args, N, workers):
     """``worker((*args, indices), threaded)`` for one chunk of range(N) per
     worker, in this process, or in a pool when there is more than one chunk;
     the results in chunk order.  ``threaded`` is whether each worker process
-    has a second core for its ``_Helper`` thread."""
+    has a second core for the pool thread of ``_in_order``."""
     if not 1 <= N <= MAX_TRIALS:
         raise ValueError(f"need 1 to {MAX_TRIALS} trials, got {N}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     size = (N + workers - 1) // workers
     jobs = [(*args, range(lo, min(lo + size, N))) for lo in range(0, N, size)]
-    processes = min(os.cpu_count() or 1, len(jobs))
-    worker = partial(worker, threaded=_cores() >= 2 * processes)
+    cores = _cores()
+    processes = min(cores, len(jobs))
+    worker = partial(worker, threaded=cores >= 2 * processes)
     if len(jobs) == 1:
         return [worker(jobs[0])]
     # imported here: it loads multiprocessing and logging, which a run in one
@@ -176,82 +178,35 @@ def _run(worker, args, N, workers):
         return list(ex.map(worker, jobs))
 
 
-class _Helper:
-    """Decides a sample loop's items in order (``overlap``), each after the
-    first on one helper thread when ``threaded``, else on the calling thread.
-    Used as a context manager, which joins the thread however the loop ends,
-    so that no thread outlives it."""
+def _in_order(decide, items, threaded):
+    """(item, decide(item)) for each of ``items``, in order.  When
+    ``threaded`` and there are two items or more, each item after the first
+    is decided on one pool thread: item k + 1 is made (the next of
+    ``items``) while item k is decided, and item k is used (the caller's
+    loop body) while item k + 1 is, so an item must stay intact until the
+    item after the next one is made.  The first item is decided on the
+    calling thread: that loads the labelling kernel and fills the event's
+    caches there, not in the pool thread's malloc arena.  Leaving the
+    ``with`` joins the pool's thread however the loop ends."""
+    items = iter(items)
+    head = list(islice(items, 2)) if threaded else []
+    items = chain(head, items)
+    if len(head) < 2:  # inline, or one item: no pool
+        yield from ((item, decide(item)) for item in items)
+        return
+    # imported here, as in _run: it loads logging, which a loop of one item
+    # never needs
+    from concurrent.futures import ThreadPoolExecutor
 
-    def __init__(self, threaded):
-        self._threaded = threaded
-        self._thread = self._call = self._outcome = None
-        # held locked: _submit releases _go for the thread, which releases
-        # _done for _result; _call is not None while a call is in flight
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._thread is not None:
-            if self._call is not None:
-                self._done.acquire()
-            self._call = None
-            self._go.release()
-            self._thread.join()
-
-    def _serve(self):
-        while True:
-            self._go.acquire()
-            if self._call is None:
-                return
-            decide, item = self._call
-            try:
-                self._outcome = decide(item), None
-            except BaseException as error:  # raised again by _result, on the calling thread
-                self._outcome = None, error
-            self._done.release()
-
-    def _submit(self, decide, item):
-        if not self._threaded:
-            self._outcome = decide(item), None
-            return
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._serve, daemon=True)
-            self._thread.start()
-        self._call = decide, item
-        self._go.release()
-
-    def _result(self):
-        if self._call is not None:
-            self._done.acquire()
-            self._call = None
-        (value, error), self._outcome = self._outcome, None
-        if error is not None:
-            raise error
-        return value
-
-    def overlap(self, decide, items):
-        """(item, decide(item)) for each of ``items``, in order.  Item k + 1
-        is made (the next of ``items``) while item k is decided, and item k
-        is used (the caller's loop body) while item k + 1 is, so an item
-        must stay intact until the item after the next one is made.  The
-        first item is decided on the calling thread: that loads the
-        labelling kernel and fills the event's caches there, not in the
-        helper's malloc arena, and a loop of one item starts no thread."""
-        items = iter(items)
-        pending = next(items, None)
-        if pending is None:
-            return
-        self._outcome = decide(pending), None
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = next(items)
+        result = partial(decide, pending)  # on the calling thread
         for item in items:
-            decision = self._result()
-            self._submit(decide, item)
+            decision = result()
+            result = pool.submit(decide, item).result
             yield pending, decision
             pending = item
-        yield pending, self._result()
+        yield pending, result()
 
 
 def _report(event, p, n, N, hits, seed, walltime_ms):
@@ -293,7 +248,7 @@ def _field_stacks(p, extent, seed, indices, sites):
     (K, W, W) stacks in sample order, drawn on the flat ``sites`` only (the
     rest open).  They alternate between two buffers: a stack is a view that
     the next stack but one overwrites, so it stays intact while the next is
-    drawn (``_Helper.overlap``)."""
+    drawn (``_in_order``)."""
     check_probability(p)
     W = 2 * extent + 1
     K = max(1, min(len(indices), _STACK_BYTES // (W * W)))
@@ -315,9 +270,8 @@ def _eval_samples(args, threaded=False):
             trace_lockstep(p, extent, seed, indices, abort_radius=n) == CLOSED))
     holds = EVENTS[event].holds
     stacks = _field_stacks(p, extent, seed, indices, _fill_sites(extent, n, event, None))
-    with _Helper(threaded) as helper:
-        return sum(int(np.count_nonzero(hits))
-                   for _, hits in helper.overlap(lambda closed: holds(closed, n), stacks))
+    return sum(int(np.count_nonzero(hits))
+               for _, hits in _in_order(lambda closed: holds(closed, n), stacks, threaded))
 
 
 def estimate_event(event: str, p: float, n: int, N: int, seed: int,
@@ -345,10 +299,9 @@ def _paired_samples(args, threaded=False):
     sites = _fill_sites(extent, n, event, pattern)
     matched = ((closed, *_matches(closed, pattern, reads=(n, event)))
                for closed in _field_stacks(p, extent, seed, indices, sites))
-    with _Helper(threaded) as helper:
-        for _, (a, b) in helper.overlap(lambda item: holds_closing(event, item[0], n, *item[1:]),
-                                        matched):
-            tally += np.bincount(a + 2 * b, minlength=4)
+    for _, (a, b) in _in_order(lambda item: holds_closing(event, item[0], n, *item[1:]),
+                               matched, threaded):
+        tally += np.bincount(a + 2 * b, minlength=4)
     return tally
 
 
@@ -461,8 +414,8 @@ def _verify_samples(args, threaded=False):
     these walks, and a record it does not pass, as a theorem failure would
     be, is recomputed by ``_verify_reference``: so this path passes only what
     ``_record`` passes on orbits that read exact bits.  Samples alternate
-    between two fields: the helper decides one sample's circuit while the
-    next is drawn, and the next one's while this one is walked.
+    between two fields: the pool thread decides one sample's circuit while
+    the next is drawn, and the next one's while this one is walked.
     """
     p, n, seed, extent, g, D, indices = args
     walks = TableWalks(extent, 2 * n + 2 * D)
@@ -480,21 +433,20 @@ def _verify_samples(args, threaded=False):
             yield i, j % 2, reds
 
     records = []
-    with _Helper(threaded) as helper:
-        for (i, slot, reds), circuit in helper.overlap(
-                lambda item: circuit_holds(fields[item[1], np.newaxis], n)[0], enhanced()):
-            field = fields[slot]
-            field.ravel()[reds] = False
-            orbits = None, None  # (closed, containment) of the raw and hybrid orbits
-            if circuit:
-                walks.fill(field)
-                raw = walks.walk()
-                walks.close(reds)
-                orbits = [(status == CLOSED, walks.containment(path))
-                          for status, path in (raw, walks.walk())]
-            record = _record(i, circuit, *orbits, n, D)
-            records.append(record if record.passed
-                           else _verify_reference(p, n, seed, extent, g, D, i))
+    for (i, slot, reds), circuit in _in_order(
+            lambda item: circuit_holds(fields[item[1], np.newaxis], n)[0], enhanced(), threaded):
+        field = fields[slot]
+        field.ravel()[reds] = False
+        orbits = None, None  # (closed, containment) of the raw and hybrid orbits
+        if circuit:
+            walks.fill(field)
+            raw = walks.walk()
+            walks.close(reds)
+            orbits = [(status == CLOSED, walks.containment(path))
+                      for status, path in (raw, walks.walk())]
+        record = _record(i, circuit, *orbits, n, D)
+        records.append(record if record.passed
+                       else _verify_reference(p, n, seed, extent, g, D, i))
     return records
 
 

@@ -7,7 +7,6 @@ import re
 import sys
 import threading
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -37,6 +36,7 @@ from manhattan_pinball.montecarlo import (
 )
 
 from test_enhancement import SKEWED_PATTERN
+from test_events import modules_after
 
 
 @pytest.mark.parametrize("event", ["A", "Aprime", "Acirc", "Acirc4"])
@@ -807,7 +807,7 @@ def test_verify_pipeline_matches_an_in_order_loop(threaded, monkeypatch):
 
 
 def test_helper_hands_back_each_decision_with_its_item_intact_and_in_order():
-    # the hand-off between the calling and the helper thread, with the
+    # the hand-off between the calling and the pool thread, with the
     # interpreter switching threads every microsecond: items alternate
     # between two buffers, as stacks do, and each comes back intact with its
     # own decision
@@ -821,10 +821,9 @@ def test_helper_hands_back_each_decision_with_its_item_intact_and_in_order():
     before, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with montecarlo._Helper(True) as helper:
-            got = [(k, decision, int(buffer.min()), int(buffer.max()))
-                   for (k, buffer), decision in helper.overlap(
-                       lambda item: int(item[1].sum()) // len(item[1]), items())]
+        got = [(k, decision, int(buffer.min()), int(buffer.max()))
+               for (k, buffer), decision in montecarlo._in_order(
+                   lambda item: int(item[1].sum()) // len(item[1]), items(), True)]
     finally:
         sys.setswitchinterval(interval)
     assert got == [(k, k, k, k) for k in range(400)]
@@ -841,18 +840,16 @@ def test_run_lends_the_helper_a_core_only_when_one_is_spare(cores, workers, thre
                                                             monkeypatch):
     # each worker process needs a core of its own and one for its helper
     monkeypatch.setattr(montecarlo, "_cores", lambda: cores)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     assert montecarlo._run(_threaded, (), 5, workers) == [threaded] * workers
 
 
 def test_closure_and_one_item_loops_start_no_thread(monkeypatch):
     # closure never labels, and a loop of one item has nothing to overlap
-    def thread(**kwargs):
+    def thread(*args, **kwargs):
         pytest.fail("a thread started")
 
     monkeypatch.setattr(montecarlo, "_cores", lambda: 2)
-    monkeypatch.setattr(montecarlo, "threading",
-                        types.SimpleNamespace(Lock=threading.Lock, Thread=thread))
+    monkeypatch.setattr(threading, "Thread", thread)
     estimate_event("closure", 0.5, 8, 50, 1)
     estimate_event("Acirc", 0.6, 3, 1, 1)
     compare_enhanced(0.5, 4, 1, 1, default_pattern(), "Aprime")
@@ -860,8 +857,9 @@ def test_closure_and_one_item_loops_start_no_thread(monkeypatch):
 
 
 def test_no_thread_outlives_a_public_call(monkeypatch):
-    # with a spare core the helper labels every item but the first, and it is
-    # joined when the call returns or raises: a later fork must see no thread
+    # with a spare core the pool thread labels every item but the first, and
+    # it is joined when the call returns or raises: a later fork must see no
+    # thread
     monkeypatch.setattr(montecarlo, "_cores", lambda: 2)
     monkeypatch.setattr(montecarlo, "_STACK_BYTES", 1)  # a stack a sample
     label, where = events._label, set()
@@ -881,3 +879,57 @@ def test_no_thread_outlives_a_public_call(monkeypatch):
     with pytest.raises(DynamicsError):
         verify_theorem(0.55, 102, 3, 2, g)
     assert threading.active_count() == before
+
+
+def test_an_error_making_an_item_joins_the_pool_thread(monkeypatch):
+    # the third stack's draw raises while the second stack is labelled on the
+    # pool thread, which waits for that raise: the error reaches the caller
+    # and the thread is joined
+    monkeypatch.setattr(montecarlo, "_cores", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_STACK_BYTES", 1)  # a stack a sample
+    sampler, label = montecarlo.site_sampler, events._label
+    draws, raised, waited = [], threading.Event(), []
+
+    def site_sampler(*args):
+        closed = sampler(*args)
+
+        def draw(base, p):
+            draws.append(base)
+            if len(draws) == 3:
+                raised.set()
+                raise DynamicsError("third stack")
+            return closed(base, p)
+        return draw
+
+    def labelled(*args):
+        if threading.current_thread() is not threading.main_thread():
+            waited.append(raised.wait(timeout=60))
+        return label(*args)
+
+    monkeypatch.setattr(montecarlo, "site_sampler", site_sampler)
+    monkeypatch.setattr(events, "_label", labelled)
+    before = threading.active_count()
+    with pytest.raises(DynamicsError, match="third stack"):
+        estimate_event("Acirc", 0.6, 3, 4, 1)
+    assert threading.active_count() == before
+    assert waited == [True]  # the second stack was in flight when the third raised
+
+
+def test_one_sample_calls_import_no_thread_pool():
+    # the set-up probe makes 1-sample calls: with a spare core they still
+    # load neither concurrent.futures nor the logging it imports, which a
+    # loop of two items or more does
+    calls = """
+from manhattan_pinball import montecarlo
+from manhattan_pinball.enhancement import default_pattern
+montecarlo._cores = lambda: 2
+g = default_pattern()
+montecarlo.estimate_event("closure", 0.5, 8, 50, 1)
+montecarlo.estimate_event("Acirc", 0.6, 3, 1, 1)
+montecarlo.compare_enhanced(0.6, 3, 1, 1, g, "Acirc")
+montecarlo.compare_enhanced(0.5, 4, 1, 1, g, "Aprime")
+montecarlo.verify_theorem(0.55, 102, 1, 2, g)
+"""
+    pool = {"concurrent.futures", "logging"}
+    assert not pool & modules_after(calls)
+    assert pool <= modules_after(calls + "montecarlo.verify_theorem(0.55, 102, 2, 2, g)\n")

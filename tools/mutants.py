@@ -90,15 +90,28 @@ MUTANTS = (
            "contained = closed and containment <= 2 * n + 2 * D + 5", (T_MONTECARLO,)),
     Mutant("fast-path-keeps-failed-records", MONTECARLO,
            "records.append(record if record.passed\n"
-           "                           else _verify_reference(p, n, seed, extent, g, D, i))",
+           "                       else _verify_reference(p, n, seed, extent, g, D, i))",
            "records.append(record)", (T_MONTECARLO,)),
     Mutant("enhanced-estimate-reads-plain", MONTECARLO,
            "return compare_enhanced(p, n, N, seed, pattern, event, workers).enhanced",
            "return compare_enhanced(p, n, N, seed, pattern, event, workers).plain",
            (T_MONTECARLO,)),
-    # the helper thread of the sample loops
+    Mutant("verify-vacuous-rate-zero", MONTECARLO,
+           "rate = 1.0 if circuits == 0", "rate = 0.0 if circuits == 0", (T_MONTECARLO,)),
+    # the pool thread of the sample loops
     Mutant("pipeline-drops-last", MONTECARLO,
-           "        yield pending, self._result()\n", "        self._result()\n", (T_MONTECARLO,)),
+           "        yield pending, result()\n", "        result()\n", (T_MONTECARLO,)),
+    Mutant("pipeline-stale-decision", MONTECARLO,
+           "            yield pending, decision\n", "            yield item, decision\n",
+           (T_MONTECARLO,)),
+    Mutant("pipeline-first-on-pool", MONTECARLO,
+           "result = partial(decide, pending)", "result = pool.submit(decide, pending).result",
+           (T_MONTECARLO,)),
+    Mutant("pool-import-at-module-top", MONTECARLO,
+           "from itertools import chain, islice\n",
+           "from itertools import chain, islice\n"
+           "from concurrent.futures import ThreadPoolExecutor\n",
+           (T_MONTECARLO,)),
     Mutant("verify-finishes-wrong-field", MONTECARLO,
            "field = fields[slot]", "field = fields[1 - slot]", (T_MONTECARLO,)),
     # the walk tables
@@ -115,6 +128,8 @@ MUTANTS = (
            "        finally:\n            pass\n", (T_TRACER,)),
     Mutant("start-loses-closed-bit", TRACER,
            "table[j0] = 16 * _START + (c & 1)", "table[j0] = 16 * _START", (T_TRACER,)),
+    Mutant("lockstep-count-every-eighth", TRACER,
+           "if not steps & 3", "if not steps & 7", (T_TRACER,)),
     Mutant("close-ors-0", TRACER,
            "self.cells[(row + 1) * self.P + col + 1] |= 1",
            "self.cells[(row + 1) * self.P + col + 1] |= 0", (T_TRACER, T_MONTECARLO)),
